@@ -33,22 +33,8 @@ from .depletion_map import (
     mu_discrete,
     mu_prime,
 )
-from .model_core import (
-    DerivedConstants,
-    ModelParams,
-    crra_utility,
-    derived_constants,
-    validate,
-    value_upper_bound,
-)
-from .special_functions import (
-    BRANCH_POINT,
-    BranchPoint,
-    lambert_w0,
-    lambert_wm1,
-    lambert_wm1_neg_exp,
-    wm1_initial_guess,
-)
+from .model_core import ModelParams, crra_utility, validate, value_upper_bound
+from .special_functions import lambert_wm1, wm1_neg_exp_offset
 from .validation import (
     AssetPath,
     DpSolution,

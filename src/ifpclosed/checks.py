@@ -16,15 +16,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .consumption import (
+    consumption_approx_small_r,
+    consumption_from_depletion_time,
     consumption_now_r0,
     consumption_unconstrained,
     discrete_policy,
+    figure_rows,
     hessian_closed,
     jacobian_closed,
 )
-from .depletion_map import h_numeric, mu, mu_discrete
+from .depletion_map import best_depletion_time, h_closed_r0, h_numeric, mu, mu_discrete
 from .model_core import ModelParams, validate, value_upper_bound
-from .special_functions import lambert_w0, lambert_wm1
+from .special_functions import lambert_wm1
 from .validation import (
     approximation_error_report,
     fd_gradient,
@@ -69,16 +72,11 @@ def check_lambert_kernel(residual_tol: float = 1e-13) -> list[CheckResult]:
     t0 = time.perf_counter()
     xs = -np.geomspace(1.0 / math.e - 1e-12, 1e-12, 10_000)
     res_m1 = max(abs(lambert_wm1(x) * math.exp(lambert_wm1(x)) - x) / abs(x) for x in xs)
-    xs0 = np.linspace(-1.0 / math.e, 10.0, 10_000)
-    res_0 = max(
-        abs(lambert_w0(x) * math.exp(lambert_w0(x)) - x) / max(abs(x), 1e-300) for x in xs0
-    )
     ws = np.linspace(-50.0, -1.0, 10_000)
     round_trip = max(abs(lambert_wm1(w * math.exp(w)) - w) for w in ws)
     elapsed = time.perf_counter() - t0
     return [
         _bounded("lambert.wm1_residual", res_m1, residual_tol),
-        _bounded("lambert.w0_residual", res_0, residual_tol),
         _bounded("lambert.round_trip", round_trip, 1e-12),
         _bounded("lambert.runtime_seconds", elapsed, 1.0),
     ]
@@ -182,8 +180,6 @@ def check_feasibility_rk4() -> list[CheckResult]:
     t0 = time.perf_counter()
     p = validate(replace(FIGURE1_PARAMS, r=0.0))
     a0 = 3.0
-    from .depletion_map import h_closed_r0
-
     T = h_closed_r0(p, a0).T
     path = simulate_assets(p, a0, T / 10_000.0)
     terminal = abs(path.a[10_000]) / a0
@@ -230,9 +226,6 @@ def check_small_r() -> list[CheckResult]:
     gap_at_zero = 0.0
     for r in (0.02, 0.01, 0.005):
         p = replace(base, r=r)
-        from .consumption import consumption_approx_small_r, consumption_from_depletion_time
-        from .depletion_map import best_depletion_time
-
         c_ref = consumption_from_depletion_time(p, best_depletion_time(p, 0.0).T)
         gap_at_zero = max(gap_at_zero, abs(consumption_approx_small_r(p, 0.0) - c_ref))
     ratio_hi = by_r[0.02].max_rel_gap / by_r[0.01].max_rel_gap
@@ -277,16 +270,13 @@ def check_discrete_model(include_dp: bool = True) -> list[CheckResult]:
 
 def check_figures() -> list[CheckResult]:
     """Criterion 9: figure CSV data reproduce the qualitative shapes."""
-    from .cli import SweepSpec, figure_rows
-
     p = validate(FIGURE1_PARAMS)
-    spec = SweepSpec(a_min=0.0, a_max=10.0 * p.y, n_points=201, spacing="linear",
-                     normalize_by_income=True)
-    _, rows1 = figure_rows(p, 1, spec, delta=1.0)
+    grid = np.linspace(0.0, 10.0 * p.y, 201)
+    _, rows1 = figure_rows(p, 1, grid, delta=1.0)
     constrained_at_zero = rows1[0][1] * p.y
     unconstrained_at_zero = consumption_unconstrained(p, 0.0)
     gap_over_y = (unconstrained_at_zero - constrained_at_zero) / p.y
-    _, rows2 = figure_rows(p, 2, spec, delta=1.0)
+    _, rows2 = figure_rows(p, 2, grid, delta=1.0)
     fig2_gap = max(abs(r[1] - r[2]) / r[2] for r in rows2)
     report = approximation_error_report(p, [p.r], np.linspace(0.0, 100.0, 81) * p.y)
     return [

@@ -9,107 +9,53 @@ error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
 from .consumption import (
-    consumption_approx_small_r,
     consumption_derivatives,
     consumption_from_depletion_time,
-    consumption_path,
-    consumption_unconstrained,
-    discrete_policy,
+    figure_rows,
 )
 from .depletion_map import best_depletion_time, h_approx_small_r, h_closed_r0, h_numeric
 from .model_core import ModelParams, validate
 
-__all__ = ["SweepSpec", "figure_rows", "main", "sweep_grid"]
+__all__ = ["main", "sweep_grid"]
+
+# Output name -> its CSV columns, each a field of ``ConsumptionDerivatives``.
+_COLUMNS = {
+    "c": ("c",),
+    "T": ("T",),
+    "jacobian": ("dc_da", "dc_dy"),
+    "hessian": ("d2c_da2", "d2c_dady", "d2c_dy2"),
+}
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Asset grid request: [a_min, a_max] with n_points, linear or log spacing."""
-
-    a_min: float
-    a_max: float
-    n_points: int
-    spacing: str = "linear"  # "linear" | "log"
-    normalize_by_income: bool = False
-
-
-def _validate_sweep(spec: SweepSpec) -> SweepSpec:
-    if spec.a_min < 0.0:
-        raise ValueError(f"sweep: need a_min >= 0, got {spec.a_min}")
-    if not spec.a_max > spec.a_min:
-        raise ValueError(f"sweep: need a_max > a_min, got [{spec.a_min}, {spec.a_max}]")
-    if spec.n_points < 2:
-        raise ValueError(f"sweep: need n_points >= 2, got {spec.n_points}")
-    if spec.spacing not in ("linear", "log"):
-        raise ValueError(f"sweep: unknown spacing {spec.spacing!r}")
-    if spec.spacing == "log" and spec.a_min <= 0.0:
-        raise ValueError("sweep: log spacing requires a_min > 0")
-    return spec
-
-
-def sweep_grid(spec: SweepSpec) -> np.ndarray:
-    _validate_sweep(spec)
-    if spec.spacing == "log":
-        return np.geomspace(spec.a_min, spec.a_max, spec.n_points)
-    return np.linspace(spec.a_min, spec.a_max, spec.n_points)
+def sweep_grid(a_min: float, a_max: float, n: int, spacing: str = "linear") -> np.ndarray:
+    """n asset points on [a_min, a_max], linear or log spaced; raises ValueError on a bad request."""
+    if not (math.isfinite(a_min) and math.isfinite(a_max)):
+        raise ValueError(f"sweep: need finite bounds, got [{a_min}, {a_max}]")
+    if a_min < 0.0:
+        raise ValueError(f"sweep: need a_min >= 0, got {a_min}")
+    if not a_max > a_min:
+        raise ValueError(f"sweep: need a_max > a_min, got [{a_min}, {a_max}]")
+    if n < 2:
+        raise ValueError(f"sweep: need n_points >= 2, got {n}")
+    if spacing == "log":
+        if a_min <= 0.0:
+            raise ValueError("sweep: log spacing requires a_min > 0")
+        return np.geomspace(a_min, a_max, n)
+    if spacing != "linear":
+        raise ValueError(f"sweep: unknown spacing {spacing!r}")
+    return np.linspace(a_min, a_max, n)
 
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
-
-
-def figure_rows(
-    params: ModelParams, which: int, spec: SweepSpec, delta: float
-) -> tuple[list[str], list[tuple]]:
-    """Rows for the two figure CSVs (consumption normalized by income).
-
-    Figure 1 (requires r > 0): discrete piecewise-linear policy at step
-    ``delta`` against the unconstrained linear benchmark; grid points
-    nearest to a depletion knot are snapped onto the knot and flagged so
-    the knots appear exactly in the emitted data.  Figure 2: small-r
-    closed-form approximation against the numerically inverted solution.
-    """
-    validate(params)
-    grid = sweep_grid(spec)
-    y = params.y
-    if which == 1:
-        if params.r <= 0.0:
-            raise ValueError("figure 1 requires r > 0 for the unconstrained overlay")
-        policy = discrete_policy(params, delta, spec.a_max)
-        flags = np.zeros(grid.size, dtype=int)
-        for knot in policy.knot_assets:
-            if spec.a_min <= knot <= spec.a_max:
-                i = int(np.argmin(np.abs(grid - knot)))
-                grid[i] = knot
-                flags[i] = 1
-        order = np.argsort(grid)
-        grid, flags = grid[order], flags[order]
-        header = ["a_over_y", "c_discrete_over_y", "c_unconstrained_over_y", "knot_flag"]
-        rows = [
-            (a / y, policy(a) / y, consumption_unconstrained(params, a) / y, int(f))
-            for a, f in zip(grid, flags)
-        ]
-        return header, rows
-    if which == 2:
-        header = ["a_over_y", "c_closed_approx_over_y", "c_numeric_over_y"]
-        rows = [
-            (
-                a / y,
-                consumption_approx_small_r(params, a) / y,
-                consumption_from_depletion_time(params, h_numeric(params, a).T) / y,
-            )
-            for a in grid
-        ]
-        return header, rows
-    raise ValueError(f"unknown figure {which!r}; expected 1 or 2")
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[tuple]) -> None:
@@ -141,78 +87,52 @@ def _params_from(args: argparse.Namespace) -> ModelParams:
 def cmd_eval(args: argparse.Namespace) -> int:
     params = _params_from(args)
     a, t = args.a, args.t
-    if a < 0.0:
-        raise ValueError(f"eval: need a >= 0, got {a}")
-    print(f"a={_fmt(a)}")
-    print(f"t={_fmt(t)}")
+    if not 0.0 <= a < math.inf:
+        raise ValueError(f"eval: need finite a >= 0, got {a}")
+    if not t >= 0.0:
+        raise ValueError(f"eval: need t >= 0, got {t}")
+    lines = [("a", a), ("t", t)]
+    T_numeric = h_numeric(params, a).T
+    T = T_numeric
     if params.r == 0.0:
-        print(f"T_exact_r0={_fmt(h_closed_r0(params, a).T)}")
-    print(f"T_numeric={_fmt(h_numeric(params, a).T)}")
-    print(f"T_approx_small_r={_fmt(h_approx_small_r(params, a).T)}")
-    print(f"c={_fmt(consumption_path(params, a, t))}")
+        T = h_closed_r0(params, a).T
+        lines.append(("T_exact_r0", T))
+    lines.append(("T_numeric", T_numeric))
+    lines.append(("T_approx_small_r", h_approx_small_r(params, a).T))
+    lines.append(("c", consumption_from_depletion_time(params, T, t)))
     if params.r == 0.0 and a > 0.0:
         d = consumption_derivatives(params, a)
-        print(f"dc_da={_fmt(d.dc_da)}")
-        print(f"dc_dy={_fmt(d.dc_dy)}")
-        print(f"d2c_da2={_fmt(d.d2c_da2)}")
-        print(f"d2c_dady={_fmt(d.d2c_dady)}")
-        print(f"d2c_dy2={_fmt(d.d2c_dy2)}")
+        lines.extend((key, getattr(d, key)) for key in _COLUMNS["jacobian"] + _COLUMNS["hessian"])
+    print("\n".join(f"{key}={_fmt(value)}" for key, value in lines))
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    spec = _validate_sweep(
-        SweepSpec(a_min=args.a_min, a_max=args.a_max, n_points=args.n, spacing=args.spacing)
-    )
-    outputs = args.outputs
-    needs_derivs = "jacobian" in outputs or "hessian" in outputs
+    grid = sweep_grid(args.a_min, args.a_max, args.n, args.spacing)
+    columns = [col for out in args.outputs for col in _COLUMNS[out]]
+    needs_derivs = "jacobian" in args.outputs or "hessian" in args.outputs
     if needs_derivs and params.r != 0.0:
         raise ValueError("sweep: jacobian/hessian outputs require r = 0")
-    if needs_derivs and spec.a_min <= 0.0:
+    if needs_derivs and args.a_min <= 0.0:
         raise ValueError("sweep: jacobian/hessian outputs require a_min > 0")
-    header = ["a"]
-    for out in outputs:
-        if out == "c":
-            header.append("c")
-        elif out == "T":
-            header.append("T")
-        elif out == "jacobian":
-            header.extend(["dc_da", "dc_dy"])
-        elif out == "hessian":
-            header.extend(["d2c_da2", "d2c_dady", "d2c_dy2"])
     rows = []
-    for a in sweep_grid(spec):
-        row = [a]
-        for out in outputs:
-            if out == "c":
-                row.append(consumption_path(params, a, 0.0))
-            elif out == "T":
-                row.append(best_depletion_time(params, a).T)
-            elif out == "jacobian":
-                d = consumption_derivatives(params, a)
-                row.extend([d.dc_da, d.dc_dy])
-            elif out == "hessian":
-                d = consumption_derivatives(params, a)
-                row.extend([d.d2c_da2, d.d2c_dady, d.d2c_dy2])
-        rows.append(tuple(row))
-    _write_csv(args.out, header, rows)
+    for a in grid:
+        if needs_derivs:
+            point = vars(consumption_derivatives(params, a))
+        else:
+            T = best_depletion_time(params, a).T
+            point = {"T": T, "c": consumption_from_depletion_time(params, T)}
+        rows.append((a, *(point[col] for col in columns)))
+    _write_csv(args.out, ["a", *columns], rows)
     return 0
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
     params = _params_from(args)
     a_max = args.a_max if args.a_max is not None else 10.0 * params.y
-    spec = _validate_sweep(
-        SweepSpec(
-            a_min=args.a_min,
-            a_max=a_max,
-            n_points=args.n,
-            spacing=args.spacing,
-            normalize_by_income=True,
-        )
-    )
-    header, rows = figure_rows(params, args.which, spec, args.delta)
+    grid = sweep_grid(args.a_min, a_max, args.n, args.spacing)
+    header, rows = figure_rows(params, args.which, grid, args.delta)
     _write_csv(args.out, header, rows)
     return 0
 

@@ -16,9 +16,12 @@ Both MPCs are strictly positive, the Hessian diagonal is strictly negative
 and the cross-derivative strictly positive (supermodularity), all because
 w < -1 on the relevant domain.
 
+``consumption_derivatives`` derives T, c and all five entries from one
+branch offset 1 + w; ``jacobian_closed`` and ``hessian_closed`` project it.
+
 Also here: the discrete-time piecewise-linear policy built on the knot
-sequence mu(k*delta), and the unconstrained linear benchmark used for the
-discrete-time figure overlay.
+sequence mu(k*delta), the unconstrained linear benchmark used for the
+discrete-time figure overlay, and the rows of the two figure CSVs.
 """
 
 from __future__ import annotations
@@ -28,9 +31,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .depletion_map import best_depletion_time, h_approx_small_r, h_closed_r0, mu_discrete, step_growth_factor
-from .model_core import ModelParams
-from .special_functions import wm1_neg_exp_offset
+from .depletion_map import (
+    _r0_branch,
+    best_depletion_time,
+    h_approx_small_r,
+    h_closed_r0,
+    h_numeric,
+    mu_discrete,
+    step_growth_factor,
+)
+from .model_core import ModelParams, validate
 
 __all__ = [
     "ConsumptionDerivatives",
@@ -42,6 +52,7 @@ __all__ = [
     "consumption_path",
     "consumption_unconstrained",
     "discrete_policy",
+    "figure_rows",
     "hessian_closed",
     "jacobian_closed",
 ]
@@ -49,8 +60,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ConsumptionDerivatives:
-    """Level, Jacobian pair, and distinct Hessian entries of c*(a; y) at r = 0."""
+    """Depletion time, level, Jacobian pair, and distinct Hessian entries at r = 0."""
 
+    T: float
     c: float
     dc_da: float
     dc_dy: float
@@ -65,15 +77,13 @@ class PiecewiseLinearPolicy:
 
     Knot k sits at assets mu(k*delta) with consumption y * G^k (G the
     per-step growth factor), so the policy is continuous, increasing, and
-    piecewise linear with non-increasing slopes.  ``segments`` lists
-    (a_lo, a_hi, slope, intercept) per knot interval; evaluation is defined
-    on [0, last knot].
+    piecewise linear with non-increasing slopes.  Evaluation is defined on
+    [0, last knot].
     """
 
     delta: float
     knot_assets: np.ndarray
     knot_consumption: np.ndarray
-    segments: tuple[tuple[float, float, float, float], ...]
 
     def __call__(self, a):
         arr = np.asarray(a, dtype=float)
@@ -83,13 +93,6 @@ class PiecewiseLinearPolicy:
             )
         out = np.interp(arr, self.knot_assets, self.knot_consumption)
         return float(out) if np.isscalar(a) else out
-
-
-def _branch_offset_at(params: ModelParams, a: float) -> float:
-    # v = 1 + W-1(f(a; y)), evaluated from the exponent offset
-    # rho*a/(gamma*y) so it neither underflows at large a/y nor loses the
-    # offset's relative precision near a = 0.
-    return wm1_neg_exp_offset(params.rho * a / (params.gamma * params.y))
 
 
 def consumption_from_depletion_time(params: ModelParams, T: float, t: float = 0.0) -> float:
@@ -134,23 +137,42 @@ def consumption_approx_small_r(params: ModelParams, a: float, t: float = 0.0) ->
     return consumption_from_depletion_time(params, h_approx_small_r(params, a).T, t)
 
 
+def consumption_derivatives(params: ModelParams, a: float) -> ConsumptionDerivatives:
+    """Depletion time, level, Jacobian and Hessian of c*(a; y) at r = 0, a > 0.
+
+    Every entry is a few flops on one branch offset v = 1 + w, so the
+    kernel runs once per point.  T and c are exactly ``h_closed_r0`` and
+    ``consumption_now_r0``.  a = 0 is a domain error: w = -1 there and the
+    MPC is unbounded.
+    """
+    if params.r != 0.0:
+        raise ValueError(f"consumption_derivatives: requires r = 0, got r={params.r}")
+    if not a > 0.0:
+        raise ValueError(f"consumption_derivatives: need a > 0 (MPC unbounded at a = 0), got a={a}")
+    du, v, T = _r0_branch(params, a)
+    if v == 0.0:
+        raise ValueError(f"consumption_derivatives: a={a} indistinguishable from the constraint")
+    y, rho, gam = params.y, params.rho, params.gamma
+    k0 = (rho * rho / (gam * gam * y)) * (v - 1.0) / (v * v * v)
+    return ConsumptionDerivatives(
+        T=T,
+        c=consumption_from_depletion_time(params, T),
+        dc_da=(rho / gam) * (v - 1.0) / v,
+        dc_dy=(1.0 - v) * (1.0 + du / v),
+        d2c_da2=-k0,
+        d2c_dady=(a / y) * k0,
+        d2c_dy2=-(a * a / (y * y)) * k0,
+    )
+
+
 def jacobian_closed(params: ModelParams, a: float) -> tuple[float, float]:
     """Closed-form MPCs (dc/da, dc/dy) at r = 0, a > 0 strictly.
 
     Both entries are strictly positive; dc/da falls from +inf at a -> 0+
-    toward rho/gamma as a -> inf.  a = 0 is a domain error: w = -1 there
-    and the derivative is unbounded.
+    toward rho/gamma as a -> inf.
     """
-    if params.r != 0.0:
-        raise ValueError(f"jacobian_closed: requires r = 0, got r={params.r}")
-    if not a > 0.0:
-        raise ValueError(f"jacobian_closed: need a > 0 (MPC unbounded at a = 0), got a={a}")
-    v = _branch_offset_at(params, a)  # v = 1 + w
-    if v == 0.0:
-        raise ValueError(f"jacobian_closed: a={a} indistinguishable from the constraint")
-    dc_da = (params.rho / params.gamma) * (v - 1.0) / v
-    dc_dy = (1.0 - v) * (1.0 + (params.rho * a / (params.gamma * params.y)) / v)
-    return dc_da, dc_dy
+    d = consumption_derivatives(params, a)
+    return d.dc_da, d.dc_dy
 
 
 def hessian_closed(params: ModelParams, a: float) -> tuple[float, float, float]:
@@ -160,30 +182,8 @@ def hessian_closed(params: ModelParams, a: float) -> tuple[float, float, float]:
     is negative, the cross term positive, and the determinant vanishes
     identically (rank-1 Hessian).
     """
-    if params.r != 0.0:
-        raise ValueError(f"hessian_closed: requires r = 0, got r={params.r}")
-    if not a > 0.0:
-        raise ValueError(f"hessian_closed: need a > 0, got a={a}")
-    v = _branch_offset_at(params, a)  # v = 1 + w
-    if v == 0.0:
-        raise ValueError(f"hessian_closed: a={a} indistinguishable from the constraint")
-    y, rho, gam = params.y, params.rho, params.gamma
-    k0 = (rho * rho / (gam * gam * y)) * (v - 1.0) / (v * v * v)
-    return -k0, (a / y) * k0, -(a * a / (y * y)) * k0
-
-
-def consumption_derivatives(params: ModelParams, a: float) -> ConsumptionDerivatives:
-    """Bundle level, Jacobian, and Hessian of c*(a; y) at r = 0, a > 0."""
-    dc_da, dc_dy = jacobian_closed(params, a)
-    d2c_da2, d2c_dady, d2c_dy2 = hessian_closed(params, a)
-    return ConsumptionDerivatives(
-        c=consumption_now_r0(params, a),
-        dc_da=dc_da,
-        dc_dy=dc_dy,
-        d2c_da2=d2c_da2,
-        d2c_dady=d2c_dady,
-        d2c_dy2=d2c_dy2,
-    )
+    d = consumption_derivatives(params, a)
+    return d.d2c_da2, d.d2c_dady, d.d2c_dy2
 
 
 def discrete_policy(params: ModelParams, delta: float, a_max: float) -> PiecewiseLinearPolicy:
@@ -206,15 +206,7 @@ def discrete_policy(params: ModelParams, delta: float, a_max: float) -> Piecewis
     assets = seq.assets[: last + 1]
     growth = step_growth_factor(params, delta)
     cons = params.y * growth ** np.arange(assets.size)
-    slopes = np.diff(cons) / np.diff(assets)
-    intercepts = cons[:-1] - slopes * assets[:-1]
-    segments = tuple(
-        (float(assets[k]), float(assets[k + 1]), float(slopes[k]), float(intercepts[k]))
-        for k in range(slopes.size)
-    )
-    return PiecewiseLinearPolicy(
-        delta=delta, knot_assets=assets, knot_consumption=cons, segments=segments
-    )
+    return PiecewiseLinearPolicy(delta=delta, knot_assets=assets, knot_consumption=cons)
 
 
 def consumption_unconstrained(params: ModelParams, a: float) -> float:
@@ -227,3 +219,51 @@ def consumption_unconstrained(params: ModelParams, a: float) -> float:
         raise ValueError("consumption_unconstrained: requires r > 0 (y/r undefined at r = 0)")
     kappa = (params.rho + params.r * (params.gamma - 1.0)) / params.gamma
     return kappa * (a + params.y / params.r)
+
+
+def figure_rows(
+    params: ModelParams, which: int, grid: np.ndarray, delta: float
+) -> tuple[list[str], list[tuple]]:
+    """Rows for the two figure CSVs over the asset grid (consumption normalized by income).
+
+    Figure 1 (requires r > 0): discrete piecewise-linear policy at step
+    ``delta`` against the unconstrained linear benchmark; grid points
+    nearest to a depletion knot are snapped onto the knot (in a copy of
+    ``grid``) and flagged so the knots appear exactly in the emitted data.
+    Figure 2: small-r closed-form approximation against the numerically
+    inverted solution.
+    """
+    validate(params)
+    y = params.y
+    if which == 1:
+        if params.r <= 0.0:
+            raise ValueError("figure 1 requires r > 0 for the unconstrained overlay")
+        grid = np.array(grid, dtype=float)
+        a_min, a_max = grid[0], grid[-1]
+        policy = discrete_policy(params, delta, a_max)
+        flags = np.zeros(grid.size, dtype=int)
+        for knot in policy.knot_assets:
+            if a_min <= knot <= a_max:
+                i = int(np.argmin(np.abs(grid - knot)))
+                grid[i] = knot
+                flags[i] = 1
+        order = np.argsort(grid)
+        grid, flags = grid[order], flags[order]
+        header = ["a_over_y", "c_discrete_over_y", "c_unconstrained_over_y", "knot_flag"]
+        rows = [
+            (a / y, policy(a) / y, consumption_unconstrained(params, a) / y, int(f))
+            for a, f in zip(grid, flags)
+        ]
+        return header, rows
+    if which == 2:
+        header = ["a_over_y", "c_closed_approx_over_y", "c_numeric_over_y"]
+        rows = [
+            (
+                a / y,
+                consumption_approx_small_r(params, a) / y,
+                consumption_from_depletion_time(params, h_numeric(params, a).T) / y,
+            )
+            for a in grid
+        ]
+        return header, rows
+    raise ValueError(f"unknown figure {which!r}; expected 1 or 2")

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from .model_core import ModelParams, derived_constants
+from .model_core import ModelParams
 from .special_functions import wm1_neg_exp_offset
 
 __all__ = [
@@ -62,9 +61,6 @@ class KnotSequence:
     delta: float
     times: np.ndarray
     assets: np.ndarray
-
-    def knots(self) -> Iterator[tuple[float, float]]:
-        return zip(self.times.tolist(), self.assets.tolist())
 
 
 def mu(params: ModelParams, T: float) -> float:
@@ -151,15 +147,19 @@ def h_numeric(params: ModelParams, a: float) -> DepletionTime:
     return DepletionTime(T, "numeric")
 
 
-def _h_closed_r0_value(params: ModelParams, a: float) -> float:
-    # T = -(a + gamma*y/rho)/y - (gamma/rho)*w with w = W-1(-e^(-u)),
-    # u = 1 + rho*a/(gamma*y).  Because w*e^w = -e^(-u) forces
-    # -u - w = log(-w), the same T equals (gamma/rho)*log(-w), which is free
-    # of the large-argument cancellation of the literal form and exact at
-    # a = 0 (w = -1 there); log(-w) = log1p(-v) in the branch offset
-    # v = 1 + w, which the kernel returns at full relative precision.
-    v = wm1_neg_exp_offset(params.rho * a / (params.gamma * params.y))
-    return (params.gamma / params.rho) * math.log1p(-v) + 0.0  # +0.0 normalizes -0.0
+def _r0_branch(params: ModelParams, a: float) -> tuple[float, float, float]:
+    """(du, v, T) at r = 0: the exponent offset, the branch offset, the depletion time.
+
+    du = rho*a/(gamma*y) and v = 1 + W-1(-e^(-(1 + du))), which the kernel
+    returns at full relative precision without forming the underflowing
+    argument.  T = -(a + gamma*y/rho)/y - (gamma/rho)*w with w = v - 1;
+    because w*e^w = -e^(-(1 + du)) forces -(1 + du) - w = log(-w), the same
+    T equals (gamma/rho)*log1p(-v), which is free of the large-argument
+    cancellation of the literal form and exact at a = 0 (v = 0 there).
+    """
+    du = params.rho * a / (params.gamma * params.y)
+    v = wm1_neg_exp_offset(du)
+    return du, v, (params.gamma / params.rho) * math.log1p(-v) + 0.0  # +0.0 normalizes -0.0
 
 
 def h_closed_r0(params: ModelParams, a: float) -> DepletionTime:
@@ -174,24 +174,28 @@ def h_closed_r0(params: ModelParams, a: float) -> DepletionTime:
         raise ValueError(f"h_closed_r0: requires r = 0, got r={params.r}")
     if a < 0.0:
         raise ValueError(f"h_closed_r0: need a >= 0, got a={a}")
-    return DepletionTime(_h_closed_r0_value(params, a), "exact_r0")
+    return DepletionTime(_r0_branch(params, a)[2], "exact_r0")
 
 
 def h_approx_small_r(params: ModelParams, a: float) -> DepletionTime:
     """Closed-form approximation of the depletion time, valid for r ~ 0.
 
     T ~ -(a + y/b_r)/(d_r*y) - W-1(f_r(a; y))/(b_r*d_r) with
-    f_r(a; y) = -exp(-(b_r/y)*(a + y/b_r)); the o(r) term inside
-    c_r = a + y/b_r is dropped.  Coincides with ``h_closed_r0`` exactly at
-    r = 0, where b_r -> rho/gamma and d_r -> 1.
+    f_r(a; y) = -exp(-(b_r/y)*(a + y/b_r)), b_r = (r*(gamma-1) + rho)/gamma
+    and d_r = (rho - r)/(r*(gamma-1) + rho); the o(r) term inside
+    a + y/b_r is dropped.  Impatience makes b_r > 0 and d_r in (0, 1].
+    Coincides with ``h_closed_r0`` exactly at r = 0, where b_r -> rho/gamma
+    and d_r -> 1.
     """
     if a < 0.0:
         raise ValueError(f"h_approx_small_r: need a >= 0, got a={a}")
     if params.r == 0.0:
-        return DepletionTime(_h_closed_r0_value(params, a), "approx_small_r")
-    d = derived_constants(params)
-    v = wm1_neg_exp_offset(d.b_r * a / params.y)
-    return DepletionTime(math.log1p(-v) / (d.b_r * d.d_r) + 0.0, "approx_small_r")
+        return DepletionTime(_r0_branch(params, a)[2], "approx_small_r")
+    big_b = params.r * (params.gamma - 1.0) + params.rho
+    b_r = big_b / params.gamma
+    d_r = (params.rho - params.r) / big_b
+    v = wm1_neg_exp_offset(b_r * a / params.y)
+    return DepletionTime(math.log1p(-v) / (b_r * d_r) + 0.0, "approx_small_r")
 
 
 def best_depletion_time(params: ModelParams, a: float) -> DepletionTime:

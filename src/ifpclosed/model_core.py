@@ -10,14 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = [
-    "DerivedConstants",
-    "ModelParams",
-    "crra_utility",
-    "derived_constants",
-    "validate",
-    "value_upper_bound",
-]
+__all__ = ["ModelParams", "crra_utility", "validate", "value_upper_bound"]
 
 
 @dataclass(frozen=True)
@@ -38,25 +31,6 @@ class ModelParams:
     y: float
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Coefficient bundle appearing in the closed forms.
-
-    b   = rho/gamma
-    b_r = (r*(gamma-1) + rho)/gamma   (-> b as r -> 0)
-    c_r = a + y/b_r, at the evaluation point a handed to the factory
-    d_r = (rho - r)/(r*(gamma-1) + rho)   (-> 1 as r -> 0)
-
-    The impatience condition makes r*(gamma-1) + rho > rho - r > 0, so
-    b_r > 0 and d_r in (0, 1].
-    """
-
-    b: float
-    b_r: float
-    c_r: float
-    d_r: float
-
-
 def validate(params: ModelParams) -> ModelParams:
     """Return ``params`` unchanged if all invariants hold, else raise.
 
@@ -74,15 +48,6 @@ def validate(params: ModelParams) -> ModelParams:
     if not params.y > 0.0:
         raise ValueError(f"permanent income must be positive: y={params.y}")
     return params
-
-
-def derived_constants(params: ModelParams, a: float = 0.0) -> DerivedConstants:
-    """Coefficients b, b_r, c_r, d_r for ``params``, with c_r evaluated at ``a``."""
-    b = params.rho / params.gamma
-    big_b = params.r * (params.gamma - 1.0) + params.rho
-    b_r = big_b / params.gamma
-    d_r = (params.rho - params.r) / big_b
-    return DerivedConstants(b=b, b_r=b_r, c_r=a + params.y / b_r, d_r=d_r)
 
 
 def crra_utility(c: float, gamma: float) -> float:

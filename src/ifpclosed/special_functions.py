@@ -1,39 +1,30 @@
 """Real-branch Lambert W kernel.
 
-Evaluates the two real branches of the Lambert W function, the inverse of
-w -> w*exp(w): the principal branch W0 on [-1/e, inf) and the lower branch
-W-1 on [-1/e, 0).  Every closed form in this package bottoms out here, so
-the target is near machine precision: residual |w*exp(w) - x| <= 1e-13*|x|.
+Evaluates the lower real branch W-1 of the Lambert W function, the inverse
+of w -> w*exp(w) on [-1/e, 0).  Every closed form in this package bottoms
+out here, so the target is near machine precision: residual
+|w*exp(w) - x| <= 1e-13*|x|.
 
-The lower branch is also exposed in exponent form: ``lambert_wm1_neg_exp``
-evaluates W-1(-exp(-u)) directly from u, and ``wm1_neg_exp_offset`` returns
-the branch offset 1 + W-1(-exp(-(1 + du))) at full relative precision.
-These stay accurate arbitrarily deep into the tail where -exp(-u) itself
-would underflow, and they sidestep the catastrophic cancellation of
-forming 1 + e*x near the branch point.
+The closed forms use the exponent form: ``wm1_neg_exp_offset`` returns the
+branch offset 1 + W-1(-exp(-(1 + du))) at full relative precision.  It
+stays accurate arbitrarily deep into the tail where -exp(-u) itself would
+underflow, and it sidesteps the catastrophic cancellation of forming
+1 + e*x near the branch point.
 
-Algorithm: series / asymptotic initial guesses followed by Halley
-iteration (Corless, Gonnet, Hare, Jeffrey & Knuth 1996 style).  W-1 is
-iterated on the log form of the defining equation, written in the branch
-offset so it is well scaled on the whole branch; W0 is iterated on
-f(w) = w*exp(w) - x directly.
+Algorithm: series / asymptotic initial guess followed by Halley iteration
+(Corless, Gonnet, Hare, Jeffrey & Knuth 1996 style) on the log form of the
+defining equation, written in the branch offset so it is well scaled on
+the whole branch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-__all__ = [
-    "BRANCH_EPS",
-    "BRANCH_POINT",
-    "BranchPoint",
-    "lambert_w0",
-    "lambert_wm1",
-    "lambert_wm1_neg_exp",
-    "wm1_initial_guess",
-    "wm1_neg_exp_offset",
-]
+__all__ = ["BRANCH_EPS", "lambert_wm1", "wm1_neg_exp_offset"]
+
+# The branch point of W-1: W-1(-1/e) = -1.
+_X_BRANCH = -1.0 / math.e
 
 # Inputs within 4 ulp of -1/e are snapped onto the branch point: the double
 # nearest -1/e is itself ~1 ulp off the real number, so exact-arithmetic
@@ -45,17 +36,6 @@ BRANCH_EPS = 4.0 * math.ulp(1.0 / math.e)
 _U_EPS = 4.0 * math.ulp(1.0)
 
 _MAX_ITER = 30
-
-
-@dataclass(frozen=True)
-class BranchPoint:
-    """Branch point of the real Lambert W function, where both branches meet."""
-
-    x_min: float = -1.0 / math.e
-    w_at_branch: float = -1.0
-
-
-BRANCH_POINT = BranchPoint()
 
 
 def _wm1_offset_guess(du: float) -> float:
@@ -114,27 +94,6 @@ def wm1_neg_exp_offset(du: float) -> float:
     return v
 
 
-def lambert_wm1_neg_exp(u: float) -> float:
-    """W-1(-exp(-u)) for u >= 1, computed without forming -exp(-u)."""
-    if math.isnan(u) or u < 1.0 - _U_EPS:
-        raise ValueError(f"lambert_wm1_neg_exp: need u >= 1, got u={u!r}")
-    return wm1_neg_exp_offset(u - 1.0) - 1.0
-
-
-def wm1_initial_guess(x: float) -> float:
-    """Starting point for the W-1 iteration, x in the open interval (-1/e, 0).
-
-    Near the branch point this is the series in p = sqrt(2*(1 + e*x)),
-    w ~ -1 - p - p^2/3 - ...; near 0- it is the asymptotic
-    w ~ log(-x) - log(-log(-x)).  Both lie inside the Halley basin of the
-    monotone log-form residual, so the iteration behind ``lambert_wm1``
-    converges from either.
-    """
-    if not (BRANCH_POINT.x_min < x < 0.0):
-        raise ValueError(f"wm1_initial_guess: need -1/e < x < 0, got x={x!r}")
-    return _wm1_offset_guess(-math.log(-x) - 1.0) - 1.0
-
-
 def lambert_wm1(x: float) -> float:
     """Lower real branch W-1 on [-1/e, 0): the solution w <= -1 of w*exp(w) = x.
 
@@ -149,53 +108,9 @@ def lambert_wm1(x: float) -> float:
     """
     if math.isnan(x) or not x < 0.0:
         raise ValueError(f"lambert_wm1: need -1/e <= x < 0, got x={x!r}")
-    if x < BRANCH_POINT.x_min - BRANCH_EPS:
+    if x < _X_BRANCH - BRANCH_EPS:
         raise ValueError(f"lambert_wm1: x={x!r} below the branch point -1/e")
-    if x <= BRANCH_POINT.x_min + BRANCH_EPS:
+    if x <= _X_BRANCH + BRANCH_EPS:
         return -1.0
     return wm1_neg_exp_offset(-math.log(-x) - 1.0) - 1.0
 
-
-def lambert_w0(x: float) -> float:
-    """Principal real branch W0 on [-1/e, inf): the solution w >= -1 of w*exp(w) = x.
-
-    Residual |w*exp(w) - x| <= 1e-13 * max(|x|, 1e-300).  Inputs within
-    ``BRANCH_EPS`` of -1/e return exactly -1.0.
-
-    Raises
-    ------
-    ValueError
-        If x < -1/e - BRANCH_EPS.
-    """
-    if math.isnan(x) or x < BRANCH_POINT.x_min - BRANCH_EPS:
-        raise ValueError(f"lambert_w0: need x >= -1/e, got x={x!r}")
-    if x <= BRANCH_POINT.x_min + BRANCH_EPS:
-        return -1.0
-    if x == 0.0:
-        return 0.0
-    # Initial guess by region.
-    if x < -0.3:
-        p = math.sqrt(2.0 * (1.0 + math.e * x))
-        # W0 = -1 + p - p^2/3 + 11 p^3/72 - 43 p^4/540 + ...
-        w = -1.0 + p * (1.0 - p * (1.0 / 3.0 - p * (11.0 / 72.0 - p * (43.0 / 540.0))))
-    elif x < 1.0:
-        w = x * (1.0 - x)  # two terms of W0 = x - x^2 + ...
-        if w <= -1.0:
-            w = -0.5
-    else:
-        w = math.log(x)
-        if w > 3.0:
-            w -= math.log(w)
-    for _ in range(_MAX_ITER):
-        ew = math.exp(w)
-        f = w * ew - x
-        fp = ew * (1.0 + w)
-        fpp = ew * (2.0 + w)
-        step = 2.0 * f * fp / (2.0 * fp * fp - f * fpp)
-        w_new = w - step
-        if w_new <= -1.0:
-            w_new = 0.5 * (w - 1.0)
-        if abs(w_new - w) <= 1e-15 * (1.0 + abs(w_new)):
-            return w_new
-        w = w_new
-    return w

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .consumption import consumption_approx_small_r, consumption_from_depletion_time
 from .depletion_map import R_SWITCH, best_depletion_time, mu
@@ -343,6 +342,10 @@ def grid_dp(
     nodes); the continuation value is monotone-cubic (PCHIP) interpolated.
     Iterates until the sup-norm value change is <= tol*(1 + |V|).
     """
+    # Imported here: scipy.interpolate adds ~50 MB and ~0.5 s to the import,
+    # and no path but this oracle needs it.
+    from scipy.interpolate import PchipInterpolator
+
     a = np.asarray(a_grid, dtype=float)
     if a.ndim != 1 or a.size < 2 or np.any(np.diff(a) <= 0.0):
         raise ValueError("grid_dp: a_grid must be a strictly increasing 1-D array")

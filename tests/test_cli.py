@@ -1,13 +1,13 @@
 """Command-line interface: flags, CSV emission, exit codes."""
 
-import math
+import sys
 
 import numpy as np
 import pytest
 
-from ifpclosed import checks
-from ifpclosed.cli import main
-from ifpclosed.consumption import discrete_policy
+from ifpclosed import checks, depletion_map, special_functions
+from ifpclosed.cli import main, sweep_grid
+from ifpclosed.consumption import discrete_policy, figure_rows
 from ifpclosed.depletion_map import step_growth_factor
 from ifpclosed.model_core import ModelParams, validate
 
@@ -20,6 +20,21 @@ def parse_kv(text):
         key, value = line.split("=", 1)
         out[key] = float(value)
     return out
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` through every ``ifpclosed`` binding of it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("ifpclosed") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 def read_csv(path):
@@ -65,6 +80,18 @@ class TestEval:
         rc = main(["eval", "--r", "0", "--a", "3", "--t", "1000"])
         assert rc == 0
         assert parse_kv(capsys.readouterr().out)["c"] == 3.0
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--r", "0", "--a", "nan"], ["--r", "0.01", "--a", "nan"],
+         ["--r", "0.01", "--a", "inf"], ["--r", "0", "--a", "3", "--t", "-1"]],
+    )
+    def test_bad_point_prints_nothing(self, flags, capsys):
+        rc = main(["eval", *flags])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
 
 
 class TestSweep:
@@ -121,6 +148,27 @@ class TestSweep:
         rc = main(["sweep", "c", "--a-min", "0", "--a-max", "2", "--n", "1"])
         assert rc == 2
 
+    def test_infinite_bound_exits_2(self, capsys):
+        rc = main(["sweep", "c", "--a-max", "inf", "--n", "5"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_one_kernel_call_per_row_at_zero_rate(self, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, special_functions, "wm1_neg_exp_offset")
+        rc = main(["sweep", "c", "T", "jacobian", "hessian", "--r", "0", "--a-min", "0.003",
+                   "--a-max", "3000", "--n", "50", "--spacing", "log"])
+        assert rc == 0
+        assert len(calls) == 50
+
+    def test_one_inversion_per_row_at_positive_rate(self, monkeypatch, capsys):
+        calls = count_calls(monkeypatch, depletion_map, "h_numeric")
+        rc = main(["sweep", "c", "T", "--r", "0.01", "--a-min", "0.003", "--a-max", "3000",
+                   "--n", "50", "--spacing", "log"])
+        assert rc == 0
+        assert len(calls) == 50
+
     def test_no_partial_file_on_validation_error(self, tmp_path):
         out = tmp_path / "never.csv"
         rc = main(
@@ -162,6 +210,13 @@ class TestFigure:
         gap = float(rows[0][2]) - float(rows[0][1])
         assert gap * FIG1.y >= 0.1 * FIG1.y
 
+    def test_figure1_snaps_a_copy_of_the_grid(self):
+        grid = sweep_grid(0.0, 10.0 * FIG1.y, 101)
+        before = grid.copy()
+        _, rows = figure_rows(FIG1, 1, grid, 1.0)
+        assert np.array_equal(grid, before)
+        assert any(row[3] == 1 for row in rows)  # knots were snapped, into a copy
+
     def test_figure1_requires_positive_rate(self, capsys):
         rc = main(["figure", "--which", "1", "--r", "0"])
         assert rc == 2
@@ -193,10 +248,7 @@ class TestFigure:
         out = tmp_path / "fig2.csv"
         main(["figure", "--which", "2", "--n", "11", "--out", str(out)])
         _, rows = read_csv(out)
-        from ifpclosed.cli import SweepSpec, figure_rows
-
-        spec = SweepSpec(0.0, 10.0 * FIG1.y, 11, "linear", True)
-        _, expected = figure_rows(FIG1, 2, spec, 1.0)
+        _, expected = figure_rows(FIG1, 2, sweep_grid(0.0, 10.0 * FIG1.y, 11), 1.0)
         for row, exp in zip(rows, expected):
             assert float(row[1]) == exp[1]
             assert float(row[2]) == exp[2]

@@ -221,10 +221,16 @@ class TestHessianClosed:
 
 class TestConsumptionDerivatives:
     def test_bundle_consistency(self):
-        d = consumption_derivatives(FIG1_R0, 3.0)
-        assert d.c == consumption_now_r0(FIG1_R0, 3.0)
-        assert (d.dc_da, d.dc_dy) == jacobian_closed(FIG1_R0, 3.0)
-        assert (d.d2c_da2, d.d2c_dady, d.d2c_dy2) == hessian_closed(FIG1_R0, 3.0)
+        # the bundle's one branch offset reproduces every separate route bit for bit
+        other = validate(ModelParams(rho=0.05, r=0.0, gamma=5.0, y=0.01))
+        for p in (FIG1_R0, other):
+            for ratio in np.geomspace(1e-12, 1e12, 49):
+                a = ratio * p.y
+                d = consumption_derivatives(p, a)
+                assert d.T == h_closed_r0(p, a).T
+                assert d.c == consumption_now_r0(p, a)
+                assert (d.dc_da, d.dc_dy) == jacobian_closed(p, a)
+                assert (d.d2c_da2, d.d2c_dady, d.d2c_dy2) == hessian_closed(p, a)
 
 
 class TestDiscretePolicy:
@@ -247,16 +253,17 @@ class TestDiscretePolicy:
 
     def test_slopes_positive_and_nonincreasing(self):
         pol = discrete_policy(FIG1, 0.5, 20.0)
-        slopes = np.array([seg[2] for seg in pol.segments])
+        slopes = np.diff(pol.knot_consumption) / np.diff(pol.knot_assets)
         assert np.all(slopes > 0.0)
         assert np.all(np.diff(slopes) < 0.0)
 
     def test_segments_interpolate_knots(self):
+        # on each knot interval the policy is the chord between its end knots
         pol = discrete_policy(FIG1, 1.0, 10.0)
-        for (a_lo, a_hi, slope, intercept), c_hi in zip(
-            pol.segments, pol.knot_consumption[1:]
-        ):
-            assert intercept + slope * a_hi == pytest.approx(c_hi, rel=1e-12)
+        slopes = np.diff(pol.knot_consumption) / np.diff(pol.knot_assets)
+        mid = 0.5 * (pol.knot_assets[:-1] + pol.knot_assets[1:])
+        chord = pol.knot_consumption[:-1] + slopes * (mid - pol.knot_assets[:-1])
+        assert pol(mid) == pytest.approx(chord, rel=1e-12)
 
     def test_covers_requested_range(self):
         pol = discrete_policy(FIG1, 1.0, 25.0)

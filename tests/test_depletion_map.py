@@ -220,12 +220,6 @@ class TestMuDiscrete:
             sups.append(np.max(np.abs(np.interp(ts, seq.times, seq.assets) - exact)))
         assert sups[0] > sups[1] > sups[2]
 
-    def test_knots_iterator(self):
-        seq = mu_discrete(FIG1, 1.0, 3)
-        pairs = list(seq.knots())
-        assert pairs[0] == (0.0, 0.0)
-        assert len(pairs) == 4
-
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             mu_discrete(FIG1, 0.0, 5)

@@ -8,7 +8,6 @@ import pytest
 from ifpclosed.model_core import (
     ModelParams,
     crra_utility,
-    derived_constants,
     validate,
     value_upper_bound,
 )
@@ -43,21 +42,6 @@ class TestValidate:
     def test_each_invariant_named(self, bad, match):
         with pytest.raises(ValueError, match=match):
             validate(bad)
-
-
-class TestDerivedConstants:
-    def test_zero_rate_limits(self):
-        d = derived_constants(FIG1_R0, a=2.0)
-        assert d.b == d.b_r == 0.16
-        assert d.d_r == 1.0
-        assert d.c_r == 2.0 + 3.0 / 0.16
-
-    def test_positive_rate(self):
-        p = validate(ModelParams(rho=0.08, r=0.01, gamma=0.5, y=3.0))
-        d = derived_constants(p)
-        assert d.b_r == pytest.approx((0.01 * (-0.5) + 0.08) / 0.5)
-        assert d.d_r == pytest.approx(0.07 / 0.075)
-        assert 0.0 < d.d_r < 1.0 and d.b_r > 0.0
 
 
 class TestCrraUtility:

@@ -7,11 +7,8 @@ import pytest
 
 from ifpclosed.special_functions import (
     BRANCH_EPS,
-    BRANCH_POINT,
-    lambert_w0,
+    _wm1_offset_guess,
     lambert_wm1,
-    lambert_wm1_neg_exp,
-    wm1_initial_guess,
     wm1_neg_exp_offset,
 )
 
@@ -34,12 +31,12 @@ def wm1_bisect(x, lo=-800.0, hi=-1.0, iters=200):
 
 
 class TestBranchPoint:
-    def test_x_min_times_e_is_minus_one(self):
-        assert abs(BRANCH_POINT.x_min * math.e + 1.0) <= math.ulp(1.0)
-
     def test_both_branches_meet_at_minus_one(self):
-        assert lambert_wm1(BRANCH_POINT.x_min) == -1.0
-        assert lambert_w0(BRANCH_POINT.x_min) == -1.0
+        # w = -1 is the double root of w e^w = -1/e, where W0 and W-1 join;
+        # the direct route and the log-form route both land on it exactly
+        assert -1.0 * math.exp(-1.0) == -1.0 / math.e
+        assert lambert_wm1(-1.0 / math.e) == -1.0
+        assert wm1_neg_exp_offset(0.0) - 1.0 == -1.0
 
     def test_snap_band(self):
         assert lambert_wm1(-1.0 / math.e - 0.5 * BRANCH_EPS) == -1.0
@@ -72,7 +69,7 @@ class TestWm1:
 
     def test_branch_ordering(self):
         for x in -np.geomspace(0.367, 1e-8, 50):
-            assert lambert_wm1(x) <= -1.0 <= lambert_w0(x)
+            assert lambert_wm1(x) <= -1.0
 
     def test_strictly_decreasing(self):
         xs = -np.geomspace(1.0 / math.e - 1e-12, 1e-12, 2_000)
@@ -90,64 +87,55 @@ class TestWm1:
             lambert_wm1(x)
 
 
-class TestW0:
-    def test_trivial_points(self):
-        assert lambert_w0(0.0) == 0.0
-        assert lambert_w0(math.e) == pytest.approx(1.0, rel=1e-15)
-
-    def test_residual_grid(self):
-        xs = np.linspace(-1.0 / math.e, 10.0, 10_000)
-        worst = 0.0
-        for x in xs:
-            w = lambert_w0(x)
-            worst = max(worst, abs(w * math.exp(w) - x) / max(abs(x), 1e-300))
-        assert worst <= 1e-13
-
-    def test_large_argument(self):
-        x = 1e12
-        w = lambert_w0(x)
-        assert abs(w * math.exp(w) - x) <= 1e-13 * x
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            lambert_w0(-0.4)
-
-
 class TestInitialGuess:
+    """The starting point of the offset iteration, and the kernel value reached from it.
+
+    du = -log(-x) - 1 maps x in (-1/e, 0) onto du > 0.
+    """
+
     def test_near_branch(self):
-        assert abs(wm1_initial_guess(-1.0 / math.e + 1e-10) + 1.0) <= 1e-4
+        du = 1e-10
+        assert abs(_wm1_offset_guess(du)) <= 1e-4
+        assert abs(wm1_neg_exp_offset(du)) <= 1e-4
 
     def test_near_zero(self):
-        target = math.log(1e-8) - math.log(-math.log(1e-8))
-        assert wm1_initial_guess(-1e-8) == pytest.approx(target, rel=0.1)
+        u = -math.log(1e-8)
+        target = -u - math.log(u)  # log(-x) - log(-log(-x)) at x = -1e-8
+        assert _wm1_offset_guess(u - 1.0) - 1.0 == pytest.approx(target, rel=0.1)
+        assert wm1_neg_exp_offset(u - 1.0) - 1.0 == pytest.approx(target, rel=0.1)
 
     def test_moderate(self):
-        assert -3.0 < wm1_initial_guess(-0.2) < -1.0
+        du = -math.log(0.2) - 1.0
+        assert -3.0 < _wm1_offset_guess(du) - 1.0 < -1.0
+        assert -3.0 < wm1_neg_exp_offset(du) - 1.0 < -1.0
 
     def test_below_minus_one_everywhere(self):
         for x in -np.geomspace(0.3678, 1e-10, 200):
-            assert wm1_initial_guess(x) < -1.0
+            du = -math.log(-x) - 1.0
+            assert _wm1_offset_guess(du) < 0.0
+            assert wm1_neg_exp_offset(du) < 0.0
 
     def test_domain(self):
+        # the guess is consulted only beyond the snap band around du = 0
+        assert wm1_neg_exp_offset(2.0 * math.ulp(1.0)) == 0.0
         with pytest.raises(ValueError):
-            wm1_initial_guess(-1.0 / math.e)
-        with pytest.raises(ValueError):
-            wm1_initial_guess(0.0)
+            wm1_neg_exp_offset(float("nan"))
 
 
 class TestNegExpForm:
+    """W-1(-exp(-u)) = wm1_neg_exp_offset(u - 1) - 1, without forming -exp(-u)."""
+
     @pytest.mark.parametrize("u", [1.5, 2.0, 5.0, 50.0, 700.0])
     def test_matches_direct_route(self, u):
         x = -math.exp(-u)
-        assert lambert_wm1_neg_exp(u) == pytest.approx(lambert_wm1(x), rel=1e-13)
+        assert wm1_neg_exp_offset(u - 1.0) - 1.0 == pytest.approx(lambert_wm1(x), rel=1e-13)
 
     @pytest.mark.parametrize("u", [1.0 + 1e-10, 2.0, 746.0, 1e4, 1e8])
     def test_log_form_residual(self, u):
-        w = lambert_wm1_neg_exp(u)
+        w = wm1_neg_exp_offset(u - 1.0) - 1.0
         assert abs(w + math.log(-w) + u) <= 1e-11 * u
 
     def test_branch_point_exact(self):
-        assert lambert_wm1_neg_exp(1.0) == -1.0
         assert wm1_neg_exp_offset(0.0) == 0.0
 
     def test_offset_precision_near_branch(self):
@@ -161,6 +149,6 @@ class TestNegExpForm:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            lambert_wm1_neg_exp(0.5)
+            wm1_neg_exp_offset(0.5 - 1.0)
         with pytest.raises(ValueError):
             wm1_neg_exp_offset(-1e-3)
