@@ -71,7 +71,8 @@ def check_lambert_kernel(residual_tol: float = 1e-13) -> list[CheckResult]:
     """Criterion 1: kernel residuals, round trip, and runtime."""
     t0 = time.perf_counter()
     xs = -np.geomspace(1.0 / math.e - 1e-12, 1e-12, 10_000)
-    res_m1 = max(abs(lambert_wm1(x) * math.exp(lambert_wm1(x)) - x) / abs(x) for x in xs)
+    ws_m1 = [lambert_wm1(x) for x in xs]
+    res_m1 = max(abs(w * math.exp(w) - x) / abs(x) for x, w in zip(xs, ws_m1))
     ws = np.linspace(-50.0, -1.0, 10_000)
     round_trip = max(abs(lambert_wm1(w * math.exp(w)) - w) for w in ws)
     elapsed = time.perf_counter() - t0
@@ -162,10 +163,18 @@ def check_hessian() -> list[CheckResult]:
         sign_margin = min(sign_margin, -h_aa, h_ay, -h_yy)
         det_rel = max(det_rel, abs(h_aa * h_yy - h_ay * h_ay) / abs(h_aa * h_yy))
     cross_margin = math.inf
-    for a in np.geomspace(1e-2, 1e2, 50) * y:
-        for y_j in np.geomspace(1.0, 10.0, 50):
-            ha, hy = 1e-3 * max(a, y_j), 1e-3 * y_j
-            cross = fn(a + ha, y_j + hy) - fn(a + ha, y_j) - fn(a, y_j + hy) + fn(a, y_j)
+    a_cross = np.geomspace(1e-2, 1e2, 50) * y
+    for y_j in np.geomspace(1.0, 10.0, 50):
+        hy = 1e-3 * y_j
+        p_lo, p_hi = replace(p, y=y_j), replace(p, y=y_j + hy)
+        for a in a_cross:
+            ha = 1e-3 * max(a, y_j)
+            cross = (
+                consumption_now_r0(p_hi, a + ha)
+                - consumption_now_r0(p_lo, a + ha)
+                - consumption_now_r0(p_hi, a)
+                + consumption_now_r0(p_lo, a)
+            )
             cross_margin = min(cross_margin, cross)
     return [
         _bounded("hessian.fd_rel_err", fd_err, 1e-4),

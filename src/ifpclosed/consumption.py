@@ -113,7 +113,7 @@ def consumption_path(params: ModelParams, a: float, t: float) -> float:
     Uses the best available depletion time (exact closed form at r = 0,
     numeric inversion otherwise); returns exactly y once t exceeds T.
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"consumption_path: need t >= 0, got t={t}")
     return consumption_from_depletion_time(params, best_depletion_time(params, a).T, t)
 
@@ -132,7 +132,7 @@ def consumption_approx_small_r(params: ModelParams, a: float, t: float = 0.0) ->
 
     Reduces exactly to ``consumption_now_r0`` at r = 0, t = 0.
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"consumption_approx_small_r: need t >= 0, got t={t}")
     return consumption_from_depletion_time(params, h_approx_small_r(params, a).T, t)
 
@@ -147,8 +147,10 @@ def consumption_derivatives(params: ModelParams, a: float) -> ConsumptionDerivat
     """
     if params.r != 0.0:
         raise ValueError(f"consumption_derivatives: requires r = 0, got r={params.r}")
-    if not a > 0.0:
-        raise ValueError(f"consumption_derivatives: need a > 0 (MPC unbounded at a = 0), got a={a}")
+    if not 0.0 < a < math.inf:
+        raise ValueError(
+            f"consumption_derivatives: need finite a > 0 (MPC unbounded at a = 0), got a={a}"
+        )
     du, v, T = _r0_branch(params, a)
     if v == 0.0:
         raise ValueError(f"consumption_derivatives: a={a} indistinguishable from the constraint")

@@ -108,8 +108,8 @@ def h_numeric(params: ModelParams, a: float) -> DepletionTime:
     T ~ sqrt(2*a*gamma/(rho*y)), where mu vanishes quadratically and pure
     Newton would stall.
     """
-    if a < 0.0:
-        raise ValueError(f"h_numeric: need a >= 0, got a={a}")
+    if not 0.0 <= a < math.inf:
+        raise ValueError(f"h_numeric: need finite a >= 0, got a={a}")
     if a == 0.0:
         return DepletionTime(0.0, "numeric")
     lo, hi = 0.0, 1.0
@@ -172,8 +172,8 @@ def h_closed_r0(params: ModelParams, a: float) -> DepletionTime:
     """
     if params.r != 0.0:
         raise ValueError(f"h_closed_r0: requires r = 0, got r={params.r}")
-    if a < 0.0:
-        raise ValueError(f"h_closed_r0: need a >= 0, got a={a}")
+    if not 0.0 <= a < math.inf:
+        raise ValueError(f"h_closed_r0: need finite a >= 0, got a={a}")
     return DepletionTime(_r0_branch(params, a)[2], "exact_r0")
 
 
@@ -187,8 +187,8 @@ def h_approx_small_r(params: ModelParams, a: float) -> DepletionTime:
     Coincides with ``h_closed_r0`` exactly at r = 0, where b_r -> rho/gamma
     and d_r -> 1.
     """
-    if a < 0.0:
-        raise ValueError(f"h_approx_small_r: need a >= 0, got a={a}")
+    if not 0.0 <= a < math.inf:
+        raise ValueError(f"h_approx_small_r: need finite a >= 0, got a={a}")
     if params.r == 0.0:
         return DepletionTime(_r0_branch(params, a)[2], "approx_small_r")
     big_b = params.r * (params.gamma - 1.0) + params.rho

@@ -34,19 +34,21 @@ class ModelParams:
 def validate(params: ModelParams) -> ModelParams:
     """Return ``params`` unchanged if all invariants hold, else raise.
 
-    Raises ValueError naming the violated invariant: impatience (rho > r),
-    r >= 0, gamma > 0, or y > 0.
+    Raises ValueError naming the violated invariant: r >= 0, impatience
+    (rho > r), gamma > 0, or y > 0; each parameter must also be finite
+    (NaN fails every comparison).
     """
-    if not params.r >= 0.0:
-        raise ValueError(f"interest rate must be nonnegative: r={params.r}")
-    if not params.rho > params.r:
+    if not 0.0 <= params.r < math.inf:
+        raise ValueError(f"interest rate must be finite and nonnegative: r={params.r}")
+    if not params.r < params.rho < math.inf:
         raise ValueError(
-            f"impatience condition violated: need rho > r, got rho={params.rho}, r={params.r}"
+            "impatience condition violated: need finite rho > r, "
+            f"got rho={params.rho}, r={params.r}"
         )
-    if not params.gamma > 0.0:
-        raise ValueError(f"risk aversion must be positive: gamma={params.gamma}")
-    if not params.y > 0.0:
-        raise ValueError(f"permanent income must be positive: y={params.y}")
+    if not 0.0 < params.gamma < math.inf:
+        raise ValueError(f"risk aversion must be finite and positive: gamma={params.gamma}")
+    if not 0.0 < params.y < math.inf:
+        raise ValueError(f"permanent income must be finite and positive: y={params.y}")
     return params
 
 

@@ -93,6 +93,18 @@ class TestEval:
         assert captured.out == ""
         assert captured.err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--rho", "inf", "--r", "0"], ["--gamma", "inf", "--r", "0"], ["--y", "inf", "--r", "0"],
+         ["--rho", "nan", "--r", "0.01"], ["--r", "inf"]],
+    )
+    def test_non_finite_parameter_prints_nothing(self, flags, capsys):
+        rc = main(["eval", *flags, "--a", "3"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "finite" in captured.err
+
 
 class TestSweep:
     def test_consumption_monotone_on_log_grid(self, capsys):

@@ -56,6 +56,19 @@ class TestConsumptionPath:
         with pytest.raises(ValueError):
             consumption_path(FIG1_R0, 1.0, -0.5)
 
+    @pytest.mark.parametrize("p", [FIG1_R0, FIG1])
+    def test_rejects_nan_time(self, p):
+        with pytest.raises(ValueError, match="t >= 0"):
+            consumption_path(p, 1.0, math.nan)
+
+    def test_infinite_time_consumes_income(self):
+        assert consumption_path(FIG1, 3.0, math.inf) == FIG1.y
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_rejects_non_finite_assets(self, a):
+        with pytest.raises(ValueError, match="finite a"):
+            consumption_path(FIG1_R0, a, 0.0)
+
 
 class TestConsumptionNowR0:
     def test_at_constraint(self):
@@ -113,6 +126,10 @@ class TestConsumptionApproxSmallR:
 
     def test_income_at_constraint(self):
         assert consumption_approx_small_r(FIG1, 0.0) == FIG1.y
+
+    def test_rejects_nan_time(self):
+        with pytest.raises(ValueError, match="t >= 0"):
+            consumption_approx_small_r(FIG1, 1.0, math.nan)
 
     def test_tracks_numeric_solution_at_small_r(self):
         for a in np.linspace(0.0, 30.0, 16):
@@ -231,6 +248,11 @@ class TestConsumptionDerivatives:
                 assert d.c == consumption_now_r0(p, a)
                 assert (d.dc_da, d.dc_dy) == jacobian_closed(p, a)
                 assert (d.d2c_da2, d.d2c_dady, d.d2c_dy2) == hessian_closed(p, a)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_rejects_non_finite_assets(self, a):
+        with pytest.raises(ValueError, match="finite a"):
+            consumption_derivatives(FIG1_R0, a)
 
 
 class TestDiscretePolicy:

@@ -185,6 +185,18 @@ class TestHApproxSmallR:
         assert 1.5 <= gaps[0.01] / gaps[0.005] <= 3.0
 
 
+class TestNonFiniteAssets:
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "inverse,p",
+        [(h_closed_r0, FIG1_R0), (h_numeric, FIG1_R0), (h_numeric, FIG1),
+         (h_approx_small_r, FIG1_R0), (h_approx_small_r, FIG1)],
+    )
+    def test_rejected(self, inverse, p, a):
+        with pytest.raises(ValueError, match="finite a"):
+            inverse(p, a)
+
+
 class TestBestDepletionTime:
     def test_routes_by_rate(self):
         assert best_depletion_time(FIG1_R0, 2.0).method == "exact_r0"

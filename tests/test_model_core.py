@@ -1,6 +1,7 @@
 """Parameter validation, CRRA utility, and the analytic value bound."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,6 +43,12 @@ class TestValidate:
     def test_each_invariant_named(self, bad, match):
         with pytest.raises(ValueError, match=match):
             validate(bad)
+
+    @pytest.mark.parametrize("field", ["rho", "r", "gamma", "y"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameter_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            validate(replace(FIG1_R0, **{field: value}))
 
 
 class TestCrraUtility:

@@ -1,11 +1,15 @@
 """Oracle machinery: finite differences, quadrature, RK4, perturbations, grid DP."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import ifpclosed
 from ifpclosed.consumption import discrete_policy
 from ifpclosed.depletion_map import h_closed_r0, h_numeric, mu
 from ifpclosed.model_core import ModelParams, crra_utility, validate, value_upper_bound
@@ -21,6 +25,7 @@ from ifpclosed.validation import (
     pdv_utility,
     perturbed_path_values,
     simulate_assets,
+    _pchip,
 )
 
 FIG1 = validate(ModelParams(rho=0.08, r=0.01, gamma=0.5, y=3.0))
@@ -243,6 +248,85 @@ class TestGridDp:
             grid_dp(FIG1_R0, 1.0, np.array([1.0, 2.0]))  # must start at 0
         with pytest.raises(ValueError):
             grid_dp(FIG1_R0, 1.0, np.array([0.0, 2.0, 1.0]))
+
+
+def _pchip_reference(x, y, q):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    return interpolate.PchipInterpolator(x, y, extrapolate=True)(q)
+
+
+class TestPchip:
+    """``_pchip`` against scipy's PchipInterpolator, to 1e-13 of the values' scale."""
+
+    @staticmethod
+    def assert_matches_reference(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        span = x[-1] - x[0]
+        # queries inside, on every node, and up to half a span beyond both ends
+        q = np.sort(np.concatenate([np.linspace(x[0] - 0.5 * span, x[-1] + 0.5 * span, 997), x]))
+        ref = _pchip_reference(x, y, q)
+        got = _pchip(x, y)(q)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_monotone_data(self):
+        x = make_asset_grid(30.0, 400, 3.0)
+        self.assert_matches_reference(x, np.log1p(x) + 0.1 * x)
+
+    def test_non_monotone_data(self):
+        x = np.geomspace(0.1, 20.0, 150)
+        self.assert_matches_reference(x, np.sin(x) + 0.3 * np.cos(3.1 * x))
+
+    def test_random_data(self):
+        rng = np.random.default_rng(7)
+        for n in (3, 4, 10, 60):
+            x = np.cumsum(rng.uniform(0.01, 2.0, n))
+            self.assert_matches_reference(x, rng.normal(size=n))
+
+    def test_flat_segments(self):
+        x = [0.0, 0.5, 1.0, 2.0, 2.5, 4.0, 5.0, 7.0]
+        self.assert_matches_reference(x, [1.0, 1.0, 2.0, 2.0, 2.0, 3.0, 0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "y", [[0.0, 1.0, 11.0], [0.0, 1.0, -9.0], [11.0, 1.0, 0.0], [-9.0, 1.0, 0.0]]
+    )
+    def test_end_slope_clamps(self, y):
+        # three-point end slope opposing the end secant (-> 0), and secants
+        # changing sign with |slope| > 3*|secant| (-> 3*secant), at either end
+        self.assert_matches_reference([0.0, 1.0, 2.0], y)
+
+    def test_two_nodes_give_the_line(self):
+        self.assert_matches_reference([1.0, 3.0], [2.0, -4.0])
+        line = _pchip(np.array([1.0, 3.0]), np.array([2.0, -4.0]))
+        assert np.array_equal(line(np.array([-1.0, 1.0, 2.0, 5.0])), [8.0, 2.0, -1.0, -10.0])
+
+    def test_interpolates_nodes_and_keeps_monotone_shape(self):
+        x = make_asset_grid(10.0, 50, 1.0)
+        y = np.sqrt(x)
+        interp = _pchip(x, y)
+        # a node is the left end of its interval (s = 0) except the last
+        assert np.array_equal(interp(x[:-1]), y[:-1])
+        assert interp(x[-1:])[0] == pytest.approx(y[-1], rel=1e-14)
+        fine = interp(np.linspace(0.0, 10.0, 5001))
+        assert np.all(np.diff(fine) >= 0.0)
+
+    def test_grid_dp_imports_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ifpclosed.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        code = (
+            "import sys\n"
+            "import ifpclosed.checks, ifpclosed.cli\n"
+            "from ifpclosed.model_core import ModelParams\n"
+            "from ifpclosed.validation import grid_dp, make_asset_grid\n"
+            "sol = grid_dp(ModelParams(0.08, 0.0, 0.5, 3.0), 1.0, make_asset_grid(5.0, 60, 3.0))\n"
+            "assert sol.iterations > 1\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
 
 
 class TestApproximationErrorReport:
