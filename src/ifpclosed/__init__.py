@@ -15,16 +15,12 @@ from .consumption import (
     consumption_approx_small_r,
     consumption_derivatives,
     consumption_from_depletion_time,
-    consumption_now_r0,
     consumption_path,
     consumption_unconstrained,
     discrete_policy,
-    hessian_closed,
-    jacobian_closed,
 )
 from .depletion_map import (
     DepletionTime,
-    KnotSequence,
     best_depletion_time,
     h_approx_small_r,
     h_closed_r0,

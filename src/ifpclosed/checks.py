@@ -17,15 +17,13 @@ import numpy as np
 
 from .consumption import (
     consumption_approx_small_r,
-    consumption_from_depletion_time,
-    consumption_now_r0,
+    consumption_derivatives,
+    consumption_path,
     consumption_unconstrained,
     discrete_policy,
     figure_rows,
-    hessian_closed,
-    jacobian_closed,
 )
-from .depletion_map import best_depletion_time, h_closed_r0, h_numeric, mu, mu_discrete
+from .depletion_map import h_closed_r0, h_numeric, mu, mu_discrete
 from .model_core import ModelParams, validate, value_upper_bound
 from .special_functions import lambert_wm1
 from .validation import (
@@ -90,7 +88,7 @@ def check_closed_vs_numeric() -> list[CheckResult]:
     gap = 0.0
     for ratio in np.geomspace(1e-6, 1e6, 200):
         a = ratio * p.y
-        c_closed = consumption_now_r0(p, a)
+        c_closed = consumption_path(p, a)
         c_num = p.y * math.exp(b * h_numeric(p, a).T)
         gap = max(gap, abs(c_closed - c_num) / c_num)
     # Identity grid spans where the double f(a; y) = -e^(-u) is a faithful
@@ -100,7 +98,7 @@ def check_closed_vs_numeric() -> list[CheckResult]:
     for ratio in np.geomspace(1e-4, 2e3, 200):
         a = ratio * p.y
         f = -math.exp(-(1.0 + p.rho * a / (p.gamma * p.y)))
-        c_closed = consumption_now_r0(p, a)
+        c_closed = consumption_path(p, a)
         ident = max(ident, abs(c_closed - (-p.y * lambert_wm1(f))) / c_closed)
     return [
         _bounded("closed_vs_numeric.max_rel_gap", gap, 1e-9),
@@ -112,28 +110,27 @@ def check_jacobian() -> list[CheckResult]:
     """Criterion 3: Jacobian vs Richardson differences, signs, Euler identity, asymptote."""
     p = validate(replace(FIGURE1_PARAMS, r=0.0))
     y = p.y
-    fn = lambda a_, y_: consumption_now_r0(replace(p, y=y_), a_)
+    fn = lambda a_, y_: consumption_path(replace(p, y=y_), a_)
     h_rel = _EPS ** (1.0 / 3.0)
     fd_err = 0.0
     for ratio in np.geomspace(1e-3, 1e3, 25):
         a = ratio * y
         steps = (h_rel * max(a, y), h_rel * y)
         g_fd = fd_gradient(fn, (a, y), steps)
-        g_cl = jacobian_closed(p, a)
+        d = consumption_derivatives(p, a)
         fd_err = max(
             fd_err,
-            abs(g_fd[0] - g_cl[0]) / abs(g_cl[0]),
-            abs(g_fd[1] - g_cl[1]) / abs(g_cl[1]),
+            abs(g_fd[0] - d.dc_da) / abs(d.dc_da),
+            abs(g_fd[1] - d.dc_dy) / abs(d.dc_dy),
         )
     sign_margin = math.inf
     euler = 0.0
     for ratio in np.geomspace(1e-8, 1e8, 200):
         a = ratio * y
-        dc_da, dc_dy = jacobian_closed(p, a)
-        sign_margin = min(sign_margin, dc_da, dc_dy)
-        c = consumption_now_r0(p, a)
-        euler = max(euler, abs(a * dc_da + y * dc_dy - c) / c)
-    mpc_tail = abs(jacobian_closed(p, 1e8 * y)[0] - p.rho / p.gamma)
+        d = consumption_derivatives(p, a)
+        sign_margin = min(sign_margin, d.dc_da, d.dc_dy)
+        euler = max(euler, abs(a * d.dc_da + y * d.dc_dy - d.c) / d.c)
+    mpc_tail = abs(consumption_derivatives(p, 1e8 * y).dc_da - p.rho / p.gamma)
     return [
         _bounded("jacobian.fd_rel_err", fd_err, 1e-6),
         _positive("jacobian.entries_positive_margin", sign_margin),
@@ -146,20 +143,21 @@ def check_hessian() -> list[CheckResult]:
     """Criterion 4: Hessian vs FD, sign pattern, rank-1 determinant, supermodularity."""
     p = validate(replace(FIGURE1_PARAMS, r=0.0))
     y = p.y
-    fn = lambda a_, y_: consumption_now_r0(replace(p, y=y_), a_)
+    fn = lambda a_, y_: consumption_path(replace(p, y=y_), a_)
     h_rel = _EPS ** (1.0 / 4.0)
     fd_err = 0.0
     for ratio in np.geomspace(1e-3, 1e3, 25):
         a = ratio * y
         steps = (h_rel * max(a, y), h_rel * y)
         h_fd = fd_hessian(fn, (a, y), steps)
-        h_cl = hessian_closed(p, a)
+        d = consumption_derivatives(p, a)
+        h_cl = (d.d2c_da2, d.d2c_dady, d.d2c_dy2)
         fd_err = max(fd_err, max(abs(f - c) / abs(c) for f, c in zip(h_fd, h_cl)))
     sign_margin = math.inf
     det_rel = 0.0
     for ratio in np.geomspace(1e-6, 1e6, 200):
-        a = ratio * y
-        h_aa, h_ay, h_yy = hessian_closed(p, a)
+        d = consumption_derivatives(p, ratio * y)
+        h_aa, h_ay, h_yy = d.d2c_da2, d.d2c_dady, d.d2c_dy2
         sign_margin = min(sign_margin, -h_aa, h_ay, -h_yy)
         det_rel = max(det_rel, abs(h_aa * h_yy - h_ay * h_ay) / abs(h_aa * h_yy))
     cross_margin = math.inf
@@ -170,10 +168,10 @@ def check_hessian() -> list[CheckResult]:
         for a in a_cross:
             ha = 1e-3 * max(a, y_j)
             cross = (
-                consumption_now_r0(p_hi, a + ha)
-                - consumption_now_r0(p_lo, a + ha)
-                - consumption_now_r0(p_hi, a)
-                + consumption_now_r0(p_lo, a)
+                consumption_path(p_hi, a + ha)
+                - consumption_path(p_lo, a + ha)
+                - consumption_path(p_hi, a)
+                + consumption_path(p_lo, a)
             )
             cross_margin = min(cross_margin, cross)
     return [
@@ -235,7 +233,7 @@ def check_small_r() -> list[CheckResult]:
     gap_at_zero = 0.0
     for r in (0.02, 0.01, 0.005):
         p = replace(base, r=r)
-        c_ref = consumption_from_depletion_time(p, best_depletion_time(p, 0.0).T)
+        c_ref = consumption_path(p, 0.0)
         gap_at_zero = max(gap_at_zero, abs(consumption_approx_small_r(p, 0.0) - c_ref))
     ratio_hi = by_r[0.02].max_rel_gap / by_r[0.01].max_rel_gap
     ratio_lo = by_r[0.01].max_rel_gap / by_r[0.005].max_rel_gap
@@ -250,10 +248,10 @@ def check_small_r() -> list[CheckResult]:
 def check_discrete_model(include_dp: bool = True) -> list[CheckResult]:
     """Criterion 8: discrete knots, DP agreement, and the continuum limit."""
     p = validate(FIGURE1_PARAMS)
-    seq = mu_discrete(p, 1.0, 40)
-    knot_margin = float(np.min(np.diff(seq.assets)))
+    knots = mu_discrete(p, 1.0, 40)
+    knot_margin = float(np.min(np.diff(knots)))
     results = [
-        _bounded("discrete.mu0", abs(float(seq.assets[0])), 0.0),
+        _bounded("discrete.mu0", abs(float(knots[0])), 0.0),
         _positive("discrete.knots_increasing_margin", knot_margin),
     ]
     p0 = validate(replace(FIGURE1_PARAMS, r=0.0))
@@ -267,10 +265,10 @@ def check_discrete_model(include_dp: bool = True) -> list[CheckResult]:
         results.append(_bounded("discrete.dp_policy_gap_over_y", dp_gap, 2e-3))
         results.append(_bounded("discrete.dp_runtime_seconds", elapsed, 120.0))
     a_eval = np.linspace(0.0, 10.0, 201)
+    exact = np.array([consumption_path(p0, a) for a in a_eval])
     gaps = []
     for delta in (0.5, 0.1, 0.02):
         pol = discrete_policy(p0, delta, 10.0)
-        exact = np.array([consumption_now_r0(p0, a) for a in a_eval])
         gaps.append(float(np.max(np.abs(pol(a_eval) - exact))))
     shrink_margin = min(gaps[0] - gaps[1], gaps[1] - gaps[2])
     results.append(_positive("discrete.delta_shrink_margin", shrink_margin))

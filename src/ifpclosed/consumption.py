@@ -17,7 +17,7 @@ and the cross-derivative strictly positive (supermodularity), all because
 w < -1 on the relevant domain.
 
 ``consumption_derivatives`` derives T, c and all five entries from one
-branch offset 1 + w; ``jacobian_closed`` and ``hessian_closed`` project it.
+branch offset 1 + w.
 
 Also here: the discrete-time piecewise-linear policy built on the knot
 sequence mu(k*delta), the unconstrained linear benchmark used for the
@@ -32,10 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .depletion_map import (
-    _r0_branch,
+    _branch,
     best_depletion_time,
     h_approx_small_r,
-    h_closed_r0,
     h_numeric,
     mu_discrete,
     step_growth_factor,
@@ -48,13 +47,10 @@ __all__ = [
     "consumption_approx_small_r",
     "consumption_derivatives",
     "consumption_from_depletion_time",
-    "consumption_now_r0",
     "consumption_path",
     "consumption_unconstrained",
     "discrete_policy",
     "figure_rows",
-    "hessian_closed",
-    "jacobian_closed",
 ]
 
 
@@ -81,7 +77,6 @@ class PiecewiseLinearPolicy:
     [0, last knot].
     """
 
-    delta: float
     knot_assets: np.ndarray
     knot_consumption: np.ndarray
 
@@ -107,30 +102,22 @@ def consumption_from_depletion_time(params: ModelParams, T: float, t: float = 0.
     return params.y * math.exp((params.rho - params.r) * (T - t) / params.gamma)
 
 
-def consumption_path(params: ModelParams, a: float, t: float) -> float:
+def consumption_path(params: ModelParams, a: float, t: float = 0.0) -> float:
     """Optimal consumption at calendar time t >= 0 from initial assets a >= 0.
 
     Uses the best available depletion time (exact closed form at r = 0,
-    numeric inversion otherwise); returns exactly y once t exceeds T.
+    numeric inversion otherwise); returns exactly y once t exceeds T.  At
+    r = 0, t = 0 it is c*(a; y) = y * e^(rho*h(a;y)/gamma) = -y * W-1(f(a; y)).
     """
     if not t >= 0.0:
         raise ValueError(f"consumption_path: need t >= 0, got t={t}")
     return consumption_from_depletion_time(params, best_depletion_time(params, a).T, t)
 
 
-def consumption_now_r0(params: ModelParams, a: float) -> float:
-    """Time-0 consumption function at r = 0: c*(a; y) = y * e^(rho*h(a;y)/gamma).
-
-    Equals y at a = 0 and exceeds y for a > 0; algebraically identical to
-    -y * W-1(f(a; y)).
-    """
-    return consumption_from_depletion_time(params, h_closed_r0(params, a).T)
-
-
 def consumption_approx_small_r(params: ModelParams, a: float, t: float = 0.0) -> float:
     """Time path evaluated with the small-r closed-form depletion time.
 
-    Reduces exactly to ``consumption_now_r0`` at r = 0, t = 0.
+    Reduces exactly to ``consumption_path`` at r = 0.
     """
     if not t >= 0.0:
         raise ValueError(f"consumption_approx_small_r: need t >= 0, got t={t}")
@@ -142,8 +129,9 @@ def consumption_derivatives(params: ModelParams, a: float) -> ConsumptionDerivat
 
     Every entry is a few flops on one branch offset v = 1 + w, so the
     kernel runs once per point.  T and c are exactly ``h_closed_r0`` and
-    ``consumption_now_r0``.  a = 0 is a domain error: w = -1 there and the
-    MPC is unbounded.
+    ``consumption_path``; dc/da falls from +inf at a -> 0+ toward
+    rho/gamma, and the Hessian has rank 1.  a = 0 is a domain error:
+    w = -1 there and the MPC is unbounded.
     """
     if params.r != 0.0:
         raise ValueError(f"consumption_derivatives: requires r = 0, got r={params.r}")
@@ -151,7 +139,7 @@ def consumption_derivatives(params: ModelParams, a: float) -> ConsumptionDerivat
         raise ValueError(
             f"consumption_derivatives: need finite a > 0 (MPC unbounded at a = 0), got a={a}"
         )
-    du, v, T = _r0_branch(params, a)
+    du, v, T = _branch(params, a)
     if v == 0.0:
         raise ValueError(f"consumption_derivatives: a={a} indistinguishable from the constraint")
     y, rho, gam = params.y, params.rho, params.gamma
@@ -167,27 +155,6 @@ def consumption_derivatives(params: ModelParams, a: float) -> ConsumptionDerivat
     )
 
 
-def jacobian_closed(params: ModelParams, a: float) -> tuple[float, float]:
-    """Closed-form MPCs (dc/da, dc/dy) at r = 0, a > 0 strictly.
-
-    Both entries are strictly positive; dc/da falls from +inf at a -> 0+
-    toward rho/gamma as a -> inf.
-    """
-    d = consumption_derivatives(params, a)
-    return d.dc_da, d.dc_dy
-
-
-def hessian_closed(params: ModelParams, a: float) -> tuple[float, float, float]:
-    """Closed-form (d2c/da2, d2c/dady, d2c/dy2) at r = 0, a > 0 strictly.
-
-    All entries share the strictly positive factor w/(1+w)^3: the diagonal
-    is negative, the cross term positive, and the determinant vanishes
-    identically (rank-1 Hessian).
-    """
-    d = consumption_derivatives(params, a)
-    return d.d2c_da2, d.d2c_dady, d.d2c_dy2
-
-
 def discrete_policy(params: ModelParams, delta: float, a_max: float) -> PiecewiseLinearPolicy:
     """Piecewise-linear discrete-time consumption function covering [0, a_max].
 
@@ -195,20 +162,19 @@ def discrete_policy(params: ModelParams, delta: float, a_max: float) -> Piecewis
     a_max; knot consumption is y * G^k; interior assets interpolate
     linearly between adjacent knot values.
     """
-    if a_max <= 0.0:
-        raise ValueError(f"discrete_policy: need a_max > 0, got {a_max}")
+    if not 0.0 < a_max < math.inf:
+        raise ValueError(f"discrete_policy: need finite a_max > 0, got {a_max}")
     n = 16
-    seq = mu_discrete(params, delta, n)
-    while seq.assets[-1] < a_max:
+    knots = mu_discrete(params, delta, n)
+    while knots[-1] < a_max:
         n *= 2
         if n > 2**24:
             raise RuntimeError("discrete_policy: knot count exploded before reaching a_max")
-        seq = mu_discrete(params, delta, n)
-    last = int(np.searchsorted(seq.assets, a_max, side="left"))
-    assets = seq.assets[: last + 1]
+        knots = mu_discrete(params, delta, n)
+    assets = knots[: int(np.searchsorted(knots, a_max, side="left")) + 1]
     growth = step_growth_factor(params, delta)
     cons = params.y * growth ** np.arange(assets.size)
-    return PiecewiseLinearPolicy(delta=delta, knot_assets=assets, knot_consumption=cons)
+    return PiecewiseLinearPolicy(knot_assets=assets, knot_consumption=cons)
 
 
 def consumption_unconstrained(params: ModelParams, a: float) -> float:

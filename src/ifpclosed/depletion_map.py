@@ -29,7 +29,6 @@ from .special_functions import wm1_neg_exp_offset
 __all__ = [
     "R_SWITCH",
     "DepletionTime",
-    "KnotSequence",
     "best_depletion_time",
     "h_approx_small_r",
     "h_closed_r0",
@@ -54,15 +53,6 @@ class DepletionTime:
     method: str  # "exact_r0" | "approx_small_r" | "numeric"
 
 
-@dataclass(frozen=True)
-class KnotSequence:
-    """Discrete depletion thresholds mu(k*delta), k = 0..n, with mu(0) = 0."""
-
-    delta: float
-    times: np.ndarray
-    assets: np.ndarray
-
-
 def mu(params: ModelParams, T: float) -> float:
     """Assets exhausted in exactly T: the solution of the depletion ODE.
 
@@ -70,33 +60,44 @@ def mu(params: ModelParams, T: float) -> float:
     with B = r*(gamma-1) + rho, rearranged from the textbook display so no
     y/r term survives on its own.  For r <= R_SWITCH the r = 0 limit
     (y/b)*(e^(bT) - 1 - bT), b = rho/gamma, is used, with a short series
-    below b*T < 1e-3 to keep full relative precision near T = 0.
+    below b*T < 1e-3 to keep full relative precision near T = 0.  Returns
+    +inf once e^((rho-r)T/gamma) exceeds the double range (T beyond about
+    709*gamma/(rho-r)), where ``math.expm1`` would raise ``OverflowError``.
     """
-    if T < 0.0:
+    if not T >= 0.0:
         raise ValueError(f"mu: need T >= 0, got T={T}")
     rho, r, gam, y = params.rho, params.r, params.gamma, params.y
-    if r <= R_SWITCH:
-        bt = (rho / gam) * T
-        if bt < 1e-3:
-            # e^z - 1 - z = z^2 (1/2 + z/6 + z^2/24 + z^3/120 + z^4/720) + O(z^7)
-            tail = 0.5 + bt * (1.0 / 6.0 + bt * (1.0 / 24.0 + bt * (1.0 / 120.0 + bt / 720.0)))
-            return (y * gam / rho) * bt * bt * tail
-        return (y * gam / rho) * (math.expm1(bt) - bt)
-    big_b = r * (gam - 1.0) + rho
-    e1m = math.expm1((rho - r) * T / gam)
-    e2m = math.expm1(-r * T)
-    return (gam * y / big_b) * (e1m - e2m) + y * e2m / r
+    try:
+        if r <= R_SWITCH:
+            bt = (rho / gam) * T
+            if bt < 1e-3:
+                # e^z - 1 - z = z^2 (1/2 + z/6 + z^2/24 + z^3/120 + z^4/720) + O(z^7)
+                tail = 0.5 + bt * (1.0 / 6.0 + bt * (1.0 / 24.0 + bt * (1.0 / 120.0 + bt / 720.0)))
+                return (y * gam / rho) * bt * bt * tail
+            return (y * gam / rho) * (math.expm1(bt) - bt)
+        big_b = r * (gam - 1.0) + rho
+        e1m = math.expm1((rho - r) * T / gam)
+        e2m = math.expm1(-r * T)
+        return (gam * y / big_b) * (e1m - e2m) + y * e2m / r
+    except OverflowError:
+        return math.inf
 
 
 def mu_prime(params: ModelParams, T: float) -> float:
-    """dmu/dT = y*(rho-r)/B * (e^((rho-r)T/gamma) - e^(-rT)); 0 at T = 0."""
-    if T < 0.0:
+    """dmu/dT = y*(rho-r)/B * (e^((rho-r)T/gamma) - e^(-rT)); 0 at T = 0.
+
+    Returns +inf where ``mu`` does, once the exponential exceeds the double range.
+    """
+    if not T >= 0.0:
         raise ValueError(f"mu_prime: need T >= 0, got T={T}")
     rho, r, gam, y = params.rho, params.r, params.gamma, params.y
-    if r <= R_SWITCH:
-        return y * math.expm1((rho / gam) * T)
-    big_b = r * (gam - 1.0) + rho
-    return y * (rho - r) / big_b * (math.expm1((rho - r) * T / gam) - math.expm1(-r * T))
+    try:
+        if r <= R_SWITCH:
+            return y * math.expm1((rho / gam) * T)
+        big_b = r * (gam - 1.0) + rho
+        return y * (rho - r) / big_b * (math.expm1((rho - r) * T / gam) - math.expm1(-r * T))
+    except OverflowError:
+        return math.inf
 
 
 def h_numeric(params: ModelParams, a: float) -> DepletionTime:
@@ -147,19 +148,23 @@ def h_numeric(params: ModelParams, a: float) -> DepletionTime:
     return DepletionTime(T, "numeric")
 
 
-def _r0_branch(params: ModelParams, a: float) -> tuple[float, float, float]:
-    """(du, v, T) at r = 0: the exponent offset, the branch offset, the depletion time.
+def _branch(params: ModelParams, a: float) -> tuple[float, float, float]:
+    """(du, v, T): the exponent offset, the branch offset, the closed-form depletion time.
 
-    du = rho*a/(gamma*y) and v = 1 + W-1(-e^(-(1 + du))), which the kernel
-    returns at full relative precision without forming the underflowing
-    argument.  T = -(a + gamma*y/rho)/y - (gamma/rho)*w with w = v - 1;
-    because w*e^w = -e^(-(1 + du)) forces -(1 + du) - w = log(-w), the same
-    T equals (gamma/rho)*log1p(-v), which is free of the large-argument
-    cancellation of the literal form and exact at a = 0 (v = 0 there).
+    du = B*a/(gamma*y) with B = r*(gamma-1) + rho, and v = 1 + W-1(-e^(-(1 + du))),
+    which the kernel returns at full relative precision without forming the
+    underflowing argument.  T = (gamma/B)*log1p(-v)/d_r with
+    d_r = (rho - r)/B is the small-r closed form; at r = 0, B = rho and
+    d_r = 1 exactly, so it is the exact Lambert-W solution
+    -(a + gamma*y/rho)/y - (gamma/rho)*w, w = v - 1, rewritten through
+    -(1 + du) - w = log(-w): free of the large-argument cancellation of the
+    literal form and exact at a = 0 (v = 0 there).
     """
-    du = params.rho * a / (params.gamma * params.y)
+    big_b = params.r * (params.gamma - 1.0) + params.rho
+    du = big_b * a / (params.gamma * params.y)
     v = wm1_neg_exp_offset(du)
-    return du, v, (params.gamma / params.rho) * math.log1p(-v) + 0.0  # +0.0 normalizes -0.0
+    T = (params.gamma / big_b) * math.log1p(-v) / ((params.rho - params.r) / big_b)
+    return du, v, T + 0.0  # +0.0 normalizes -0.0
 
 
 def h_closed_r0(params: ModelParams, a: float) -> DepletionTime:
@@ -174,7 +179,7 @@ def h_closed_r0(params: ModelParams, a: float) -> DepletionTime:
         raise ValueError(f"h_closed_r0: requires r = 0, got r={params.r}")
     if not 0.0 <= a < math.inf:
         raise ValueError(f"h_closed_r0: need finite a >= 0, got a={a}")
-    return DepletionTime(_r0_branch(params, a)[2], "exact_r0")
+    return DepletionTime(_branch(params, a)[2], "exact_r0")
 
 
 def h_approx_small_r(params: ModelParams, a: float) -> DepletionTime:
@@ -184,18 +189,12 @@ def h_approx_small_r(params: ModelParams, a: float) -> DepletionTime:
     f_r(a; y) = -exp(-(b_r/y)*(a + y/b_r)), b_r = (r*(gamma-1) + rho)/gamma
     and d_r = (rho - r)/(r*(gamma-1) + rho); the o(r) term inside
     a + y/b_r is dropped.  Impatience makes b_r > 0 and d_r in (0, 1].
-    Coincides with ``h_closed_r0`` exactly at r = 0, where b_r -> rho/gamma
-    and d_r -> 1.
+    Coincides with ``h_closed_r0`` bit for bit at r = 0, where
+    b_r -> rho/gamma and d_r -> 1.
     """
     if not 0.0 <= a < math.inf:
         raise ValueError(f"h_approx_small_r: need finite a >= 0, got a={a}")
-    if params.r == 0.0:
-        return DepletionTime(_r0_branch(params, a)[2], "approx_small_r")
-    big_b = params.r * (params.gamma - 1.0) + params.rho
-    b_r = big_b / params.gamma
-    d_r = (params.rho - params.r) / big_b
-    v = wm1_neg_exp_offset(b_r * a / params.y)
-    return DepletionTime(math.log1p(-v) / (b_r * d_r) + 0.0, "approx_small_r")
+    return DepletionTime(_branch(params, a)[2], "approx_small_r")
 
 
 def best_depletion_time(params: ModelParams, a: float) -> DepletionTime:
@@ -207,20 +206,20 @@ def best_depletion_time(params: ModelParams, a: float) -> DepletionTime:
 
 def step_growth_factor(params: ModelParams, delta: float) -> float:
     """Per-step consumption growth ((1+r*delta)/(1+rho*delta))^(-1/gamma) > 1."""
-    if delta <= 0.0:
-        raise ValueError(f"step_growth_factor: need delta > 0, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"step_growth_factor: need finite delta > 0, got {delta}")
     return ((1.0 + params.r * delta) / (1.0 + params.rho * delta)) ** (-1.0 / params.gamma)
 
 
-def mu_discrete(params: ModelParams, delta: float, n_knots: int) -> KnotSequence:
-    """Discrete-time depletion thresholds from the implicit recursion.
+def mu_discrete(params: ModelParams, delta: float, n_knots: int) -> np.ndarray:
+    """Discrete-time depletion thresholds mu(k*delta), k = 0..n_knots, from the implicit recursion.
 
     Solves mu(k*delta) + (delta*y - mu((k-1)*delta))/(1 + r*delta)
     = G^k * delta*y forward from mu(0) = 0, where G is the per-step
     consumption growth factor.  The sequence is strictly increasing.
     """
-    if delta <= 0.0:
-        raise ValueError(f"mu_discrete: need delta > 0, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"mu_discrete: need finite delta > 0, got {delta}")
     if n_knots < 1:
         raise ValueError(f"mu_discrete: need n_knots >= 1, got {n_knots}")
     growth = step_growth_factor(params, delta)
@@ -231,4 +230,4 @@ def mu_discrete(params: ModelParams, delta: float, n_knots: int) -> KnotSequence
     assets[0] = 0.0
     for k in range(1, n_knots + 1):
         assets[k] = rhs[k] - (dy - assets[k - 1]) / shrink
-    return KnotSequence(delta=delta, times=delta * np.arange(n_knots + 1.0), assets=assets)
+    return assets

@@ -1,5 +1,6 @@
 """Command-line interface: flags, CSV emission, exit codes."""
 
+import math
 import sys
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from ifpclosed import checks, depletion_map, special_functions
 from ifpclosed.cli import main, sweep_grid
 from ifpclosed.consumption import discrete_policy, figure_rows
-from ifpclosed.depletion_map import step_growth_factor
+from ifpclosed.depletion_map import mu, step_growth_factor
 from ifpclosed.model_core import ModelParams, validate
 
 FIG1 = validate(ModelParams(rho=0.08, r=0.01, gamma=0.5, y=3.0))
@@ -92,6 +93,13 @@ class TestEval:
         assert rc == 2
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    def test_assets_near_double_range(self, capsys):
+        rc = main(["eval", "--r", "0.01", "--a", "1e300"])
+        assert rc == 0
+        vals = parse_kv(capsys.readouterr().out)
+        assert all(math.isfinite(v) for v in vals.values())
+        assert abs(mu(FIG1, vals["T_numeric"]) - 1e300) <= 1e-12 * 1e300
 
     @pytest.mark.parametrize(
         "flags",
@@ -232,6 +240,14 @@ class TestFigure:
     def test_figure1_requires_positive_rate(self, capsys):
         rc = main(["figure", "--which", "1", "--r", "0"])
         assert rc == 2
+
+    @pytest.mark.parametrize("delta", ["nan", "inf"])
+    def test_figure1_non_finite_delta_prints_nothing(self, delta, capsys):
+        rc = main(["figure", "--which", "1", "--r", "0.01", "--delta", delta])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "finite delta" in captured.err
 
     def test_figure2_structure(self, tmp_path):
         out = tmp_path / "fig2.csv"

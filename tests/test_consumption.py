@@ -10,14 +10,17 @@ from ifpclosed.consumption import (
     consumption_approx_small_r,
     consumption_derivatives,
     consumption_from_depletion_time,
-    consumption_now_r0,
     consumption_path,
     consumption_unconstrained,
     discrete_policy,
-    hessian_closed,
-    jacobian_closed,
 )
-from ifpclosed.depletion_map import h_closed_r0, h_numeric, mu, step_growth_factor
+from ifpclosed.depletion_map import (
+    h_approx_small_r,
+    h_closed_r0,
+    h_numeric,
+    mu,
+    step_growth_factor,
+)
 from ifpclosed.model_core import ModelParams, validate
 from ifpclosed.special_functions import lambert_wm1
 from ifpclosed.validation import fd_gradient, fd_hessian
@@ -25,6 +28,17 @@ from ifpclosed.validation import fd_gradient, fd_hessian
 FIG1 = validate(ModelParams(rho=0.08, r=0.01, gamma=0.5, y=3.0))
 FIG1_R0 = validate(ModelParams(rho=0.08, r=0.0, gamma=0.5, y=3.0))
 EPS = float(np.finfo(float).eps)
+
+
+# (dc/da, dc/dy) and (d2c/da2, d2c/dady, d2c/dy2), read from the derivative bundle
+def jacobian(p, a):
+    d = consumption_derivatives(p, a)
+    return d.dc_da, d.dc_dy
+
+
+def hessian(p, a):
+    d = consumption_derivatives(p, a)
+    return d.d2c_da2, d.d2c_dady, d.d2c_dy2
 
 
 class TestConsumptionPath:
@@ -72,30 +86,30 @@ class TestConsumptionPath:
 
 class TestConsumptionNowR0:
     def test_at_constraint(self):
-        assert consumption_now_r0(FIG1_R0, 0.0) == FIG1_R0.y
+        assert consumption_path(FIG1_R0, 0.0) == FIG1_R0.y
 
     def test_frozen_figure_value(self):
-        assert consumption_now_r0(FIG1_R0, 3.0) == pytest.approx(5.0310481756909513, rel=1e-13)
+        assert consumption_path(FIG1_R0, 3.0) == pytest.approx(5.0310481756909513, rel=1e-13)
 
     def test_lambert_identity(self):
         for ratio in np.geomspace(1e-4, 1e3, 50):
             a = ratio * FIG1_R0.y
             f = -math.exp(-(1.0 + FIG1_R0.rho * a / (FIG1_R0.gamma * FIG1_R0.y)))
-            c = consumption_now_r0(FIG1_R0, a)
+            c = consumption_path(FIG1_R0, a)
             assert c == pytest.approx(-FIG1_R0.y * lambert_wm1(f), rel=1e-13)
 
     def test_round_trip_through_mu(self):
         a = mu(FIG1_R0, 10.0)
         expected = FIG1_R0.y * math.exp(FIG1_R0.rho * 10.0 / FIG1_R0.gamma)
-        assert consumption_now_r0(FIG1_R0, a) == pytest.approx(expected, rel=1e-11)
+        assert consumption_path(FIG1_R0, a) == pytest.approx(expected, rel=1e-11)
 
     def test_exceeds_income_away_from_constraint(self):
         for a in np.geomspace(1e-6, 1e6, 30):
-            assert consumption_now_r0(FIG1_R0, a) > FIG1_R0.y
+            assert consumption_path(FIG1_R0, a) > FIG1_R0.y
 
     def test_monotone_and_concave_in_assets(self):
         grid = np.geomspace(1e-3, 1e3, 300)
-        cs = np.array([consumption_now_r0(FIG1_R0, a) for a in grid])
+        cs = np.array([consumption_path(FIG1_R0, a) for a in grid])
         assert np.all(np.diff(cs) > 0.0)
         slopes = np.diff(cs) / np.diff(grid)
         assert np.all(np.diff(slopes) < 0.0)
@@ -103,7 +117,7 @@ class TestConsumptionNowR0:
     def test_monotone_and_concave_in_income(self):
         a = 3.0
         ys = np.geomspace(0.5, 50.0, 200)
-        cs = np.array([consumption_now_r0(replace(FIG1_R0, y=y), a) for y in ys])
+        cs = np.array([consumption_path(replace(FIG1_R0, y=y), a) for y in ys])
         assert np.all(np.diff(cs) > 0.0)
         slopes = np.diff(cs) / np.diff(ys)
         assert np.all(np.diff(slopes) < 0.0)
@@ -111,18 +125,15 @@ class TestConsumptionNowR0:
     @pytest.mark.parametrize("lam", [0.1, 2.0, 10.0])
     def test_homogeneous_of_degree_one(self, lam):
         for a in (0.3, 3.0, 30.0):
-            scaled = consumption_now_r0(replace(FIG1_R0, y=lam * FIG1_R0.y), lam * a)
-            assert scaled == pytest.approx(lam * consumption_now_r0(FIG1_R0, a), rel=1e-12)
+            scaled = consumption_path(replace(FIG1_R0, y=lam * FIG1_R0.y), lam * a)
+            assert scaled == pytest.approx(lam * consumption_path(FIG1_R0, a), rel=1e-12)
 
-    def test_rejects_positive_rate(self):
-        with pytest.raises(ValueError):
-            consumption_now_r0(FIG1, 1.0)
 
 
 class TestConsumptionApproxSmallR:
     def test_reduces_exactly_at_r0(self):
         for a in (0.0, 0.7, 3.0, 42.0):
-            assert consumption_approx_small_r(FIG1_R0, a, 0.0) == consumption_now_r0(FIG1_R0, a)
+            assert consumption_approx_small_r(FIG1_R0, a, 0.0) == consumption_path(FIG1_R0, a)
 
     def test_income_at_constraint(self):
         assert consumption_approx_small_r(FIG1, 0.0) == FIG1.y
@@ -152,22 +163,22 @@ class TestConsumptionApproxSmallR:
 
 class TestJacobianClosed:
     def test_frozen_figure_values(self):
-        dc_da, dc_dy = jacobian_closed(FIG1_R0, 3.0)
+        dc_da, dc_dy = jacobian(FIG1_R0, 3.0)
         assert dc_da == pytest.approx(0.3963311740927596, rel=1e-13)
         assert dc_dy == pytest.approx(1.2806848844708909, rel=1e-13)
 
     def test_positive_everywhere(self):
         for ratio in np.geomspace(1e-8, 1e8, 100):
-            dc_da, dc_dy = jacobian_closed(FIG1_R0, ratio * FIG1_R0.y)
+            dc_da, dc_dy = jacobian(FIG1_R0, ratio * FIG1_R0.y)
             assert dc_da > 0.0 and dc_dy > 0.0
 
     def test_matches_finite_differences(self):
-        fn = lambda a_, y_: consumption_now_r0(replace(FIG1_R0, y=y_), a_)
+        fn = lambda a_, y_: consumption_path(replace(FIG1_R0, y=y_), a_)
         for ratio in np.geomspace(1e-3, 1e3, 15):
             a = ratio * FIG1_R0.y
             step = (EPS ** (1 / 3) * max(a, FIG1_R0.y), EPS ** (1 / 3) * FIG1_R0.y)
             fd = fd_gradient(fn, (a, FIG1_R0.y), step)
-            closed = jacobian_closed(FIG1_R0, a)
+            closed = jacobian(FIG1_R0, a)
             assert fd[0] == pytest.approx(closed[0], rel=1e-6)
             assert fd[1] == pytest.approx(closed[1], rel=1e-6)
 
@@ -175,28 +186,28 @@ class TestJacobianClosed:
         y = FIG1_R0.y
         for ratio in np.geomspace(1e-6, 1e6, 60):
             a = ratio * y
-            dc_da, dc_dy = jacobian_closed(FIG1_R0, a)
-            c = consumption_now_r0(FIG1_R0, a)
+            dc_da, dc_dy = jacobian(FIG1_R0, a)
+            c = consumption_path(FIG1_R0, a)
             assert a * dc_da + y * dc_dy == pytest.approx(c, rel=1e-10)
 
     def test_asymptotic_mpc(self):
-        dc_da, _ = jacobian_closed(FIG1_R0, 1e8 * FIG1_R0.y)
+        dc_da, _ = jacobian(FIG1_R0, 1e8 * FIG1_R0.y)
         assert abs(dc_da - FIG1_R0.rho / FIG1_R0.gamma) <= 1e-4
 
     def test_mpc_diverges_at_constraint(self):
-        dc_da, _ = jacobian_closed(FIG1_R0, 1e-8 * FIG1_R0.y)
+        dc_da, _ = jacobian(FIG1_R0, 1e-8 * FIG1_R0.y)
         assert dc_da > 1e3 * (FIG1_R0.rho / FIG1_R0.gamma)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            jacobian_closed(FIG1_R0, 0.0)
+            jacobian(FIG1_R0, 0.0)
         with pytest.raises(ValueError):
-            jacobian_closed(FIG1, 1.0)
+            jacobian(FIG1, 1.0)
 
 
 class TestHessianClosed:
     def test_frozen_figure_values(self):
-        h_aa, h_ay, h_yy = hessian_closed(FIG1_R0, 3.0)
+        h_aa, h_ay, h_yy = hessian(FIG1_R0, 3.0)
         # at a = y all three entries share one magnitude
         assert h_aa == pytest.approx(-0.046116784832560323, rel=1e-12)
         assert h_ay == pytest.approx(+0.046116784832560323, rel=1e-12)
@@ -204,26 +215,26 @@ class TestHessianClosed:
 
     def test_sign_pattern(self):
         for ratio in np.geomspace(1e-6, 1e6, 100):
-            h_aa, h_ay, h_yy = hessian_closed(FIG1_R0, ratio * FIG1_R0.y)
+            h_aa, h_ay, h_yy = hessian(FIG1_R0, ratio * FIG1_R0.y)
             assert h_aa < 0.0 < h_ay and h_yy < 0.0
 
     def test_rank_one_determinant(self):
         for ratio in np.geomspace(1e-3, 1e3, 40):
-            h_aa, h_ay, h_yy = hessian_closed(FIG1_R0, ratio * FIG1_R0.y)
+            h_aa, h_ay, h_yy = hessian(FIG1_R0, ratio * FIG1_R0.y)
             assert abs(h_aa * h_yy - h_ay * h_ay) <= 1e-12 * abs(h_aa * h_yy)
 
     def test_matches_finite_differences(self):
-        fn = lambda a_, y_: consumption_now_r0(replace(FIG1_R0, y=y_), a_)
+        fn = lambda a_, y_: consumption_path(replace(FIG1_R0, y=y_), a_)
         for ratio in np.geomspace(1e-3, 1e3, 15):
             a = ratio * FIG1_R0.y
             step = (EPS**0.25 * max(a, FIG1_R0.y), EPS**0.25 * FIG1_R0.y)
             fd = fd_hessian(fn, (a, FIG1_R0.y), step)
-            closed = hessian_closed(FIG1_R0, a)
+            closed = hessian(FIG1_R0, a)
             for f, c in zip(fd, closed):
                 assert f == pytest.approx(c, rel=1e-4)
 
     def test_supermodularity_cross_difference(self):
-        fn = lambda a_, y_: consumption_now_r0(replace(FIG1_R0, y=y_), a_)
+        fn = lambda a_, y_: consumption_path(replace(FIG1_R0, y=y_), a_)
         for a in np.geomspace(0.03, 300.0, 20):
             for y in np.geomspace(1.0, 10.0, 10):
                 h, k = 1e-3 * max(a, y), 1e-3 * y
@@ -231,9 +242,9 @@ class TestHessianClosed:
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            hessian_closed(FIG1_R0, 0.0)
+            hessian(FIG1_R0, 0.0)
         with pytest.raises(ValueError):
-            hessian_closed(FIG1, 1.0)
+            hessian(FIG1, 1.0)
 
 
 class TestConsumptionDerivatives:
@@ -244,10 +255,8 @@ class TestConsumptionDerivatives:
             for ratio in np.geomspace(1e-12, 1e12, 49):
                 a = ratio * p.y
                 d = consumption_derivatives(p, a)
-                assert d.T == h_closed_r0(p, a).T
-                assert d.c == consumption_now_r0(p, a)
-                assert (d.dc_da, d.dc_dy) == jacobian_closed(p, a)
-                assert (d.d2c_da2, d.d2c_dady, d.d2c_dy2) == hessian_closed(p, a)
+                assert d.T == h_closed_r0(p, a).T == h_approx_small_r(p, a).T
+                assert d.c == consumption_path(p, a) == consumption_approx_small_r(p, a)
 
     @pytest.mark.parametrize("a", [math.nan, math.inf])
     def test_rejects_non_finite_assets(self, a):
@@ -294,7 +303,7 @@ class TestDiscretePolicy:
 
     def test_converges_to_continuous_closed_form(self):
         a_eval = np.linspace(0.0, 10.0, 101)
-        exact = np.array([consumption_now_r0(FIG1_R0, a) for a in a_eval])
+        exact = np.array([consumption_path(FIG1_R0, a) for a in a_eval])
         gaps = []
         for delta in (0.5, 0.1):
             pol = discrete_policy(FIG1_R0, delta, 10.0)
@@ -311,6 +320,16 @@ class TestDiscretePolicy:
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             discrete_policy(FIG1, 1.0, 0.0)
+
+    @pytest.mark.parametrize("a_max", [math.nan, math.inf])
+    def test_rejects_non_finite_a_max(self, a_max):
+        with pytest.raises(ValueError, match="finite a_max"):
+            discrete_policy(FIG1, 1.0, a_max)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_rejects_non_finite_delta(self, delta):
+        with pytest.raises(ValueError, match="finite delta"):
+            discrete_policy(FIG1, delta, 10.0)
 
 
 class TestConsumptionUnconstrained:

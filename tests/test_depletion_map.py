@@ -66,6 +66,17 @@ class TestMu:
         with pytest.raises(ValueError):
             mu(FIG1, -0.1)
 
+    @pytest.mark.parametrize("p", [FIG1_R0, FIG1])
+    def test_rejects_nan_time(self, p):
+        with pytest.raises(ValueError, match="T >= 0"):
+            mu(p, math.nan)
+
+    @pytest.mark.parametrize("p", [FIG1_R0, FIG1])
+    def test_infinite_past_double_range(self, p):
+        # e^((rho-r)T/gamma) overflows from T ~ 709*gamma/(rho-r) ~ 5000
+        assert mu(p, 1e4) == math.inf
+        assert mu(p, 4000.0) < math.inf
+
 
 class TestMuPrime:
     @pytest.mark.parametrize("r", RATES)
@@ -88,6 +99,16 @@ class TestMuPrime:
             h = 1e-5 * (1.0 + T)
             fd = (mu(p, T + h) - mu(p, T - h)) / (2.0 * h)
             assert fd == pytest.approx(mu_prime(p, T), rel=1e-8)
+
+    @pytest.mark.parametrize("p", [FIG1_R0, FIG1])
+    def test_rejects_nan_time(self, p):
+        with pytest.raises(ValueError, match="T >= 0"):
+            mu_prime(p, math.nan)
+
+    @pytest.mark.parametrize("p", [FIG1_R0, FIG1])
+    def test_infinite_past_double_range(self, p):
+        assert mu_prime(p, 1e4) == math.inf
+        assert mu_prime(p, 4000.0) < math.inf
 
     @pytest.mark.parametrize("r", RATES)
     def test_ode_residual(self, r):
@@ -132,6 +153,13 @@ class TestHNumeric:
         with pytest.raises(ValueError):
             h_numeric(FIG1, -1.0)
 
+    @pytest.mark.parametrize("p", [FIG1_R0, FIG1])
+    @pytest.mark.parametrize("a", [1e300, 1.7e308])
+    def test_assets_near_double_range(self, p, a):
+        # the doubling bracket reaches T where mu overflows to +inf
+        T = h_numeric(p, a).T
+        assert abs(mu(p, T) - a) <= 1e-12 * a
+
 
 class TestHClosedR0:
     def test_zero_assets_exact(self):
@@ -159,10 +187,12 @@ class TestHClosedR0:
 
 class TestHApproxSmallR:
     def test_identical_to_exact_at_r0(self):
-        for a in (0.0, 0.5, 3.0, 100.0):
-            res = h_approx_small_r(FIG1_R0, a)
-            assert res.T == h_closed_r0(FIG1_R0, a).T
-            assert res.method == "approx_small_r"
+        other = validate(ModelParams(rho=0.05, r=0.0, gamma=5.0, y=0.01))
+        for p in (FIG1_R0, other):
+            for a in [0.0, *(np.geomspace(1e-12, 1e12, 49) * p.y)]:
+                res = h_approx_small_r(p, a)
+                assert res.T == h_closed_r0(p, a).T
+                assert res.method == "approx_small_r"
 
     @pytest.mark.parametrize("r", (0.005, 0.01, 0.02))
     def test_zero_assets(self, r):
@@ -205,31 +235,32 @@ class TestBestDepletionTime:
 
 class TestMuDiscrete:
     def test_initial_condition(self):
-        assert mu_discrete(FIG1, 1.0, 5).assets[0] == 0.0
+        assert mu_discrete(FIG1, 1.0, 5)[0] == 0.0
 
     def test_frozen_first_knot(self):
         # 3*(1.08/1.01)^2 - 3/1.01
-        seq = mu_discrete(FIG1, 1.0, 1)
-        assert seq.assets[1] == pytest.approx(0.45995490638172728, rel=1e-13)
+        knots = mu_discrete(FIG1, 1.0, 1)
+        assert knots[1] == pytest.approx(0.45995490638172728, rel=1e-13)
 
     def test_strictly_increasing(self):
-        seq = mu_discrete(FIG1, 1.0, 40)
-        assert np.all(np.diff(seq.assets) > 0.0)
+        knots = mu_discrete(FIG1, 1.0, 40)
+        assert np.all(np.diff(knots) > 0.0)
 
     def test_growth_factor(self):
         assert step_growth_factor(FIG1, 1.0) == pytest.approx((1.08 / 1.01) ** 2, rel=1e-14)
 
     def test_continuum_limit_at_two(self):
-        seq = mu_discrete(FIG1, 1e-4, 20_000)
-        assert seq.assets[-1] == pytest.approx(mu(FIG1, 2.0), rel=1e-3)
+        knots = mu_discrete(FIG1, 1e-4, 20_000)
+        assert knots[-1] == pytest.approx(mu(FIG1, 2.0), rel=1e-3)
 
     def test_interpolated_knots_converge_to_mu(self):
         ts = np.linspace(0.0, 10.0, 501)
         exact = np.array([mu(FIG1, t) for t in ts])
         sups = []
         for delta in (0.5, 0.1, 0.02):
-            seq = mu_discrete(FIG1, delta, int(10.0 / delta) + 2)
-            sups.append(np.max(np.abs(np.interp(ts, seq.times, seq.assets) - exact)))
+            knots = mu_discrete(FIG1, delta, int(10.0 / delta) + 2)
+            times = delta * np.arange(knots.size)
+            sups.append(np.max(np.abs(np.interp(ts, times, knots) - exact)))
         assert sups[0] > sups[1] > sups[2]
 
     def test_argument_validation(self):
@@ -237,3 +268,10 @@ class TestMuDiscrete:
             mu_discrete(FIG1, 0.0, 5)
         with pytest.raises(ValueError):
             mu_discrete(FIG1, 1.0, 0)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf])
+    def test_rejects_non_finite_delta(self, delta):
+        with pytest.raises(ValueError, match="finite delta"):
+            mu_discrete(FIG1, delta, 5)
+        with pytest.raises(ValueError, match="finite delta"):
+            step_growth_factor(FIG1, delta)

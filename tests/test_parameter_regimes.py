@@ -6,12 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ifpclosed.consumption import (
-    consumption_now_r0,
-    discrete_policy,
-    hessian_closed,
-    jacobian_closed,
-)
+from ifpclosed.consumption import consumption_derivatives, consumption_path, discrete_policy
 from ifpclosed.depletion_map import best_depletion_time, h_approx_small_r, h_closed_r0, h_numeric, mu
 from ifpclosed.model_core import ModelParams, validate, value_upper_bound
 from ifpclosed.validation import (
@@ -57,17 +52,18 @@ def test_closed_form_matches_numeric(p):
 
 @pytest.mark.parametrize("p", ZERO_RATE_SETS)
 def test_derivatives_match_finite_differences(p):
-    fn = lambda a_, y_: consumption_now_r0(replace(p, y=y_), a_)
+    fn = lambda a_, y_: consumption_path(replace(p, y=y_), a_)
     for ratio in (0.01, 1.0, 100.0):
         a = ratio * p.y
         step = (EPS ** (1 / 3) * max(a, p.y), EPS ** (1 / 3) * p.y)
         g_fd = fd_gradient(fn, (a, p.y), step)
-        g_cl = jacobian_closed(p, a)
+        d = consumption_derivatives(p, a)
+        g_cl = (d.dc_da, d.dc_dy)
         assert g_fd[0] == pytest.approx(g_cl[0], rel=1e-5)
         assert g_fd[1] == pytest.approx(g_cl[1], rel=1e-5)
         step2 = (EPS**0.25 * max(a, p.y), EPS**0.25 * p.y)
         h_fd = fd_hessian(fn, (a, p.y), step2)
-        h_cl = hessian_closed(p, a)
+        h_cl = (d.d2c_da2, d.d2c_dady, d.d2c_dy2)
         for f, c in zip(h_fd, h_cl):
             assert f == pytest.approx(c, rel=5e-4)
 
