@@ -18,6 +18,7 @@ import numpy as np
 from .consumption import (
     consumption_approx_small_r,
     consumption_derivatives,
+    consumption_from_depletion_time,
     consumption_path,
     consumption_unconstrained,
     discrete_policy,
@@ -84,12 +85,11 @@ def check_lambert_kernel(residual_tol: float = 1e-13) -> list[CheckResult]:
 def check_closed_vs_numeric() -> list[CheckResult]:
     """Criterion 2: r = 0 closed form against numeric inversion, and the -y*w identity."""
     p = validate(replace(FIGURE1_PARAMS, r=0.0))
-    b = p.rho / p.gamma
     gap = 0.0
     for ratio in np.geomspace(1e-6, 1e6, 200):
         a = ratio * p.y
         c_closed = consumption_path(p, a)
-        c_num = p.y * math.exp(b * h_numeric(p, a).T)
+        c_num = consumption_from_depletion_time(p, h_numeric(p, a).T)
         gap = max(gap, abs(c_closed - c_num) / c_num)
     # Identity grid spans where the double f(a; y) = -e^(-u) is a faithful
     # carrier: above a/y ~ 4.6e3 it underflows to -0.0, and below

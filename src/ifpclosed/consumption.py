@@ -3,21 +3,25 @@
 Time path: c*(t) = y * e^((rho-r)(T-t)/gamma) while assets last (t <= T),
 and c* = y forever after, where T = h(a; y) is the depletion time.  At
 r = 0 the time-0 consumption function c*(a; y) = y * e^(rho*h(a;y)/gamma)
-has Lambert-W closed forms for its Jacobian and Hessian in terms of
-w = W-1(f(a; y)):
+has Lambert-W closed forms for its Jacobian and Hessian.  The paper writes
+them in w = W-1(f(a; y)): dc/da = b*w/(1+w), dc/dy = -w*(1 + du/(1+w)) and
+d2c/da2, d2c/dady, d2c/dy2 = (-1, a/y, -(a/y)^2) * (b^2/y)*w/(1+w)^3, with
+b = rho/gamma and du = rho*a/(gamma*y).  ``consumption_derivatives``
+evaluates them from one branch offset v = 1 + w < 0 through the bounded
+factors q = (v-1)/v > 1 and s = du/v in (-1, 0):
 
-    dc/da   = (rho/gamma) * w/(1+w)
-    dc/dy   = -w * (1 + (rho*a/(gamma*y)) / (1+w))
-    d2c/da2 = -(rho^2/(gamma^2 y))    * w/(1+w)^3
-    d2c/dady = (a rho^2/(gamma^2 y^2)) * w/(1+w)^3
-    d2c/dy2 = -(rho^2 a^2/(gamma^2 y^3)) * w/(1+w)^3
+    dc/da    = b*q
+    dc/dy    = (v-1)*log1p(-v)/v      (v + du = -log1p(-v))
+    d2c/da2  = -b^2/y * q/v^2
+    d2c/dady = b/y * s*q/v
+    d2c/dy2  = -s^2*q/y
 
+so no entry forms (a/y)^2 or v^3 and dc/dy does not cancel: each is finite
+for every finite a and keeps full relative precision until its value leaves
+the double range (d2c/da2 and d2c/dady, ~1/v^2, underflow from a/y ~ 1e155).
 Both MPCs are strictly positive, the Hessian diagonal is strictly negative
 and the cross-derivative strictly positive (supermodularity), all because
 w < -1 on the relevant domain.
-
-``consumption_derivatives`` derives T, c and all five entries from one
-branch offset 1 + w.
 
 Also here: the discrete-time piecewise-linear policy built on the knot
 sequence mu(k*delta), the unconstrained linear benchmark used for the
@@ -95,8 +99,11 @@ def consumption_from_depletion_time(params: ModelParams, T: float, t: float = 0.
 
     Single evaluation point for the time-path expression, so routes that
     must coincide (e.g. the small-r approximation at r = 0 against the
-    exact closed form) coincide to the last bit when their T's do.
+    exact closed form) coincide to the last bit when their T's do, and the
+    oracles in ``validation`` integrate the path that ships.
     """
+    if not (t >= 0.0 and T >= 0.0):
+        raise ValueError(f"consumption_from_depletion_time: need t >= 0 and T >= 0, got {t}, {T}")
     if t > T:
         return params.y
     return params.y * math.exp((params.rho - params.r) * (T - t) / params.gamma)
@@ -109,8 +116,6 @@ def consumption_path(params: ModelParams, a: float, t: float = 0.0) -> float:
     numeric inversion otherwise); returns exactly y once t exceeds T.  At
     r = 0, t = 0 it is c*(a; y) = y * e^(rho*h(a;y)/gamma) = -y * W-1(f(a; y)).
     """
-    if not t >= 0.0:
-        raise ValueError(f"consumption_path: need t >= 0, got t={t}")
     return consumption_from_depletion_time(params, best_depletion_time(params, a).T, t)
 
 
@@ -119,18 +124,16 @@ def consumption_approx_small_r(params: ModelParams, a: float, t: float = 0.0) ->
 
     Reduces exactly to ``consumption_path`` at r = 0.
     """
-    if not t >= 0.0:
-        raise ValueError(f"consumption_approx_small_r: need t >= 0, got t={t}")
     return consumption_from_depletion_time(params, h_approx_small_r(params, a).T, t)
 
 
 def consumption_derivatives(params: ModelParams, a: float) -> ConsumptionDerivatives:
     """Depletion time, level, Jacobian and Hessian of c*(a; y) at r = 0, a > 0.
 
-    Every entry is a few flops on one branch offset v = 1 + w, so the
-    kernel runs once per point.  T and c are exactly ``h_closed_r0`` and
-    ``consumption_path``; dc/da falls from +inf at a -> 0+ toward
-    rho/gamma, and the Hessian has rank 1.  a = 0 is a domain error:
+    Every entry is a few flops on one branch offset v = 1 + w (the forms in
+    the module docstring), so the kernel runs once per point.  T and c are
+    exactly ``h_closed_r0`` and ``consumption_path``; dc/da falls from +inf
+    at a -> 0+ toward rho/gamma, and the Hessian has rank 1.  a = 0 is a domain error:
     w = -1 there and the MPC is unbounded.
     """
     if params.r != 0.0:
@@ -139,19 +142,19 @@ def consumption_derivatives(params: ModelParams, a: float) -> ConsumptionDerivat
         raise ValueError(
             f"consumption_derivatives: need finite a > 0 (MPC unbounded at a = 0), got a={a}"
         )
-    du, v, T = _branch(params, a)
+    du, v, log1p_neg_v, T = _branch(params, a)
     if v == 0.0:
         raise ValueError(f"consumption_derivatives: a={a} indistinguishable from the constraint")
-    y, rho, gam = params.y, params.rho, params.gamma
-    k0 = (rho * rho / (gam * gam * y)) * (v - 1.0) / (v * v * v)
+    y, b = params.y, params.rho / params.gamma
+    q, s = (v - 1.0) / v, du / v
     return ConsumptionDerivatives(
         T=T,
         c=consumption_from_depletion_time(params, T),
-        dc_da=(rho / gam) * (v - 1.0) / v,
-        dc_dy=(1.0 - v) * (1.0 + du / v),
-        d2c_da2=-k0,
-        d2c_dady=(a / y) * k0,
-        d2c_dy2=-(a * a / (y * y)) * k0,
+        dc_da=b * (v - 1.0) / v,
+        dc_dy=(v - 1.0) * log1p_neg_v / v,
+        d2c_da2=-b * b / y * q / v / v,
+        d2c_dady=b / y * s * q / v,
+        d2c_dy2=-s * s * q / y,
     )
 
 

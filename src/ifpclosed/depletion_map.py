@@ -3,7 +3,8 @@
 mu(T) is the level of initial assets that the optimal plan exhausts in
 exactly T time units; h = mu^(-1) maps assets to the depletion time.  Under
 impatience (rho > r) mu is a smooth, strictly increasing, strictly convex
-bijection of [0, inf), so h exists, is strictly increasing and concave.
+bijection of [0, inf), so h exists, is strictly increasing and concave.  One
+expression gives mu at every r >= 0, at full relative precision near T = 0.
 
 h is computed three ways:
 
@@ -27,7 +28,6 @@ from .model_core import ModelParams
 from .special_functions import wm1_neg_exp_offset
 
 __all__ = [
-    "R_SWITCH",
     "DepletionTime",
     "best_depletion_time",
     "h_approx_small_r",
@@ -38,11 +38,6 @@ __all__ = [
     "mu_prime",
     "step_growth_factor",
 ]
-
-# Below this rate the general-r formula for mu is evaluated as its r -> 0
-# limit: the y/r terms cancel catastrophically, while the limit form is exact
-# to O(r) < 1e-12 relative.
-R_SWITCH = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,29 +51,29 @@ class DepletionTime:
 def mu(params: ModelParams, T: float) -> float:
     """Assets exhausted in exactly T: the solution of the depletion ODE.
 
-    General r: mu(T) = (gamma*y/B)*(e^((rho-r)T/gamma) - e^(-rT)) + y*expm1(-rT)/r
-    with B = r*(gamma-1) + rho, rearranged from the textbook display so no
-    y/r term survives on its own.  For r <= R_SWITCH the r = 0 limit
-    (y/b)*(e^(bT) - 1 - bT), b = rho/gamma, is used, with a short series
-    below b*T < 1e-3 to keep full relative precision near T = 0.  Returns
-    +inf once e^((rho-r)T/gamma) exceeds the double range (T beyond about
-    709*gamma/(rho-r)), where ``math.expm1`` would raise ``OverflowError``.
+    mu(T) = (gamma*y/B)*(expm1(x) - x*E(z)) at every r >= 0, with x = (rho-r)*T/gamma,
+    z = -r*T, E(z) = expm1(z)/z, E(0) = 1 and B = r*(gamma-1) + rho: the textbook
+    (gamma*y/B)*(e^x - e^z) + y*expm1(z)/r rearranged through x - z = B*T/gamma, so
+    no y/r term is left.  Below x - z < 1e-3 the bracket is summed as
+    x*(x-z)*sum_n h_n(x, z)/(n+2)!, n <= 4, h_n the complete homogeneous
+    polynomials, keeping full relative precision near T = 0.  Returns +inf at
+    T = inf and once e^x exceeds the double range (T beyond ~709*gamma/(rho-r)).
     """
     if not T >= 0.0:
         raise ValueError(f"mu: need T >= 0, got T={T}")
+    if T == math.inf:
+        return math.inf
     rho, r, gam, y = params.rho, params.r, params.gamma, params.y
+    x, z = (rho - r) * T / gam, -r * T
+    scale = gam * y / (r * (gam - 1.0) + rho)
+    if x - z < 1e-3:
+        h1 = x + z
+        h2 = x * h1 + z * z
+        h3 = x * h2 + z * z * z
+        h4 = x * h3 + z * z * z * z
+        return scale * x * (x - z) * (0.5 + h1 / 6.0 + h2 / 24.0 + h3 / 120.0 + h4 / 720.0)
     try:
-        if r <= R_SWITCH:
-            bt = (rho / gam) * T
-            if bt < 1e-3:
-                # e^z - 1 - z = z^2 (1/2 + z/6 + z^2/24 + z^3/120 + z^4/720) + O(z^7)
-                tail = 0.5 + bt * (1.0 / 6.0 + bt * (1.0 / 24.0 + bt * (1.0 / 120.0 + bt / 720.0)))
-                return (y * gam / rho) * bt * bt * tail
-            return (y * gam / rho) * (math.expm1(bt) - bt)
-        big_b = r * (gam - 1.0) + rho
-        e1m = math.expm1((rho - r) * T / gam)
-        e2m = math.expm1(-r * T)
-        return (gam * y / big_b) * (e1m - e2m) + y * e2m / r
+        return scale * (math.expm1(x) - x * (math.expm1(z) / z if z else 1.0))
     except OverflowError:
         return math.inf
 
@@ -86,14 +81,15 @@ def mu(params: ModelParams, T: float) -> float:
 def mu_prime(params: ModelParams, T: float) -> float:
     """dmu/dT = y*(rho-r)/B * (e^((rho-r)T/gamma) - e^(-rT)); 0 at T = 0.
 
-    Returns +inf where ``mu`` does, once the exponential exceeds the double range.
+    Exact at every r >= 0, as the two exponentials never cancel.  Returns
+    +inf where ``mu`` does.
     """
     if not T >= 0.0:
         raise ValueError(f"mu_prime: need T >= 0, got T={T}")
+    if T == math.inf:
+        return math.inf
     rho, r, gam, y = params.rho, params.r, params.gamma, params.y
     try:
-        if r <= R_SWITCH:
-            return y * math.expm1((rho / gam) * T)
         big_b = r * (gam - 1.0) + rho
         return y * (rho - r) / big_b * (math.expm1((rho - r) * T / gam) - math.expm1(-r * T))
     except OverflowError:
@@ -106,8 +102,9 @@ def h_numeric(params: ModelParams, a: float) -> DepletionTime:
     Safeguarded Newton inside a bracket grown by doubling from [0, 1];
     steps leaving the bracket fall back to bisection.  Seeded from the
     second-order Taylor expansion of mu at the origin,
-    T ~ sqrt(2*a*gamma/(rho*y)), where mu vanishes quadratically and pure
-    Newton would stall.
+    mu(T) ~ (rho-r)*y*T^2/(2*gamma), where mu vanishes quadratically and
+    pure Newton would stall.  Raises ``ValueError`` when a lies beyond the
+    largest mu(T) a double holds (``mu`` reads +inf from there on).
     """
     if not 0.0 <= a < math.inf:
         raise ValueError(f"h_numeric: need finite a >= 0, got a={a}")
@@ -121,7 +118,7 @@ def h_numeric(params: ModelParams, a: float) -> DepletionTime:
         hi *= 2.0
     else:  # pragma: no cover - unreachable for finite a
         raise RuntimeError("h_numeric: failed to bracket the depletion time")
-    T = math.sqrt(2.0 * a * params.gamma / (params.rho * params.y))
+    T = math.sqrt(2.0 * a * params.gamma / ((params.rho - params.r) * params.y))
     if not lo < T < hi:
         T = 0.5 * (lo + hi)
     tol = 1e-12 * max(a, params.y)
@@ -142,14 +139,17 @@ def h_numeric(params: ModelParams, a: float) -> DepletionTime:
             break
         T = T_new
     if abs(mu(params, T) - a) > tol:
+        if mu(params, hi) == math.inf:
+            limit = mu(params, lo)
+            raise ValueError(f"h_numeric: a={a} is past the range of mu, which ends near {limit:.6g}")
         raise RuntimeError(
             f"h_numeric: no convergence after 200 iterations at a={a} (this is a bug)"
         )
     return DepletionTime(T, "numeric")
 
 
-def _branch(params: ModelParams, a: float) -> tuple[float, float, float]:
-    """(du, v, T): the exponent offset, the branch offset, the closed-form depletion time.
+def _branch(params: ModelParams, a: float) -> tuple[float, float, float, float]:
+    """(du, v, log1p(-v), T): exponent offset, branch offset, its log, closed-form depletion time.
 
     du = B*a/(gamma*y) with B = r*(gamma-1) + rho, and v = 1 + W-1(-e^(-(1 + du))),
     which the kernel returns at full relative precision without forming the
@@ -163,8 +163,9 @@ def _branch(params: ModelParams, a: float) -> tuple[float, float, float]:
     big_b = params.r * (params.gamma - 1.0) + params.rho
     du = big_b * a / (params.gamma * params.y)
     v = wm1_neg_exp_offset(du)
-    T = (params.gamma / big_b) * math.log1p(-v) / ((params.rho - params.r) / big_b)
-    return du, v, T + 0.0  # +0.0 normalizes -0.0
+    log1p_neg_v = math.log1p(-v)
+    T = (params.gamma / big_b) * log1p_neg_v / ((params.rho - params.r) / big_b)
+    return du, v, log1p_neg_v, T + 0.0  # +0.0 normalizes -0.0
 
 
 def h_closed_r0(params: ModelParams, a: float) -> DepletionTime:
@@ -179,7 +180,7 @@ def h_closed_r0(params: ModelParams, a: float) -> DepletionTime:
         raise ValueError(f"h_closed_r0: requires r = 0, got r={params.r}")
     if not 0.0 <= a < math.inf:
         raise ValueError(f"h_closed_r0: need finite a >= 0, got a={a}")
-    return DepletionTime(_branch(params, a)[2], "exact_r0")
+    return DepletionTime(_branch(params, a)[3], "exact_r0")
 
 
 def h_approx_small_r(params: ModelParams, a: float) -> DepletionTime:
@@ -194,7 +195,7 @@ def h_approx_small_r(params: ModelParams, a: float) -> DepletionTime:
     """
     if not 0.0 <= a < math.inf:
         raise ValueError(f"h_approx_small_r: need finite a >= 0, got a={a}")
-    return DepletionTime(_branch(params, a)[2], "approx_small_r")
+    return DepletionTime(_branch(params, a)[3], "approx_small_r")
 
 
 def best_depletion_time(params: ModelParams, a: float) -> DepletionTime:

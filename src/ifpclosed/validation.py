@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .consumption import consumption_approx_small_r, consumption_from_depletion_time
-from .depletion_map import R_SWITCH, best_depletion_time, mu
+from .depletion_map import best_depletion_time, mu
 from .model_core import ModelParams, crra_utility
 
 __all__ = [
@@ -80,13 +81,14 @@ class ApproxGapRow:
 def simulate_assets(params: ModelParams, a0: float, dt: float) -> AssetPath:
     """Integrate da/dt = r*a + y - c*(t) by classical RK4 until t = T + 1.
 
-    The policy is applied as a function of time, c*(t) = y*e^((rho-r)(T-t)/gamma)
-    for t <= T then y, so the run tests the identity a(t) = mu(T - t) rather
-    than assuming it.  Depletion is the first sample at or below the
-    detection level max(1e-12*max(a0, y), 4*|a(t_end)|), linearly
-    interpolated to the zero crossing; the |a(t_end)| term adapts the level
-    to the integrator's own error floor (a approaches zero tangentially, so
-    an exact-zero crossing need not exist in floating point).
+    The policy is the shipped time path ``consumption_from_depletion_time``,
+    y*e^((rho-r)(T-t)/gamma) for t <= T then y, so the run tests the
+    identity a(t) = mu(T - t) rather than assuming it.  Depletion is the
+    first sample at or below the detection level max(1e-12*max(a0, y),
+    4*|a(t_end)|), linearly interpolated to the zero crossing; the
+    |a(t_end)| term adapts the level to the integrator's own error floor (a
+    approaches zero tangentially, so an exact-zero crossing need not exist
+    in floating point).
     """
     if a0 <= 0.0:
         raise ValueError(f"simulate_assets: need a0 > 0, got {a0}")
@@ -95,31 +97,27 @@ def simulate_assets(params: ModelParams, a0: float, dt: float) -> AssetPath:
     T = best_depletion_time(params, a0).T
     if dt > T / 100.0:
         raise ValueError(f"simulate_assets: need dt <= T/100 = {T / 100.0}, got {dt}")
-    rho, r, gam, y = params.rho, params.r, params.gamma, params.y
-    growth = (rho - r) / gam
-
-    def c_of_t(t: float) -> float:
-        return y * math.exp(growth * (T - t)) if t <= T else y
-
-    def field(t: float, a: float) -> float:
-        return r * a + y - c_of_t(t)
-
+    r, y = params.r, params.y
+    c_of_t = partial(consumption_from_depletion_time, params, T)
     t_end = T + 1.0
     n = int(math.ceil(t_end / dt))
     ts = np.empty(n + 1)
     as_ = np.empty(n + 1)
     cs = np.empty(n + 1)
-    t, a = 0.0, a0
-    ts[0], as_[0], cs[0] = t, a, c_of_t(0.0)
+    t, a, c = 0.0, a0, c_of_t(0.0)
+    ts[0], as_[0], cs[0] = t, a, c
     for i in range(1, n + 1):
+        # the forcing depends on t alone: stages 2 and 3 share c(t + h/2),
+        # and stage 4's c(t + h) is the next step's stage 1
         h = min(dt, t_end - t)
-        k1 = field(t, a)
-        k2 = field(t + 0.5 * h, a + 0.5 * h * k1)
-        k3 = field(t + 0.5 * h, a + 0.5 * h * k2)
-        k4 = field(t + h, a + h * k3)
+        c_mid, c_end = c_of_t(t + 0.5 * h), c_of_t(t + h)
+        k1 = r * a + y - c
+        k2 = r * (a + 0.5 * h * k1) + y - c_mid
+        k3 = r * (a + 0.5 * h * k2) + y - c_mid
+        k4 = r * (a + h * k3) + y - c_end
         a += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        t += h
-        ts[i], as_[i], cs[i] = t, a, c_of_t(t)
+        t, c = t + h, c_end
+        ts[i], as_[i], cs[i] = t, a, c
     level = max(1e-12 * max(a0, y), 4.0 * abs(as_[-1]))
     hit = np.nonzero(as_ <= level)[0]
     if hit.size == 0:
@@ -191,14 +189,12 @@ def pdv_utility(params: ModelParams, a0: float, tol: float = 1e-10) -> float:
     if a0 < 0.0:
         raise ValueError(f"pdv_utility: need a0 >= 0, got {a0}")
     T = best_depletion_time(params, a0).T
-    growth = (params.rho - params.r) / params.gamma
-    y = params.y
-    return discounted_utility(params, lambda t: y * math.exp(growth * (T - t)), T, tol)
+    return discounted_utility(params, partial(consumption_from_depletion_time, params, T), T, tol)
 
 
 def _budget_rhs(params: ModelParams, a0: float, t: np.ndarray) -> np.ndarray:
     # Cumulative feasibility bound: integral_0^t e^(-r*tau) c <= a0 - (y/r)(e^(-rt) - 1).
-    if params.r <= R_SWITCH:
+    if params.r == 0.0:
         return a0 + params.y * t
     return a0 - params.y * np.expm1(-params.r * t) / params.r
 
@@ -223,13 +219,11 @@ def perturbed_path_values(
     if T <= 0.0:
         raise ValueError("perturbed_path_values: need a0 > 0 so the horizon is positive")
     v_star = pdv_utility(params, a0)
-    rho, r, gam, y = params.rho, params.r, params.gamma, params.y
-    growth = (rho - r) / gam
     rng = np.random.default_rng(seed)
     omegas = rng.uniform(1.0, 8.0, size=n_paths) * (2.0 * math.pi / T)
     tgrid = np.linspace(0.0, T, 4001)
-    base = y * np.exp(growth * (T - tgrid))
-    disc = np.exp(-r * tgrid)
+    base = np.array([consumption_from_depletion_time(params, T, t) for t in tgrid])
+    disc = np.exp(-params.r * tgrid)
     rhs = _budget_rhs(params, a0, tgrid)
     values = []
     for omega in omegas:
@@ -242,7 +236,7 @@ def perturbed_path_values(
         w = float(omega)
 
         def c_tilde(t: float, s: float = scale) -> float:
-            return s * y * math.exp(growth * (T - t)) * (1.0 + eps * math.sin(w * t))
+            return s * consumption_from_depletion_time(params, T, t) * (1.0 + eps * math.sin(w * t))
 
         values.append(discounted_utility(params, c_tilde, T))
     return v_star, values

@@ -1,0 +1,65 @@
+"""High-precision mpmath references shared by the precision tests.
+
+Nothing here calls into ``ifpclosed``.  ``mu_ref`` evaluates the depletion
+map from its textbook display; ``r0_reference`` solves
+v + log1p(-v) + du = 0 for the branch offset v = 1 + w with ``findroot``
+(this works where the argument -e^(-(1 + du)) of ``lambertw`` underflows)
+and evaluates the r = 0 closed forms from the paper's w-displays.  Importing
+this module skips the calling test when mpmath is not installed.
+"""
+
+import math
+
+import pytest
+
+mpmath = pytest.importorskip("mpmath")
+
+DPS = 50
+
+
+def mu_ref(rho, r, gamma, y, T):
+    """mu(T) = (gamma*y/B)*(e^x - e^(-rT)) + y*expm1(-rT)/r, (gamma*y/rho)*(expm1(x) - x) at r = 0."""
+    with mpmath.workdps(DPS):
+        rho, r, gamma, y, T = (mpmath.mpf(v) for v in (rho, r, gamma, y, T))
+        x = (rho - r) * T / gamma
+        if r == 0:
+            return gamma * y / rho * (mpmath.expm1(x) - x)
+        big_b = r * (gamma - 1) + rho
+        return gamma * y / big_b * (mpmath.exp(x) - mpmath.exp(-r * T)) + y * mpmath.expm1(-r * T) / r
+
+
+def depletion_time_ref(rho, r, gamma, y, a, T0):
+    """The root of mu_ref(T) = a, started from T0 > 0."""
+    with mpmath.workdps(DPS):
+        return mpmath.findroot(lambda T: mu_ref(rho, r, gamma, y, T) - a, mpmath.mpf(T0))
+
+
+def r0_reference(rho, gamma, y, a):
+    """r = 0 references for T, c and the five derivatives at a > 0, as mpf values.
+
+    The working precision grows with du = rho*a/(gamma*y), so dc/dy's
+    1 + du/(1 + w), which cancels like 1/du, keeps DPS digits.
+    """
+    with mpmath.workdps(DPS + max(0, int(math.log10(rho * a / (gamma * y))))):
+        rho, gamma, y, a = (mpmath.mpf(v) for v in (rho, gamma, y, a))
+        du = rho * a / (gamma * y)
+        # start on the far branch: v ~ -sqrt(2*du) near 0, ~ -du - log(du) for large du
+        v0 = -mpmath.sqrt(2 * du) if du < 1 else -du - mpmath.log(du)
+        v = mpmath.findroot(lambda v: v + mpmath.log1p(-v) + du, v0)
+        w = v - 1
+        k = w / (1 + w) ** 3
+        ref = {
+            "T": gamma / rho * mpmath.log(-w),
+            "c": -y * w,
+            "dc_da": rho / gamma * w / (1 + w),
+            "dc_dy": -w * (1 + du / (1 + w)),
+            "d2c_da2": -(rho / gamma) ** 2 / y * k,
+            "d2c_dady": a * (rho / gamma) ** 2 / y**2 * k,
+            "d2c_dy2": -((rho * a / gamma) ** 2) / y**3 * k,
+        }
+    return ref
+
+
+def rel_err(value, ref):
+    """|value - ref|/|ref| as a float (NaN for a NaN value, which fails any bound)."""
+    return float(abs((mpmath.mpf(value) - ref) / ref))

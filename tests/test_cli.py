@@ -101,6 +101,20 @@ class TestEval:
         assert all(math.isfinite(v) for v in vals.values())
         assert abs(mu(FIG1, vals["T_numeric"]) - 1e300) <= 1e-12 * 1e300
 
+    def test_derivatives_finite_at_huge_assets(self, capsys):
+        assert main(["eval", "--r", "0", "--a", "1e300"]) == 0
+        out = capsys.readouterr().out
+        assert "nan" not in out and "inf" not in out
+        assert parse_kv(out)["d2c_dy2"] < 0.0
+
+    @pytest.mark.parametrize("r", ["0", "0.01"])
+    def test_assets_past_the_range_of_mu_exit_2(self, r, capsys):
+        rc = main(["eval", "--r", r, "--y", "0.01", "--a", "1e308"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert "past the range of mu" in captured.err
+
     @pytest.mark.parametrize(
         "flags",
         [["--rho", "inf", "--r", "0"], ["--gamma", "inf", "--r", "0"], ["--y", "inf", "--r", "0"],

@@ -78,6 +78,14 @@ class TestConsumptionPath:
     def test_infinite_time_consumes_income(self):
         assert consumption_path(FIG1, 3.0, math.inf) == FIG1.y
 
+    @pytest.mark.parametrize("p", [FIG1_R0, FIG1])
+    def test_time_path_rejects_nan_and_negative_times(self, p):
+        with pytest.raises(ValueError, match="t >= 0"):
+            consumption_from_depletion_time(p, 1.0, math.nan)
+        for T in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="T >= 0"):
+                consumption_from_depletion_time(p, T)
+
     @pytest.mark.parametrize("a", [math.nan, math.inf])
     def test_rejects_non_finite_assets(self, a):
         with pytest.raises(ValueError, match="finite a"):
@@ -204,6 +212,15 @@ class TestJacobianClosed:
         with pytest.raises(ValueError):
             jacobian(FIG1, 1.0)
 
+    def test_income_mpc_matches_mpmath(self):
+        # the paper's form (1 - v)*(1 + du/v) cancels like du: 0 from a/y ~ 5.6e18
+        from mp_reference import r0_reference, rel_err
+
+        for ratio in map(float, np.geomspace(1e-3, 1e300, 61)):
+            a = ratio * FIG1_R0.y
+            ref = r0_reference(FIG1_R0.rho, FIG1_R0.gamma, FIG1_R0.y, a)["dc_dy"]
+            assert rel_err(jacobian(FIG1_R0, a)[1], ref) <= 1e-14, ratio
+
 
 class TestHessianClosed:
     def test_frozen_figure_values(self):
@@ -245,6 +262,23 @@ class TestHessianClosed:
             hessian(FIG1_R0, 0.0)
         with pytest.raises(ValueError):
             hessian(FIG1, 1.0)
+
+    def test_finite_at_every_asset_level(self):
+        # in the paper's forms v**3 overflows from a/y ~ 3.5e103 and
+        # (a/y)**2 * k reads inf*0 from ~4.5e153; past a/y ~ 1e155 the true
+        # d2c/da2 and d2c/dady (~1/v^2) underflow
+        for ratio in map(float, np.geomspace(1e-12, 1e300, 105)):
+            h_aa, h_ay, h_yy = hessian(FIG1_R0, ratio * FIG1_R0.y)
+            assert h_aa <= 0.0 <= h_ay and h_yy < 0.0, ratio
+            assert ratio > 1e150 or (h_aa < 0.0 < h_ay), ratio
+
+    @pytest.mark.parametrize("ratio", [1e104, 1e154, 1e300])
+    def test_income_curvature_matches_mpmath_at_huge_assets(self, ratio):
+        from mp_reference import r0_reference, rel_err
+
+        a = ratio * FIG1_R0.y
+        ref = r0_reference(FIG1_R0.rho, FIG1_R0.gamma, FIG1_R0.y, a)["d2c_dy2"]
+        assert rel_err(hessian(FIG1_R0, a)[2], ref) <= 1e-14
 
 
 class TestConsumptionDerivatives:

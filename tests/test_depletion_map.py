@@ -24,6 +24,16 @@ from ifpclosed.model_core import ModelParams, validate
 FIG1 = validate(ModelParams(rho=0.08, r=0.01, gamma=0.5, y=3.0))
 FIG1_R0 = validate(ModelParams(rho=0.08, r=0.0, gamma=0.5, y=3.0))
 RATES = (0.0, 0.005, 0.01)
+# (rho, r, gamma, y) for the mpmath comparisons: r = 0, the CLI defaults, a
+# large gamma at small income, r = 1e-13 (where y/r is largest) and a rate
+# right below rho
+MP_SETS = [
+    (0.08, 0.0, 0.5, 3.0),
+    (0.08, 0.01, 0.5, 3.0),
+    (0.05, 0.02, 5.0, 0.01),
+    (0.06, 1e-13, 2.0, 100.0),
+    (0.08, 0.079, 0.5, 1.0),
+]
 
 
 def with_r(r):
@@ -44,14 +54,27 @@ class TestMu:
         assert mu(FIG1, 5.0) == pytest.approx(6.6192930096094530, rel=1e-13)
 
     def test_tiny_rate_matches_limit_form(self):
-        # below the switch the r = 0 branch is used; just above, the general
-        # branch must agree to O(r)
+        # one expression serves every rate: a tiny r agrees with r = 0 to
+        # O(r), and with the mpmath display to full precision
+        from mp_reference import mu_ref, rel_err
+
         p_tiny = validate(ModelParams(rho=0.08, r=1e-13, gamma=0.5, y=3.0))
         p_just = validate(ModelParams(rho=0.08, r=1e-9, gamma=0.5, y=3.0))
         for T in (0.5, 3.0, 20.0):
             base = mu(FIG1_R0, T)
-            assert mu(p_tiny, T) == base
+            assert mu(p_tiny, T) == pytest.approx(base, rel=1e-10)
             assert mu(p_just, T) == pytest.approx(base, rel=1e-7)
+            assert rel_err(mu(p_tiny, T), mu_ref(0.08, 1e-13, 0.5, 3.0, T)) <= 1e-12
+
+    @pytest.mark.parametrize("pset", MP_SETS)
+    def test_matches_mpmath(self, pset):
+        # T = 1e-10..1e3: near T = 0 the y/r terms of the textbook display cancel
+        from mp_reference import mu_ref, rel_err
+
+        p = validate(ModelParams(*pset))
+        for k in range(-100, 31):
+            T = 10.0 ** (k / 10)
+            assert rel_err(mu(p, T), mu_ref(*pset, T)) <= 1e-12, T
 
     @pytest.mark.parametrize("r", RATES)
     def test_increasing_and_convex(self, r):
@@ -76,6 +99,11 @@ class TestMu:
         # e^((rho-r)T/gamma) overflows from T ~ 709*gamma/(rho-r) ~ 5000
         assert mu(p, 1e4) == math.inf
         assert mu(p, 4000.0) < math.inf
+
+    @pytest.mark.parametrize("p", [FIG1_R0, FIG1])
+    def test_infinite_at_infinite_time(self, p):
+        assert mu(p, math.inf) == math.inf
+        assert mu_prime(p, math.inf) == math.inf
 
 
 class TestMuPrime:
@@ -159,6 +187,23 @@ class TestHNumeric:
         # the doubling bracket reaches T where mu overflows to +inf
         T = h_numeric(p, a).T
         assert abs(mu(p, T) - a) <= 1e-12 * a
+
+    @pytest.mark.parametrize("r", [0.0, 0.01])
+    def test_past_the_range_of_mu(self, r):
+        # at y = 0.01, mu overflows a double near 1.1e307, before reaching a
+        p = validate(ModelParams(rho=0.08, r=r, gamma=0.5, y=0.01))
+        with pytest.raises(ValueError, match="past the range of mu"):
+            h_numeric(p, 1e308)
+
+    @pytest.mark.parametrize("pset", MP_SETS)
+    def test_matches_mpmath_root(self, pset):
+        from mp_reference import depletion_time_ref, rel_err
+
+        p = validate(ModelParams(*pset))
+        for k in range(-12, 13):
+            a = 10.0**k * p.y
+            T = h_numeric(p, a).T
+            assert rel_err(T, depletion_time_ref(*pset, a, T)) <= 1e-11, a
 
 
 class TestHClosedR0:
