@@ -63,7 +63,7 @@ def _write_csv(path: str | None, header: list[str], rows: list[tuple]) -> None:
     # replaced atomically, so a failed run never leaves a partial CSV behind.
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row))
+        lines.append(",".join(_fmt(v) for v in row))
     payload = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(payload)
@@ -87,10 +87,6 @@ def _params_from(args: argparse.Namespace) -> ModelParams:
 def cmd_eval(args: argparse.Namespace) -> int:
     params = _params_from(args)
     a, t = args.a, args.t
-    if not 0.0 <= a < math.inf:
-        raise ValueError(f"eval: need finite a >= 0, got {a}")
-    if not t >= 0.0:
-        raise ValueError(f"eval: need t >= 0, got {t}")
     lines = [("a", a), ("t", t)]
     T_numeric = h_numeric(params, a).T
     T = T_numeric
@@ -112,11 +108,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid = sweep_grid(args.a_min, args.a_max, args.n, args.spacing)
     columns = [col for out in args.outputs for col in _COLUMNS[out]]
     needs_derivs = "jacobian" in args.outputs or "hessian" in args.outputs
-    if needs_derivs and params.r != 0.0:
-        raise ValueError("sweep: jacobian/hessian outputs require r = 0")
-    if needs_derivs and args.a_min <= 0.0:
-        raise ValueError("sweep: jacobian/hessian outputs require a_min > 0")
-    rows = []
+    rows = []  # built whole, so an error on any row (e.g. derivatives at r > 0) writes nothing
     for a in grid:
         if needs_derivs:
             point = vars(consumption_derivatives(params, a))
@@ -140,8 +132,6 @@ def cmd_figure(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     from . import checks
 
-    params = _params_from(args)  # fail fast on bad flags before a long run
-    del params
     results = checks.run_level(args.level)
     for res in results:
         print(res.line())
@@ -190,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p_fig.set_defaults(func=cmd_figure)
 
-    p_check = sub.add_parser("check", parents=[shared], help="run the acceptance checks")
+    p_check = sub.add_parser("check", help="run the acceptance checks")
     p_check.add_argument("--level", choices=["quick", "full"], default="quick")
     p_check.set_defaults(func=cmd_check)
     return parser

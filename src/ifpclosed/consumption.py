@@ -43,7 +43,7 @@ from .depletion_map import (
     mu_discrete,
     step_growth_factor,
 )
-from .model_core import ModelParams, validate
+from .model_core import ModelParams
 
 __all__ = [
     "ConsumptionDerivatives",
@@ -138,13 +138,9 @@ def consumption_derivatives(params: ModelParams, a: float) -> ConsumptionDerivat
     """
     if params.r != 0.0:
         raise ValueError(f"consumption_derivatives: requires r = 0, got r={params.r}")
-    if not 0.0 < a < math.inf:
-        raise ValueError(
-            f"consumption_derivatives: need finite a > 0 (MPC unbounded at a = 0), got a={a}"
-        )
     du, v, log1p_neg_v, T = _branch(params, a)
     if v == 0.0:
-        raise ValueError(f"consumption_derivatives: a={a} indistinguishable from the constraint")
+        raise ValueError(f"consumption_derivatives: MPC unbounded at the constraint, a={a}")
     y, b = params.y, params.rho / params.gamma
     q, s = (v - 1.0) / v, du / v
     return ConsumptionDerivatives(
@@ -204,11 +200,8 @@ def figure_rows(
     Figure 2: small-r closed-form approximation against the numerically
     inverted solution.
     """
-    validate(params)
     y = params.y
     if which == 1:
-        if params.r <= 0.0:
-            raise ValueError("figure 1 requires r > 0 for the unconstrained overlay")
         grid = np.array(grid, dtype=float)
         a_min, a_max = grid[0], grid[-1]
         policy = discrete_policy(params, delta, a_max)

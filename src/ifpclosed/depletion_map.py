@@ -100,7 +100,8 @@ def h_numeric(params: ModelParams, a: float) -> DepletionTime:
     """Invert mu numerically: the T >= 0 with |mu(T) - a| <= 1e-12*max(a, y).
 
     Safeguarded Newton inside a bracket grown by doubling from [0, 1];
-    steps leaving the bracket fall back to bisection.  Seeded from the
+    steps leaving the bracket fall back to bisection, and iteration stops
+    once a step moves T by at most 4e-15 relative.  Seeded from the
     second-order Taylor expansion of mu at the origin,
     mu(T) ~ (rho-r)*y*T^2/(2*gamma), where mu vanishes quadratically and
     pure Newton would stall.  Raises ``ValueError`` when a lies beyond the
@@ -111,13 +112,9 @@ def h_numeric(params: ModelParams, a: float) -> DepletionTime:
     if a == 0.0:
         return DepletionTime(0.0, "numeric")
     lo, hi = 0.0, 1.0
-    for _ in range(1100):
-        if mu(params, hi) >= a:
-            break
+    while mu(params, hi) < a:  # ends: mu(inf) = inf
         lo = hi
         hi *= 2.0
-    else:  # pragma: no cover - unreachable for finite a
-        raise RuntimeError("h_numeric: failed to bracket the depletion time")
     T = math.sqrt(2.0 * a * params.gamma / ((params.rho - params.r) * params.y))
     if not lo < T < hi:
         T = 0.5 * (lo + hi)
@@ -134,7 +131,7 @@ def h_numeric(params: ModelParams, a: float) -> DepletionTime:
         T_new = T - g / d if d > 0.0 and math.isfinite(d) else math.nan
         if not math.isfinite(T_new) or not lo < T_new < hi:
             T_new = 0.5 * (lo + hi)
-        if abs(T_new - T) <= 1e-15 * (1.0 + abs(T_new)):
+        if abs(T_new - T) <= 4e-15 * T_new:
             T = T_new
             break
         T = T_new
@@ -160,6 +157,8 @@ def _branch(params: ModelParams, a: float) -> tuple[float, float, float, float]:
     -(1 + du) - w = log(-w): free of the large-argument cancellation of the
     literal form and exact at a = 0 (v = 0 there).
     """
+    if not 0.0 <= a < math.inf:
+        raise ValueError(f"depletion time: need finite a >= 0, got a={a}")
     big_b = params.r * (params.gamma - 1.0) + params.rho
     du = big_b * a / (params.gamma * params.y)
     v = wm1_neg_exp_offset(du)
@@ -178,8 +177,6 @@ def h_closed_r0(params: ModelParams, a: float) -> DepletionTime:
     """
     if params.r != 0.0:
         raise ValueError(f"h_closed_r0: requires r = 0, got r={params.r}")
-    if not 0.0 <= a < math.inf:
-        raise ValueError(f"h_closed_r0: need finite a >= 0, got a={a}")
     return DepletionTime(_branch(params, a)[3], "exact_r0")
 
 
@@ -193,8 +190,6 @@ def h_approx_small_r(params: ModelParams, a: float) -> DepletionTime:
     Coincides with ``h_closed_r0`` bit for bit at r = 0, where
     b_r -> rho/gamma and d_r -> 1.
     """
-    if not 0.0 <= a < math.inf:
-        raise ValueError(f"h_approx_small_r: need finite a >= 0, got a={a}")
     return DepletionTime(_branch(params, a)[3], "approx_small_r")
 
 
@@ -219,8 +214,6 @@ def mu_discrete(params: ModelParams, delta: float, n_knots: int) -> np.ndarray:
     = G^k * delta*y forward from mu(0) = 0, where G is the per-step
     consumption growth factor.  The sequence is strictly increasing.
     """
-    if not 0.0 < delta < math.inf:
-        raise ValueError(f"mu_discrete: need finite delta > 0, got {delta}")
     if n_knots < 1:
         raise ValueError(f"mu_discrete: need n_knots >= 1, got {n_knots}")
     growth = step_growth_factor(params, delta)

@@ -186,8 +186,6 @@ def discounted_utility(
 
 def pdv_utility(params: ModelParams, a0: float, tol: float = 1e-10) -> float:
     """Lifetime discounted utility of the closed-form plan from assets a0 >= 0."""
-    if a0 < 0.0:
-        raise ValueError(f"pdv_utility: need a0 >= 0, got {a0}")
     T = best_depletion_time(params, a0).T
     return discounted_utility(params, partial(consumption_from_depletion_time, params, T), T, tol)
 

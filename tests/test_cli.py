@@ -326,8 +326,32 @@ class TestCheck:
         assert "FAIL" in capsys.readouterr().out
 
     def test_invalid_params_exit_2(self, capsys):
-        rc = main(["check", "--rho", "0.01", "--r", "0.02"])
+        # check runs on its own pinned parameters, so model flags are usage errors
+        with pytest.raises(SystemExit) as err:
+            main(["check", "--rho", "0.01", "--r", "0.02"])
+        assert err.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+class TestRuleCheckedOnce:
+    """Errors raised by the library function that owns the rule, not by a CLI copy of it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "--r", "0", "--a", "inf"],
+         ["sweep", "jacobian", "--r", "0.01", "--a-min", "1", "--a-max", "2", "--n", "5"],
+         ["sweep", "jacobian", "--r", "0", "--a-min", "0", "--a-max", "2", "--n", "5"],
+         ["figure", "--which", "1", "--r", "0"]],
+    )
+    def test_exit_2_writes_nothing(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        out = ["--out", "f.csv"] if argv[0] != "eval" else []
+        rc = main([*argv, *out])
+        captured = capsys.readouterr()
         assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert not (tmp_path / "f.csv").exists()
 
 
 class TestIoErrors:
