@@ -25,7 +25,7 @@ from .consumption import (
     figure_rows,
 )
 from .depletion_map import h_closed_r0, h_numeric, mu, mu_discrete
-from .model_core import ModelParams, validate, value_upper_bound
+from .model_core import ModelParams, value_upper_bound
 from .special_functions import lambert_wm1
 from .validation import (
     approximation_error_report,
@@ -41,6 +41,7 @@ from .validation import (
 __all__ = ["CheckResult", "CRITERIA", "FIGURE1_PARAMS", "run_criterion", "run_level"]
 
 FIGURE1_PARAMS = ModelParams(rho=0.08, r=0.01, gamma=0.5, y=3.0)
+_FIGURE1_R0 = replace(FIGURE1_PARAMS, r=0.0)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -84,7 +85,7 @@ def check_lambert_kernel(residual_tol: float = 1e-13) -> list[CheckResult]:
 
 def check_closed_vs_numeric() -> list[CheckResult]:
     """Criterion 2: r = 0 closed form against numeric inversion, and the -y*w identity."""
-    p = validate(replace(FIGURE1_PARAMS, r=0.0))
+    p = _FIGURE1_R0
     gap = 0.0
     for ratio in np.geomspace(1e-6, 1e6, 200):
         a = ratio * p.y
@@ -108,7 +109,7 @@ def check_closed_vs_numeric() -> list[CheckResult]:
 
 def check_jacobian() -> list[CheckResult]:
     """Criterion 3: Jacobian vs Richardson differences, signs, Euler identity, asymptote."""
-    p = validate(replace(FIGURE1_PARAMS, r=0.0))
+    p = _FIGURE1_R0
     y = p.y
     fn = lambda a_, y_: consumption_path(replace(p, y=y_), a_)
     h_rel = _EPS ** (1.0 / 3.0)
@@ -141,7 +142,7 @@ def check_jacobian() -> list[CheckResult]:
 
 def check_hessian() -> list[CheckResult]:
     """Criterion 4: Hessian vs FD, sign pattern, rank-1 determinant, supermodularity."""
-    p = validate(replace(FIGURE1_PARAMS, r=0.0))
+    p = _FIGURE1_R0
     y = p.y
     fn = lambda a_, y_: consumption_path(replace(p, y=y_), a_)
     h_rel = _EPS ** (1.0 / 4.0)
@@ -185,7 +186,7 @@ def check_hessian() -> list[CheckResult]:
 def check_feasibility_rk4() -> list[CheckResult]:
     """Criterion 5: RK4 budget integration reproduces depletion and a(t) = mu(T - t)."""
     t0 = time.perf_counter()
-    p = validate(replace(FIGURE1_PARAMS, r=0.0))
+    p = _FIGURE1_R0
     a0 = 3.0
     T = h_closed_r0(p, a0).T
     path = simulate_assets(p, a0, T / 10_000.0)
@@ -209,12 +210,11 @@ def check_value_bound() -> list[CheckResult]:
     """Criterion 6: Lemma-style value bound and dominance over perturbed plans."""
     bound_margin = math.inf
     for r in (0.0, FIGURE1_PARAMS.r):
-        p = validate(replace(FIGURE1_PARAMS, r=r))
+        p = replace(FIGURE1_PARAMS, r=r)
         for mult in (0.1, 1.0, 3.0, 10.0, 100.0):
             a0 = mult * p.y
             bound_margin = min(bound_margin, value_upper_bound(p, a0) - pdv_utility(p, a0))
-    p0 = validate(replace(FIGURE1_PARAMS, r=0.0))
-    v_star, perturbed = perturbed_path_values(p0, 3.0, n_paths=10, eps=0.05)
+    v_star, perturbed = perturbed_path_values(_FIGURE1_R0, 3.0, n_paths=10, eps=0.05)
     dominance = min(v_star - v for v in perturbed)
     return [
         _positive("value_bound.margin", bound_margin),
@@ -224,7 +224,7 @@ def check_value_bound() -> list[CheckResult]:
 
 def check_small_r() -> list[CheckResult]:
     """Criterion 7: O(r) behavior of the small-r approximation."""
-    base = validate(FIGURE1_PARAMS)
+    base = FIGURE1_PARAMS
     a_grid = np.linspace(0.0, 100.0, 81) * base.y
     rows = approximation_error_report(base, [0.0, 0.02, 0.01, 0.005], a_grid)
     by_r = {row.r: row for row in rows}
@@ -247,14 +247,14 @@ def check_small_r() -> list[CheckResult]:
 
 def check_discrete_model(include_dp: bool = True) -> list[CheckResult]:
     """Criterion 8: discrete knots, DP agreement, and the continuum limit."""
-    p = validate(FIGURE1_PARAMS)
+    p = FIGURE1_PARAMS
     knots = mu_discrete(p, 1.0, 40)
     knot_margin = float(np.min(np.diff(knots)))
     results = [
         _bounded("discrete.mu0", abs(float(knots[0])), 0.0),
         _positive("discrete.knots_increasing_margin", knot_margin),
     ]
-    p0 = validate(replace(FIGURE1_PARAMS, r=0.0))
+    p0 = _FIGURE1_R0
     if include_dp:
         t0 = time.perf_counter()
         grid = make_asset_grid(30.0, 2000, p0.y)
@@ -277,7 +277,7 @@ def check_discrete_model(include_dp: bool = True) -> list[CheckResult]:
 
 def check_figures() -> list[CheckResult]:
     """Criterion 9: figure CSV data reproduce the qualitative shapes."""
-    p = validate(FIGURE1_PARAMS)
+    p = FIGURE1_PARAMS
     grid = np.linspace(0.0, 10.0 * p.y, 201)
     _, rows1 = figure_rows(p, 1, grid, delta=1.0)
     constrained_at_zero = rows1[0][1] * p.y

@@ -22,7 +22,7 @@ from .consumption import (
     figure_rows,
 )
 from .depletion_map import best_depletion_time, h_approx_small_r, h_closed_r0, h_numeric
-from .model_core import ModelParams, validate
+from .model_core import ModelParams
 
 __all__ = ["main", "sweep_grid"]
 
@@ -81,7 +81,7 @@ def _write_csv(path: str | None, header: list[str], rows: list[tuple]) -> None:
 
 
 def _params_from(args: argparse.Namespace) -> ModelParams:
-    return validate(ModelParams(rho=args.rho, r=args.r, gamma=args.gamma, y=args.y))
+    return ModelParams(rho=args.rho, r=args.r, gamma=args.gamma, y=args.y)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

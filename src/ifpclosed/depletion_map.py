@@ -4,7 +4,8 @@ mu(T) is the level of initial assets that the optimal plan exhausts in
 exactly T time units; h = mu^(-1) maps assets to the depletion time.  Under
 impatience (rho > r) mu is a smooth, strictly increasing, strictly convex
 bijection of [0, inf), so h exists, is strictly increasing and concave.  One
-expression gives mu at every r >= 0, at full relative precision near T = 0.
+expression gives mu at every r >= 0, within 3.5e-13 relative of 60-digit
+mpmath (the worst case sits just above its series switch; see ``mu``).
 
 h is computed three ways:
 
@@ -56,8 +57,9 @@ def mu(params: ModelParams, T: float) -> float:
     (gamma*y/B)*(e^x - e^z) + y*expm1(z)/r rearranged through x - z = B*T/gamma, so
     no y/r term is left.  Below x - z < 1e-3 the bracket is summed as
     x*(x-z)*sum_n h_n(x, z)/(n+2)!, n <= 4, h_n the complete homogeneous
-    polynomials, keeping full relative precision near T = 0.  Returns +inf at
-    T = inf and once e^x exceeds the double range (T beyond ~709*gamma/(rho-r)).
+    polynomials, so the error stays near rounding as T -> 0; just above the switch
+    the bracket cancels by about 2/(x - z), and mu is off by up to 3.5e-13 relative.
+    Returns +inf at T = inf and once e^x overflows (T beyond ~709*gamma/(rho-r)).
     """
     if not T >= 0.0:
         raise ValueError(f"mu: need T >= 0, got T={T}")
@@ -149,9 +151,9 @@ def _branch(params: ModelParams, a: float) -> tuple[float, float, float, float]:
     """(du, v, log1p(-v), T): exponent offset, branch offset, its log, closed-form depletion time.
 
     du = B*a/(gamma*y) with B = r*(gamma-1) + rho, and v = 1 + W-1(-e^(-(1 + du))),
-    which the kernel returns at full relative precision without forming the
-    underflowing argument.  T = (gamma/B)*log1p(-v)/d_r with
-    d_r = (rho - r)/B is the small-r closed form; at r = 0, B = rho and
+    which the kernel returns without forming the underflowing argument (its error
+    near the branch point is in ``special_functions``).  T = (gamma/B)*log1p(-v)/d_r
+    with d_r = (rho - r)/B is the small-r closed form; at r = 0, B = rho and
     d_r = 1 exactly, so it is the exact Lambert-W solution
     -(a + gamma*y/rho)/y - (gamma/rho)*w, w = v - 1, rewritten through
     -(1 + du) - w = log(-w): free of the large-argument cancellation of the

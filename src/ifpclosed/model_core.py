@@ -22,13 +22,17 @@ class ModelParams:
     gamma: relative risk aversion (> 0); gamma = 1 means log utility
     y:     permanent income flow (> 0)
 
-    Construction does not validate; call :func:`validate` at API boundaries.
+    Construction (``dataclasses.replace`` too) runs :func:`validate`, so every
+    instance satisfies the invariants the closed forms need.
     """
 
     rho: float
     r: float
     gamma: float
     y: float
+
+    def __post_init__(self) -> None:
+        validate(self)
 
 
 def validate(params: ModelParams) -> ModelParams:

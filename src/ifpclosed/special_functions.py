@@ -6,10 +6,12 @@ out here, so the target is near machine precision: residual
 |w*exp(w) - x| <= 1e-13*|x|.
 
 The closed forms use the exponent form: ``wm1_neg_exp_offset`` returns the
-branch offset 1 + W-1(-exp(-(1 + du))) at full relative precision.  It
-stays accurate arbitrarily deep into the tail where -exp(-u) itself would
-underflow, and it sidesteps the catastrophic cancellation of forming
-1 + e*x near the branch point.
+branch offset 1 + W-1(-exp(-(1 + du))).  It stays accurate arbitrarily
+deep into the tail where -exp(-u) itself would underflow, and it sidesteps
+the catastrophic cancellation of forming 1 + e*x near the branch point.
+Near the branch point v + log1p(-v) cancels to about -v^2/2 in the residual,
+and v's relative error against 60-digit mpmath grows: 2.7e-15 at du = 1e-4,
+5.8e-13 at 1e-8, 4.1e-11 at 1e-12 and 6.4e-10 at 1e-15.
 
 Algorithm: series / asymptotic initial guess followed by Halley iteration
 (Corless, Gonnet, Hare, Jeffrey & Knuth 1996 style) on the log form of the
@@ -42,9 +44,9 @@ def _wm1_offset_guess(du: float) -> float:
     """Initial guess for v = 1 + W-1(-exp(-(1 + du))), du > 0.
 
     Near the branch point (du ~ 0) a truncated series in
-    p = sqrt(-2*expm1(-du)) is used, which carries full relative precision
-    in the offset however small du is.  Away from the branch point the
-    asymptotic form -w ~ u + log(u), u = 1 + du, applies.
+    p = sqrt(-2*expm1(-du)) is used, whose relative error in the offset
+    shrinks with du.  Away from the branch point the asymptotic form
+    -w ~ u + log(u), u = 1 + du, applies.
     """
     if du < 1.0:
         p = math.sqrt(-2.0 * math.expm1(-du))
@@ -56,13 +58,14 @@ def _wm1_offset_guess(du: float) -> float:
 def wm1_neg_exp_offset(du: float) -> float:
     """The branch offset v = 1 + W-1(-exp(-(1 + du))) for du >= 0.
 
-    Iterating in the offset keeps v at full relative precision near the
-    branch point, where w itself would only be known to an absolute ulp of
-    1; downstream formulas that divide by 1 + w need exactly this.  Solves
-    phi(v) = v + log1p(-v) + du = 0 (the log form of w*exp(w) = -exp(-u))
-    by Halley's method; exact 0.0 is returned for du within ``_U_EPS`` of
-    the branch point.  Valid for any du up to overflow scales, in
-    particular far beyond du ~ 745 where -exp(-u) underflows to -0.0.
+    Iterating in the offset keeps v relatively accurate near the branch
+    point (measured bounds in the module docstring), where w itself would
+    only be known to an absolute ulp of 1; downstream formulas that divide
+    by 1 + w need exactly this.  Solves phi(v) = v + log1p(-v) + du = 0
+    (the log form of w*exp(w) = -exp(-u)) by Halley's method; exact 0.0 is
+    returned for du within ``_U_EPS`` of the branch point.  Valid for any
+    du up to overflow scales, in particular far beyond du ~ 745 where
+    -exp(-u) underflows to -0.0.
     """
     if math.isnan(du) or du < -_U_EPS:
         raise ValueError(f"wm1_neg_exp_offset: need du >= 0, got du={du!r}")

@@ -27,3 +27,19 @@ def test_package_reexports_are_listed():
             unlisted += [f"{node.module}.{alias.name}" for alias in node.names
                          if alias.name not in module.__all__]
     assert unlisted == []
+
+
+def test_parameters_validated_only_by_their_type():
+    # ModelParams validates itself on construction, so no other module repeats it
+    package = Path(ifpclosed.__file__).parent
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "model_core":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "validate":
+                    calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []

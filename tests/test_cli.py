@@ -341,7 +341,8 @@ class TestRuleCheckedOnce:
         [["eval", "--r", "0", "--a", "inf"],
          ["sweep", "jacobian", "--r", "0.01", "--a-min", "1", "--a-max", "2", "--n", "5"],
          ["sweep", "jacobian", "--r", "0", "--a-min", "0", "--a-max", "2", "--n", "5"],
-         ["figure", "--which", "1", "--r", "0"]],
+         ["figure", "--which", "1", "--r", "0"],
+         ["figure", "--which", "1", "--r", "0.01", "--delta", "1e-7", "--n", "5"]],
     )
     def test_exit_2_writes_nothing(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ifpclosed.consumption
 from ifpclosed.consumption import (
     consumption_approx_small_r,
     consumption_derivatives,
@@ -19,6 +20,7 @@ from ifpclosed.depletion_map import (
     h_closed_r0,
     h_numeric,
     mu,
+    mu_discrete,
     step_growth_factor,
 )
 from ifpclosed.model_core import ModelParams, validate
@@ -364,6 +366,24 @@ class TestDiscretePolicy:
     def test_rejects_non_finite_delta(self, delta):
         with pytest.raises(ValueError, match="finite delta"):
             discrete_policy(FIG1, delta, 10.0)
+
+    # (5, 1e100) needs ~19% more knots than T/delta and takes the doubling step
+    @pytest.mark.parametrize("p", [FIG1, FIG1_R0], ids=["r>0", "r=0"])
+    @pytest.mark.parametrize(
+        "delta,a_max", [(1.0, 30.0), (0.01, 3e3), (5.0, 3e5), (1e-3, 1e3), (5.0, 1e100)]
+    )
+    def test_knots_are_a_prefix_of_the_recursion(self, p, delta, a_max):
+        knots = discrete_policy(p, delta, a_max).knot_assets
+        assert knots[-1] >= a_max > knots[-2]
+        assert np.array_equal(knots, mu_discrete(p, delta, knots.size + 100)[: knots.size])
+
+    def test_too_many_knots_raise_before_any_is_built(self, monkeypatch):
+        def no_knots(*args):
+            pytest.fail("mu_discrete called")
+
+        monkeypatch.setattr(ifpclosed.consumption, "mu_discrete", no_knots)
+        with pytest.raises(ValueError, match=r"over 2\*\*24 knots"):
+            discrete_policy(FIG1, 1e-7, 30.0)
 
 
 class TestConsumptionUnconstrained:

@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ifpclosed.consumption import consumption_path
+from ifpclosed.depletion_map import h_approx_small_r, h_numeric
 from ifpclosed.model_core import (
     ModelParams,
     crra_utility,
@@ -14,6 +16,22 @@ from ifpclosed.model_core import (
 )
 
 FIG1_R0 = ModelParams(rho=0.08, r=0.0, gamma=0.5, y=3.0)
+
+# One violation per row, each named in validate's message.
+VIOLATIONS = [
+    pytest.param({"r": -0.01}, "interest rate must be finite and nonnegative: r=-0.01",
+                 id="r<0"),
+    pytest.param({"r": 0.08}, "impatience condition violated: need finite rho > r, "
+                 "got rho=0.08, r=0.08", id="r=rho"),
+    pytest.param({"r": 0.09}, "impatience condition violated: need finite rho > r, "
+                 "got rho=0.08, r=0.09", id="r>rho"),
+    pytest.param({"gamma": 0.0}, "risk aversion must be finite and positive: gamma=0.0",
+                 id="gamma=0"),
+    pytest.param({"gamma": -1.0}, "risk aversion must be finite and positive: gamma=-1.0",
+                 id="gamma<0"),
+    pytest.param({"y": 0.0}, "permanent income must be finite and positive: y=0.0", id="y=0"),
+    pytest.param({"y": -3.0}, "permanent income must be finite and positive: y=-3.0", id="y<0"),
+]
 
 
 class TestValidate:
@@ -35,20 +53,55 @@ class TestValidate:
     @pytest.mark.parametrize(
         "bad,match",
         [
-            (ModelParams(0.08, -0.01, 0.5, 3.0), "nonnegative"),
-            (ModelParams(0.08, 0.0, 0.0, 3.0), "risk aversion"),
-            (ModelParams(0.08, 0.0, 0.5, 0.0), "income"),
+            ((0.08, -0.01, 0.5, 3.0), "nonnegative"),
+            ((0.08, 0.0, 0.0, 3.0), "risk aversion"),
+            ((0.08, 0.0, 0.5, 0.0), "income"),
         ],
     )
     def test_each_invariant_named(self, bad, match):
         with pytest.raises(ValueError, match=match):
-            validate(bad)
+            validate(ModelParams(*bad))
 
     @pytest.mark.parametrize("field", ["rho", "r", "gamma", "y"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_parameter_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
             validate(replace(FIG1_R0, **{field: value}))
+
+
+class TestValidByConstruction:
+    @pytest.mark.parametrize("fields,message", VIOLATIONS)
+    def test_construction_raises(self, fields, message):
+        with pytest.raises(ValueError) as exc:
+            ModelParams(**{**vars(FIG1_R0), **fields})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("fields,message", VIOLATIONS)
+    def test_replace_raises(self, fields, message):
+        with pytest.raises(ValueError) as exc:
+            replace(FIG1_R0, **fields)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("field", ["rho", "r", "gamma", "y"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_construction_raises(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(**{**vars(FIG1_R0), field: value})
+
+    def test_impatience_violation_never_reaches_a_formula(self):
+        # unchecked, the small-r closed form returned T = -3.23 here
+        with pytest.raises(ValueError, match="impatience"):
+            h_approx_small_r(ModelParams(rho=0.05, r=0.08, gamma=0.5, y=3.0), 3.0)
+
+    def test_nan_rate_never_reaches_a_formula(self):
+        # unchecked, the numeric inversion returned T = 0.5 here
+        with pytest.raises(ValueError, match="impatience"):
+            h_numeric(ModelParams(rho=math.nan, r=0.01, gamma=0.5, y=3.0), 3.0)
+
+    def test_zero_risk_aversion_is_a_value_error(self):
+        # unchecked, every formula divided by gamma = 0
+        with pytest.raises(ValueError, match="risk aversion"):
+            consumption_path(ModelParams(rho=0.08, r=0.0, gamma=0.0, y=3.0), 3.0)
 
 
 class TestCrraUtility:

@@ -65,3 +65,29 @@ def test_euler_identity_at_zero_rate(p, ratio):
     a = ratio * p.y
     d = consumption_derivatives(p, a)
     assert a * d.dc_da + p.y * d.dc_dy == pytest.approx(d.c, rel=1e-12)
+
+
+@SETTINGS
+@given(params(zero_rate=True), ASSET_RATIO)
+def test_hessian_signs_at_zero_rate(p, ratio):
+    d = consumption_derivatives(p, ratio * p.y)
+    assert d.d2c_da2 < 0.0 < d.d2c_dady and d.d2c_dy2 < 0.0
+
+
+@SETTINGS
+@given(params(zero_rate=True), ASSET_RATIO)
+def test_hessian_rank_one_at_zero_rate(p, ratio):
+    d = consumption_derivatives(p, ratio * p.y)
+    diag = d.d2c_da2 * d.d2c_dy2
+    assert abs(diag - d.d2c_dady**2) <= 1e-12 * abs(diag)
+
+
+@SETTINGS
+@given(params(zero_rate=True), ASSET_RATIO, st.floats(1e-3, 1.0))
+def test_mpcs_monotone_at_zero_rate(p, ratio, log_step):
+    # dc_da - rho/gamma falls like 1/(a/y): at a/y = 1e12 a step in log10(a)
+    # below ~1e-4 moves dc_da by less than its rounding, hence the 1e-3 floor
+    a = ratio * p.y
+    lo, hi = consumption_derivatives(p, a), consumption_derivatives(p, a * 10.0**log_step)
+    assert lo.dc_da >= hi.dc_da >= p.rho / p.gamma
+    assert hi.dc_dy >= lo.dc_dy
