@@ -87,10 +87,8 @@ class PiecewiseLinearPolicy:
 
     def __call__(self, a):
         arr = np.asarray(a, dtype=float)
-        if np.any(arr < 0.0) or np.any(arr > self.knot_assets[-1]):
-            raise ValueError(
-                f"policy evaluation outside [0, {self.knot_assets[-1]!r}]"
-            )
+        if not np.all((arr >= 0.0) & (arr <= self.knot_assets[-1])):
+            raise ValueError(f"policy evaluation outside [0, {float(self.knot_assets[-1])!r}]")
         out = np.interp(arr, self.knot_assets, self.knot_consumption)
         return float(out) if np.isscalar(a) else out
 
@@ -147,7 +145,7 @@ def consumption_derivatives(params: ModelParams, a: float) -> ConsumptionDerivat
     return ConsumptionDerivatives(
         T=T,
         c=consumption_from_depletion_time(params, T),
-        dc_da=b * (v - 1.0) / v,
+        dc_da=b - b / v,
         dc_dy=(v - 1.0) * log1p_neg_v / v,
         d2c_da2=-b * b / y * q / v / v,
         d2c_dady=b / y * s * q / v,
@@ -178,11 +176,12 @@ def discrete_policy(params: ModelParams, delta: float, a_max: float) -> Piecewis
     raise ValueError(f"discrete_policy: a_max={a_max} takes over 2**24 knots at delta={delta}")
 
 
-def consumption_unconstrained(params: ModelParams, a: float) -> float:
+def consumption_unconstrained(params: ModelParams, a):
     """Unconstrained linear benchmark kappa*(a + y/r), kappa = (rho + r*(gamma-1))/gamma.
 
     The standard deterministic CRRA policy when borrowing against the
-    income stream y/r is allowed; requires r > 0.
+    income stream y/r is allowed; requires r > 0.  ``a`` is a scalar or an
+    array, and the result has its shape.
     """
     if params.r <= 0.0:
         raise ValueError("consumption_unconstrained: requires r > 0 (y/r undefined at r = 0)")
@@ -196,31 +195,31 @@ def figure_rows(
     """Rows for the two figure CSVs over the asset grid (consumption normalized by income).
 
     Figure 1 (requires r > 0): discrete piecewise-linear policy at step
-    ``delta`` against the unconstrained linear benchmark; grid points
-    nearest to a depletion knot are snapped onto the knot (in a copy of
-    ``grid``) and flagged so the knots appear exactly in the emitted data.
+    ``delta`` against the unconstrained linear benchmark, over a copy of the
+    strictly increasing ``grid``.  Every knot in [grid[0], grid[-1]] nominates
+    its nearest grid point (the lower one on a tie); each nominated point
+    moves onto the nearest knot that nominated it (the lower knot on a tie)
+    and is flagged.  The rule reads only the original grid, so rows stay
+    strictly increasing, each within half a neighbouring step of its point.
     Figure 2: small-r closed-form approximation against the numerically
     inverted solution.
     """
     y = params.y
     if which == 1:
-        grid = np.array(grid, dtype=float)
-        a_min, a_max = grid[0], grid[-1]
-        policy = discrete_policy(params, delta, a_max)
-        flags = np.zeros(grid.size, dtype=int)
-        for knot in policy.knot_assets:
-            if a_min <= knot <= a_max:
-                i = int(np.argmin(np.abs(grid - knot)))
-                grid[i] = knot
-                flags[i] = 1
-        order = np.argsort(grid)
-        grid, flags = grid[order], flags[order]
+        grid = np.array(grid, dtype=float)  # a copy: the knots go into it
+        policy = discrete_policy(params, delta, grid[-1])
+        knots = policy.knot_assets
+        knots = knots[(knots >= grid[0]) & (knots <= grid[-1])]
+        upper = np.searchsorted(grid, knots)
+        lower = np.maximum(upper - 1, 0)
+        nominee = np.where(knots - grid[lower] <= grid[upper] - knots, lower, upper)
+        closest = np.lexsort((np.abs(grid[nominee] - knots), nominee))
+        moved, first = np.unique(nominee[closest], return_index=True)
+        grid[moved] = knots[closest[first]]
+        flags = np.bincount(moved, minlength=grid.size)
         header = ["a_over_y", "c_discrete_over_y", "c_unconstrained_over_y", "knot_flag"]
-        rows = [
-            (a / y, policy(a) / y, consumption_unconstrained(params, a) / y, int(f))
-            for a, f in zip(grid, flags)
-        ]
-        return header, rows
+        columns = (grid / y, policy(grid) / y, consumption_unconstrained(params, grid) / y, flags)
+        return header, list(zip(*(col.tolist() for col in columns)))
     if which == 2:
         header = ["a_over_y", "c_closed_approx_over_y", "c_numeric_over_y"]
         rows = [

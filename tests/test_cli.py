@@ -251,6 +251,27 @@ class TestFigure:
         assert np.array_equal(grid, before)
         assert any(row[3] == 1 for row in rows)  # knots were snapped, into a copy
 
+    def test_figure1_starts_at_the_constraint(self, capsys):
+        # a snap loop over a moving grid dragged this row to a/y = 0.0279
+        rc = main(["figure", "--which", "1", "--delta", "0.25"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[1] == "0,1,15,1"
+
+    def test_figure1_rows_stay_near_their_grid_points(self):
+        # knots denser than the grid: each row moves at most half a step
+        p = validate(ModelParams(rho=0.08, r=0.02, gamma=0.5, y=3.0))
+        grid = sweep_grid(0.0, 30000.0, 201)
+        _, rows = figure_rows(p, 1, grid, 0.003)
+        a = np.array([row[0] for row in rows]) * p.y
+        assert np.all(np.abs(a - grid) <= 0.5 * (grid[1] - grid[0]))
+        assert np.all(np.diff(a) > 0.0)
+
+    def test_figure1_grid_without_knots_is_unchanged(self):
+        grid = sweep_grid(29.0, 30.0, 3)
+        _, rows = figure_rows(FIG1, 1, grid, 1.0)
+        assert [row[0] for row in rows] == (grid / FIG1.y).tolist()
+        assert [row[3] for row in rows] == [0, 0, 0]
+
     def test_figure1_requires_positive_rate(self, capsys):
         rc = main(["figure", "--which", "1", "--r", "0"])
         assert rc == 2

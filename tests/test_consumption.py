@@ -204,6 +204,12 @@ class TestJacobianClosed:
         dc_da, _ = jacobian(FIG1_R0, 1e8 * FIG1_R0.y)
         assert abs(dc_da - FIG1_R0.rho / FIG1_R0.gamma) <= 1e-4
 
+    def test_asset_mpc_non_increasing_at_rounding_level(self):
+        # b*(v - 1)/v rose here in 5 of 60 steps; b - b/v is monotone op by op
+        p = validate(ModelParams(rho=0.05859375, r=0.0, gamma=1.0, y=1.0))
+        mpcs = [jacobian(p, 1e12 * 10.0 ** (k * 1e-9))[0] for k in range(61)]
+        assert all(hi <= lo for lo, hi in zip(mpcs, mpcs[1:]))
+
     def test_mpc_diverges_at_constraint(self):
         dc_da, _ = jacobian(FIG1_R0, 1e-8 * FIG1_R0.y)
         assert dc_da > 1e3 * (FIG1_R0.rho / FIG1_R0.gamma)
@@ -353,6 +359,12 @@ class TestDiscretePolicy:
         with pytest.raises(ValueError):
             pol(float(pol.knot_assets[-1]) * 1.01)
 
+    @pytest.mark.parametrize("a", [math.nan, [0.5, math.nan]], ids=["scalar", "array"])
+    def test_rejects_nan_assets(self, a):
+        pol = discrete_policy(FIG1, 1.0, 30.0)
+        with pytest.raises(ValueError, match="outside"):
+            pol(a)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             discrete_policy(FIG1, 1.0, 0.0)
@@ -398,6 +410,12 @@ class TestConsumptionUnconstrained:
                 consumption_unconstrained(FIG1, a2) - consumption_unconstrained(FIG1, a1)
             ) / (a2 - a1)
             assert slope == pytest.approx(kappa, rel=1e-12)
+
+    def test_takes_arrays(self):
+        a = np.array([0.0, 5.0, 9.0])
+        assert consumption_unconstrained(FIG1, a).tolist() == [
+            consumption_unconstrained(FIG1, float(x)) for x in a
+        ]
 
     def test_exceeds_constrained_at_zero_assets(self):
         pol = discrete_policy(FIG1, 1.0, 5.0)
