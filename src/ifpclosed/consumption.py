@@ -38,6 +38,7 @@ import numpy as np
 
 from .depletion_map import (
     _branch,
+    _ndarray,
     best_depletion_time,
     h_approx_small_r,
     h_numeric,
@@ -99,8 +100,13 @@ def consumption_from_depletion_time(params: ModelParams, T: float, t: float = 0.
     Single evaluation point for the time-path expression, so routes that
     must coincide (e.g. the small-r approximation at r = 0 against the
     exact closed form) coincide to the last bit when their T's do, and the
-    oracles in ``validation`` integrate the path that ships.
+    oracles in ``validation`` integrate the path that ships.  T may be an ndarray.
     """
+    if type(T) is _ndarray:
+        for bad in T[~((T >= 0.0) & (t >= 0.0))][:1]:
+            consumption_from_depletion_time(params, float(bad), t)  # raises the scalar path's error
+        c = params.y * np.exp((params.rho - params.r) * (T - t) / params.gamma)
+        return np.where(t > T, params.y, c)
     if not (t >= 0.0 and T >= 0.0):
         raise ValueError(f"consumption_from_depletion_time: need t >= 0 and T >= 0, got {t}, {T}")
     if t > T:
@@ -114,6 +120,7 @@ def consumption_path(params: ModelParams, a: float, t: float = 0.0) -> float:
     Uses the best available depletion time (exact closed form at r = 0,
     numeric inversion otherwise); returns exactly y once t exceeds T.  At
     r = 0, t = 0 it is c*(a; y) = y * e^(rho*h(a;y)/gamma) = -y * W-1(f(a; y)).
+    An ndarray a takes one array kernel call at r = 0 and is a ValueError at r > 0.
     """
     return consumption_from_depletion_time(params, best_depletion_time(params, a).T, t)
 
@@ -121,7 +128,7 @@ def consumption_path(params: ModelParams, a: float, t: float = 0.0) -> float:
 def consumption_approx_small_r(params: ModelParams, a: float, t: float = 0.0) -> float:
     """Time path evaluated with the small-r closed-form depletion time.
 
-    Reduces exactly to ``consumption_path`` at r = 0.
+    Reduces exactly to ``consumption_path`` at r = 0.  ``a`` may be an ndarray.
     """
     return consumption_from_depletion_time(params, h_approx_small_r(params, a).T, t)
 
@@ -130,15 +137,16 @@ def consumption_derivatives(params: ModelParams, a: float) -> ConsumptionDerivat
     """Depletion time, level, Jacobian and Hessian of c*(a; y) at r = 0, a > 0.
 
     Every entry is a few flops on one branch offset v = 1 + w (the forms in
-    the module docstring), so the kernel runs once per point.  T and c are
-    exactly ``h_closed_r0`` and ``consumption_path``; dc/da falls from +inf
-    at a -> 0+ toward rho/gamma, and the Hessian has rank 1.  a = 0 is a domain error:
-    w = -1 there and the MPC is unbounded.
+    the module docstring), so the kernel runs once per point, or once per
+    ndarray a (the fields are then arrays).  T and c are exactly ``h_closed_r0``
+    and ``consumption_path``; dc/da falls from +inf at a -> 0+ toward rho/gamma,
+    and the Hessian has rank 1.  a = 0 is a domain error: w = -1 there and the
+    MPC is unbounded.
     """
     if params.r != 0.0:
         raise ValueError(f"consumption_derivatives: requires r = 0, got r={params.r}")
     du, v, log1p_neg_v, T = _branch(params, a)
-    if v == 0.0:
+    if (v == 0.0).any() if type(v) is _ndarray else v == 0.0:
         raise ValueError(f"consumption_derivatives: MPC unbounded at the constraint, a={a}")
     y, b = params.y, params.rho / params.gamma
     q, s = (v - 1.0) / v, du / v

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model_core import ModelParams
-from .special_functions import wm1_neg_exp_offset
+from .special_functions import _ndarray, wm1_neg_exp_offset
 
 __all__ = [
     "DepletionTime",
@@ -103,12 +103,16 @@ def h_numeric(params: ModelParams, a: float) -> DepletionTime:
 
     Safeguarded Newton inside a bracket grown by doubling from [0, 1];
     steps leaving the bracket fall back to bisection, and iteration stops
-    once a step moves T by at most 4e-15 relative.  Seeded from the
-    second-order Taylor expansion of mu at the origin,
+    once a step from an iterate within that bound moves T by at most 4e-15
+    relative; if that step lands outside it (past x = (rho-r)T/gamma ~ 250
+    mu magnifies T's last ulps), the iterate it started from is returned.  Seeded
+    from the second-order Taylor expansion of mu at the origin,
     mu(T) ~ (rho-r)*y*T^2/(2*gamma), where mu vanishes quadratically and
     pure Newton would stall.  Raises ``ValueError`` when a lies beyond the
     largest mu(T) a double holds (``mu`` reads +inf from there on).
     """
+    if type(a) is _ndarray:
+        raise ValueError("h_numeric: the numeric inversion takes one point at a time, got an array")
     if not 0.0 <= a < math.inf:
         raise ValueError(f"h_numeric: need finite a >= 0, got a={a}")
     if a == 0.0:
@@ -121,7 +125,9 @@ def h_numeric(params: ModelParams, a: float) -> DepletionTime:
     if not lo < T < hi:
         T = 0.5 * (lo + hi)
     tol = 1e-12 * max(a, params.y)
-    for _ in range(200):
+    T_prev = T
+    # x = (rho-r)*T/gamma <= 710, and Newton from mu's overflow edge gains ~1 in x a step
+    for _ in range(1000):
         g = mu(params, T) - a
         if g > 0.0:
             hi = T
@@ -133,21 +139,23 @@ def h_numeric(params: ModelParams, a: float) -> DepletionTime:
         T_new = T - g / d if d > 0.0 and math.isfinite(d) else math.nan
         if not math.isfinite(T_new) or not lo < T_new < hi:
             T_new = 0.5 * (lo + hi)
-        if abs(T_new - T) <= 4e-15 * T_new:
-            T = T_new
+        if abs(T_new - T) <= 4e-15 * T_new and (-tol <= g <= tol or T_new == T):
+            T_prev, T = T, T_new
             break
         T = T_new
     if abs(mu(params, T) - a) > tol:
+        if abs(mu(params, T_prev) - a) <= tol:  # the stop's own iterate was within
+            return DepletionTime(T_prev, "numeric")
         if mu(params, hi) == math.inf:
             limit = mu(params, lo)
             raise ValueError(f"h_numeric: a={a} is past the range of mu, which ends near {limit:.6g}")
         raise RuntimeError(
-            f"h_numeric: no convergence after 200 iterations at a={a} (this is a bug)"
+            f"h_numeric: no convergence after 1000 iterations at a={a} (this is a bug)"
         )
     return DepletionTime(T, "numeric")
 
 
-def _branch(params: ModelParams, a: float) -> tuple[float, float, float, float]:
+def _branch(params: ModelParams, a: float | np.ndarray) -> tuple:
     """(du, v, log1p(-v), T): exponent offset, branch offset, its log, closed-form depletion time.
 
     du = B*a/(gamma*y) with B = r*(gamma-1) + rho, and v = 1 + W-1(-e^(-(1 + du))),
@@ -157,19 +165,33 @@ def _branch(params: ModelParams, a: float) -> tuple[float, float, float, float]:
     d_r = 1 exactly, so it is the exact Lambert-W solution
     -(a + gamma*y/rho)/y - (gamma/rho)*w, w = v - 1, rewritten through
     -(1 + du) - w = log(-w): free of the large-argument cancellation of the
-    literal form and exact at a = 0 (v = 0 there).
+    literal form and exact at a = 0 (v = 0 there).  An ndarray ``a`` gives
+    arrays of its shape from one array kernel call; a du that overflows to inf
+    is a ValueError.
     """
-    if not 0.0 <= a < math.inf:
-        raise ValueError(f"depletion time: need finite a >= 0, got a={a}")
     big_b = params.r * (params.gamma - 1.0) + params.rho
-    du = big_b * a / (params.gamma * params.y)
-    v = wm1_neg_exp_offset(du)
-    log1p_neg_v = math.log1p(-v)
+    if type(a) is _ndarray:
+        if a.ndim == 0:  # numpy turns 0-d results into scalars, which take the scalar path
+            return tuple(x.reshape(()) for x in _branch(params, a.reshape(1)))
+        du = big_b * a / (params.gamma * params.y)
+        for bad in a[~((a >= 0.0) & (du < math.inf))][:1]:
+            _branch(params, float(bad))  # raises the scalar path's error
+        v = wm1_neg_exp_offset(du)
+        log1p_neg_v = np.log1p(-v)
+    else:
+        if not 0.0 <= a < math.inf:
+            raise ValueError(f"depletion time: need finite a >= 0, got a={a}")
+        du = big_b * a / (params.gamma * params.y)
+        try:
+            v = wm1_neg_exp_offset(du)
+        except ValueError:  # du >= 0 here, so only an overflowed one
+            raise ValueError(f"depletion time: B*a/(gamma*y) overflows a double at a={a}") from None
+        log1p_neg_v = math.log1p(-v)
     T = (params.gamma / big_b) * log1p_neg_v / ((params.rho - params.r) / big_b)
     return du, v, log1p_neg_v, T + 0.0  # +0.0 normalizes -0.0
 
 
-def h_closed_r0(params: ModelParams, a: float) -> DepletionTime:
+def h_closed_r0(params: ModelParams, a: float | np.ndarray) -> DepletionTime:
     """Exact closed form of the depletion time at r = 0.
 
     T = -(a + gamma*y/rho)/y - (gamma/rho) * W-1(f(a; y)) with
@@ -182,7 +204,7 @@ def h_closed_r0(params: ModelParams, a: float) -> DepletionTime:
     return DepletionTime(_branch(params, a)[3], "exact_r0")
 
 
-def h_approx_small_r(params: ModelParams, a: float) -> DepletionTime:
+def h_approx_small_r(params: ModelParams, a: float | np.ndarray) -> DepletionTime:
     """Closed-form approximation of the depletion time, valid for r ~ 0.
 
     T ~ -(a + y/b_r)/(d_r*y) - W-1(f_r(a; y))/(b_r*d_r) with

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .consumption import consumption_approx_small_r, consumption_from_depletion_time
+from .consumption import consumption_approx_small_r, consumption_from_depletion_time, consumption_path
 from .depletion_map import best_depletion_time, mu
 from .model_core import ModelParams, crra_utility
 
@@ -456,12 +456,17 @@ def approximation_error_report(
     For each r, compares the approximation against consumption evaluated
     with the best available depletion time (exact closed form at r = 0,
     numeric inversion otherwise) over ``a_grid``.  The r = 0 row is
-    identically zero because the two routes coincide there.
+    identically zero because the two routes coincide there: both columns
+    are one array evaluation of the same closed form.
     """
+    a_grid = np.asarray(a_grid, dtype=float)
     rows = []
     for r in r_list:
         p = replace(params_base, r=r)
-        c_ref = [consumption_from_depletion_time(p, best_depletion_time(p, a).T) for a in a_grid]
-        gaps = [abs(consumption_approx_small_r(p, a) - c) / c for a, c in zip(a_grid, c_ref)]
+        if p.r == 0.0:
+            c_ref = consumption_path(p, a_grid)
+        else:  # the numeric inversion takes one point at a time
+            c_ref = np.array([consumption_path(p, a) for a in a_grid.tolist()])
+        gaps = np.abs(consumption_approx_small_r(p, a_grid) - c_ref) / c_ref
         rows.append(ApproxGapRow(r=r, max_rel_gap=float(np.max(gaps))))
     return rows

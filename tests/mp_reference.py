@@ -1,10 +1,11 @@
 """High-precision mpmath references shared by the precision tests.
 
 Nothing here calls into ``ifpclosed``.  ``mu_ref`` evaluates the depletion
-map from its textbook display; ``r0_reference`` solves
+map from its textbook display; ``branch_offset_ref`` solves
 v + log1p(-v) + du = 0 for the branch offset v = 1 + w with ``findroot``
-(this works where the argument -e^(-(1 + du)) of ``lambertw`` underflows)
-and evaluates the r = 0 closed forms from the paper's w-displays.  Importing
+(this works where the argument -e^(-(1 + du)) of ``lambertw`` underflows),
+and ``r0_reference`` evaluates the r = 0 closed forms from the paper's
+w-displays on that root.  Importing
 this module skips the calling test when mpmath is not installed.
 """
 
@@ -34,6 +35,19 @@ def depletion_time_ref(rho, r, gamma, y, a, T0):
         return mpmath.findroot(lambda T: mu_ref(rho, r, gamma, y, T) - a, mpmath.mpf(T0))
 
 
+def branch_offset_ref(du):
+    """v = 1 + W-1(-e^(-(1 + du))) for du > 0, as an mpf at DPS digits."""
+    with mpmath.workdps(DPS):
+        du = mpmath.mpf(du)
+        return _branch_offset(du)
+
+
+def _branch_offset(du):
+    # start on the far branch: v ~ -sqrt(2*du) near 0, ~ -du - log(du) for large du
+    v0 = -mpmath.sqrt(2 * du) if du < 1 else -du - mpmath.log(du)
+    return mpmath.findroot(lambda v: v + mpmath.log1p(-v) + du, v0)
+
+
 def r0_reference(rho, gamma, y, a):
     """r = 0 references for T, c and the five derivatives at a > 0, as mpf values.
 
@@ -43,10 +57,7 @@ def r0_reference(rho, gamma, y, a):
     with mpmath.workdps(DPS + max(0, int(math.log10(rho * a / (gamma * y))))):
         rho, gamma, y, a = (mpmath.mpf(v) for v in (rho, gamma, y, a))
         du = rho * a / (gamma * y)
-        # start on the far branch: v ~ -sqrt(2*du) near 0, ~ -du - log(du) for large du
-        v0 = -mpmath.sqrt(2 * du) if du < 1 else -du - mpmath.log(du)
-        v = mpmath.findroot(lambda v: v + mpmath.log1p(-v) + du, v0)
-        w = v - 1
+        w = _branch_offset(du) - 1
         k = w / (1 + w) ** 3
         ref = {
             "T": gamma / rho * mpmath.log(-w),

@@ -107,6 +107,11 @@ class TestEval:
         assert "nan" not in out and "inf" not in out
         assert parse_kv(out)["d2c_dy2"] < 0.0
 
+    def test_huge_assets_converge(self, capsys):
+        assert main(["eval", "--r", "0", "--a", "3e152"]) == 0
+        T = parse_kv(capsys.readouterr().out)["T_numeric"]
+        assert abs(mu(validate(ModelParams(0.08, 0.0, 0.5, 3.0)), T) - 3e152) <= 1e-12 * 3e152
+
     @pytest.mark.parametrize("r", ["0", "0.01"])
     def test_assets_past_the_range_of_mu_exit_2(self, r, capsys):
         rc = main(["eval", "--r", r, "--y", "0.01", "--a", "1e308"])
@@ -177,6 +182,13 @@ class TestSweep:
     def test_log_spacing_demands_positive_min(self, capsys):
         rc = main(["sweep", "c", "--a-min", "0", "--a-max", "2", "--n", "5", "--spacing", "log"])
         assert rc == 2
+
+    def test_overflowing_exponent_offset_exits_2(self, capsys):
+        rc = main(["sweep", "c", "T", "--r", "0", "--y", "0.001",
+                   "--a-min", "1e305", "--a-max", "1.7e308", "--n", "3"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "overflows" in captured.err
 
     def test_n_too_small(self, capsys):
         rc = main(["sweep", "c", "--a-min", "0", "--a-max", "2", "--n", "1"])

@@ -189,6 +189,35 @@ class TestHNumeric:
         T = h_numeric(p, a).T
         assert abs(mu(p, T) - a) <= 1e-12 * a
 
+    @pytest.mark.parametrize(
+        "pset,ratio",
+        [
+            # the stop lands within rounding of the root, but past x = (rho-r)T/gamma
+            # ~ 250 mu amplifies T's last ulp beyond the bound; the iterate before is within
+            ((0.08, 0.0, 0.5, 0.001), 1e303),
+            # Newton comes down from the overflow edge of mu about 1 in x per step
+            ((0.0687, 0.0, 2.76, 15.2), 1e181),
+            # mu_prime overflows before mu ((rho-r)/gamma > 1), so only bisection runs,
+            # and a 4e-15 relative step still leaves the residual 1.3e-12*a at x ~ 709
+            ((0.08, 0.01, 0.05, 3.0), 1.7e308 / 3.0),
+        ],
+    )
+    def test_converges_far_out(self, pset, ratio):
+        p = validate(ModelParams(*pset))
+        a = ratio * p.y
+        assert abs(mu(p, h_numeric(p, a).T) - a) <= 1e-12 * a
+
+    @pytest.mark.parametrize("r", [0.0, 0.01])
+    def test_converges_at_every_decade_past_1e100(self, r):
+        p = with_r(r)
+        for k in range(100, 301):
+            a = 3.0 * 10.0**k
+            assert abs(mu(p, h_numeric(p, a).T) - a) <= 1e-12 * a, k
+
+    def test_rejects_arrays(self):
+        with pytest.raises(ValueError, match="one point at a time"):
+            h_numeric(FIG1, np.array([1.0, 2.0]))
+
     @pytest.mark.parametrize("r", [0.0, 0.01])
     def test_past_the_range_of_mu(self, r):
         # at y = 0.01, mu overflows a double near 1.1e307, before reaching a
@@ -270,6 +299,17 @@ class TestNonFiniteAssets:
     )
     def test_rejected(self, inverse, p, a):
         with pytest.raises(ValueError, match="finite a"):
+            inverse(p, a)
+
+
+class TestOverflowingExponentOffset:
+    @pytest.mark.parametrize("inverse", [h_closed_r0, h_approx_small_r])
+    @pytest.mark.parametrize("a", [1.7e308, np.array([3.0, 1.7e308])])
+    def test_rejected(self, inverse, a):
+        # B*a/(gamma*y) overflows at y = 0.001 although a is finite
+        r = 0.0 if inverse is h_closed_r0 else 0.01
+        p = validate(ModelParams(rho=0.08, r=r, gamma=0.5, y=0.001))
+        with pytest.raises(ValueError, match="overflows"):
             inverse(p, a)
 
 

@@ -152,3 +152,8 @@ class TestNegExpForm:
             wm1_neg_exp_offset(0.5 - 1.0)
         with pytest.raises(ValueError):
             wm1_neg_exp_offset(-1e-3)
+
+    @pytest.mark.parametrize("du", [math.inf, np.array([1.0, math.inf])])
+    def test_overflowed_offset_rejected(self, du):
+        with pytest.raises(ValueError, match="overflowed"):
+            wm1_neg_exp_offset(du)
