@@ -50,6 +50,10 @@ _EPS = float(np.finfo(float).eps)
 # branch offset v = 1 + W inherit it amplified by about 1/|v|.
 _ARRAY_AGREEMENT = 1e-14
 
+# Criterion 8's value-iteration stop: grid_dp stops once the sup-norm change
+# is <= _DP_TOL*(1 + max|V|), and the residual row reports against that bound.
+_DP_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -258,12 +262,15 @@ def check_discrete_model(include_dp: bool = True) -> list[CheckResult]:
     if include_dp:
         t0 = time.perf_counter()
         grid = make_asset_grid(30.0, 2000, p0.y)
-        sol = grid_dp(p0, 1.0, grid)
+        sol = grid_dp(p0, 1.0, grid, tol=_DP_TOL)
         pol = discrete_policy(p0, 1.0, 30.0)
         dp_gap = float(np.max(np.abs(sol.policy - pol(grid)))) / p0.y
         elapsed = time.perf_counter() - t0
         results.append(_bounded("discrete.dp_policy_gap_over_y", dp_gap, 2e-3))
         results.append(_bounded("discrete.dp_runtime_seconds", elapsed, 120.0))
+        # grid_dp's own stop bound, so the row shows how far inside it the solve ended
+        stop = _DP_TOL * (1.0 + float(np.max(np.abs(sol.value))))
+        results.append(_bounded("discrete.dp_sup_norm_residual", sol.sup_norm_residual, stop))
     a_eval = np.linspace(0.0, 10.0, 201)
     exact = consumption_path(p0, a_eval)
     gaps = []

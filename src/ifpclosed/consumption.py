@@ -100,18 +100,39 @@ def consumption_from_depletion_time(params: ModelParams, T: float, t: float = 0.
     Single evaluation point for the time-path expression, so routes that
     must coincide (e.g. the small-r approximation at r = 0 against the
     exact closed form) coincide to the last bit when their T's do, and the
-    oracles in ``validation`` integrate the path that ships.  T may be an ndarray.
+    oracles in ``validation`` integrate the path that ships.  T, t or both may
+    be ndarrays: they broadcast, and the result is exactly y wherever t > T.  A
+    consumption past the double range is a ValueError on either path, never inf.
     """
-    if type(T) is _ndarray:
-        for bad in T[~((T >= 0.0) & (t >= 0.0))][:1]:
-            consumption_from_depletion_time(params, float(bad), t)  # raises the scalar path's error
-        c = params.y * np.exp((params.rho - params.r) * (T - t) / params.gamma)
-        return np.where(t > T, params.y, c)
+    if type(T) is _ndarray or type(t) is _ndarray:
+        with np.errstate(over="ignore"):
+            c = params.y * np.exp((params.rho - params.r) * (T - t) / params.gamma)
+        c = np.where(t > T, params.y, c)
+        bad = ~((T >= 0.0) & (t >= 0.0)) | (c == math.inf)
+        if bad.any():
+            i = int(np.argmax(bad))
+            T_i, t_i = (float(x.flat[i]) for x in np.broadcast_arrays(T, t))
+            consumption_from_depletion_time(params, T_i, t_i)  # raises the scalar path's error
+            raise _overflow(T_i, t_i)  # reached if math.exp lands an ulp inside the range
+        return c
     if not (t >= 0.0 and T >= 0.0):
         raise ValueError(f"consumption_from_depletion_time: need t >= 0 and T >= 0, got {t}, {T}")
     if t > T:
         return params.y
-    return params.y * math.exp((params.rho - params.r) * (T - t) / params.gamma)
+    try:
+        c = params.y * math.exp((params.rho - params.r) * (T - t) / params.gamma)
+    except OverflowError:
+        c = math.inf
+    if c == math.inf:
+        raise _overflow(T, t)
+    return c
+
+
+def _overflow(T: float, t: float) -> ValueError:
+    return ValueError(
+        f"consumption_from_depletion_time: y*e^((rho-r)(T-t)/gamma) overflows a double"
+        f" at T={T}, t={t}"
+    )
 
 
 def consumption_path(params: ModelParams, a: float, t: float = 0.0) -> float:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = ["ModelParams", "crra_utility", "validate", "value_upper_bound"]
 
 
@@ -56,13 +58,27 @@ def validate(params: ModelParams) -> ModelParams:
     return params
 
 
-def crra_utility(c: float, gamma: float) -> float:
-    """CRRA utility c^(1-gamma)/(1-gamma); log(c) at gamma = 1 (continuous limit)."""
-    if not c > 0.0:
-        raise ValueError(f"crra_utility: consumption must be positive, got c={c}")
-    if gamma == 1.0:
-        return math.log(c)
-    return c ** (1.0 - gamma) / (1.0 - gamma)
+def crra_utility(c: float | np.ndarray, gamma: float) -> float | np.ndarray:
+    """CRRA utility c^(1-gamma)/(1-gamma); log(c) at gamma = 1 (continuous limit).
+
+    ``c`` may be an ndarray; every element must be positive, like a scalar c.
+    A scalar is evaluated as a 0-d array, so an array's elements are
+    bit-equal to per-element calls (numpy's vector log and power can differ
+    from ``math``'s by an ulp).  A utility past the double range is a
+    ``ValueError``, not inf.
+    """
+    arr = np.asarray(c, dtype=float)
+    positive = arr > 0.0
+    if not positive.all():
+        raise ValueError(f"crra_utility: consumption must be positive, got c={arr[~positive][0]}")
+    with np.errstate(over="ignore"):
+        u = np.log(arr) if gamma == 1.0 else arr ** (1.0 - gamma) / (1.0 - gamma)
+    infinite = np.isinf(u)
+    if infinite.any():
+        raise ValueError(
+            f"crra_utility: utility overflows a double at c={arr[infinite][0]}, gamma={gamma}"
+        )
+    return u if type(c) is np.ndarray else float(u)
 
 
 def value_upper_bound(params: ModelParams, a: float) -> float:

@@ -52,3 +52,11 @@ def test_criterion_8_discrete_time_model():
 
 def test_criterion_9_figure_reproduction():
     run_and_report(9)
+
+
+def test_criterion_8_reports_the_dp_residual_against_its_stop_bound():
+    row = {r.name: r for r in run_criterion(8, full=True)}["discrete.dp_sup_norm_residual"]
+    assert row.passed and 0.0 < row.measured <= row.tolerance
+    # 1e-10*(1 + max|V|), the bound grid_dp stops at: |V| is tens here
+    assert 1e-9 <= row.tolerance <= 1e-8
+    assert "discrete.dp_sup_norm_residual" not in {r.name for r in run_criterion(8, full=False)}

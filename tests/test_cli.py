@@ -112,6 +112,14 @@ class TestEval:
         T = parse_kv(capsys.readouterr().out)["T_numeric"]
         assert abs(mu(validate(ModelParams(0.08, 0.0, 0.5, 3.0)), T) - 3e152) <= 1e-12 * 3e152
 
+    def test_consumption_past_the_double_range_exits_2(self, capsys):
+        # T = 506.4 is finite, but c = y*e^((rho-r)T/gamma) is not
+        rc = main(["eval", "--gamma", "0.05", "--r", "0.01", "--a", "1.7e308"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "overflows a double" in captured.err
+
     @pytest.mark.parametrize("r", ["0", "0.01"])
     def test_assets_past_the_range_of_mu_exit_2(self, r, capsys):
         rc = main(["eval", "--r", r, "--y", "0.01", "--a", "1e308"])

@@ -1,6 +1,7 @@
 """Consumption function, closed-form derivatives, and the discrete policy."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -87,6 +88,43 @@ class TestConsumptionPath:
         for T in (math.nan, -1.0):
             with pytest.raises(ValueError, match="T >= 0"):
                 consumption_from_depletion_time(p, T)
+
+    @pytest.mark.parametrize("p", [FIG1_R0, FIG1])
+    def test_array_times_match_scalar_calls(self, p):
+        # numpy's vector exp may differ from math.exp by one ulp; times y and
+        # rounded, that is up to two ulps of c
+        T = h_numeric(p, 3.0).T
+        t = np.linspace(0.0, 1.5 * T, 2001)
+        Ts = np.geomspace(1e-6, 1e2, 2001)
+        for T_, t_ in ((T, t), (Ts, t), (Ts[:, None], t[None, ::50])):
+            expected = np.vectorize(lambda T1, t1: consumption_from_depletion_time(p, T1, t1))(T_, t_)
+            got = consumption_from_depletion_time(p, T_, t_)
+            assert got.shape == expected.shape
+            assert np.all(np.abs(got - expected) <= 2.0 * np.spacing(expected))
+            past = np.broadcast_to(t_ > T_, got.shape)
+            assert past.any() and np.all(got[past] == p.y)
+
+    def test_array_times_keep_the_scalar_errors(self):
+        for bad in (math.nan, -1.0):
+            with pytest.raises(ValueError) as scalar_error:
+                consumption_from_depletion_time(FIG1, 1.0, bad)
+            with pytest.raises(ValueError) as array_error:
+                consumption_from_depletion_time(FIG1, 1.0, np.array([0.0, bad, 0.5]))
+            assert str(array_error.value) == str(scalar_error.value)
+
+    def test_overflow_is_a_value_error(self):
+        # (rho - r)T/gamma = 709.0: e^x fits, y*e^x does not; and e^x itself past 709.8
+        p = validate(ModelParams(rho=0.08, r=0.01, gamma=0.05, y=3.0))
+        for T in (506.4, 600.0, math.inf):
+            with pytest.raises(ValueError, match="overflows a double"):
+                consumption_from_depletion_time(p, T)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="overflows a double"):
+                    consumption_from_depletion_time(p, np.array([1.0, T]))
+                with pytest.raises(ValueError, match="overflows a double"):
+                    consumption_from_depletion_time(p, T, np.array([1e3, 0.0]))
+        assert consumption_from_depletion_time(p, 600.0, 601.0) == p.y
 
     @pytest.mark.parametrize("a", [math.nan, math.inf])
     def test_rejects_non_finite_assets(self, a):

@@ -1,6 +1,7 @@
 """Parameter validation, CRRA utility, and the analytic value bound."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -123,6 +124,33 @@ class TestCrraUtility:
             step = h * c
             fd = (crra_utility(c + step, gamma) - crra_utility(c - step, gamma)) / (2 * step)
             assert fd == pytest.approx(c**-gamma, rel=1e-7)
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 1.0, 2.0, 5.0])
+    def test_array_bit_equal_to_scalar_calls(self, gamma):
+        c = np.exp(np.random.default_rng(3).uniform(-30.0, 30.0, 5_000))
+        u = crra_utility(c, gamma)
+        assert type(u) is np.ndarray and u.shape == c.shape
+        assert np.array_equal(u, [crra_utility(x, gamma) for x in c.tolist()])
+        assert type(crra_utility(float(c[0]), gamma)) is float
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, math.nan])
+    def test_array_rejects_what_a_scalar_call_rejects(self, bad):
+        c = np.array([[1.0, 2.0], [3.0, 4.0]])
+        c[1, 0] = bad
+        with pytest.raises(ValueError) as scalar_error:
+            crra_utility(bad, 2.0)
+        with pytest.raises(ValueError) as array_error:
+            crra_utility(c, 2.0)
+        assert str(array_error.value) == str(scalar_error.value)
+
+    def test_overflow_is_a_value_error(self):
+        # (1e-200)**(-2) is past the double range: a ValueError, never inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                crra_utility(1e-200, 3.0)
+            with pytest.raises(ValueError, match="overflows"):
+                crra_utility(np.array([1.0, 1e-200]), 3.0)
 
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0])
     def test_increasing_and_concave(self, gamma):

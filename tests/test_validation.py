@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import ifpclosed
-from ifpclosed.consumption import discrete_policy
-from ifpclosed.depletion_map import h_closed_r0, h_numeric, mu
+from ifpclosed import checks, consumption, validation
+from ifpclosed.checks import run_criterion
+from ifpclosed.consumption import consumption_from_depletion_time, discrete_policy
+from ifpclosed.depletion_map import best_depletion_time, h_closed_r0, h_numeric, mu
 from ifpclosed.model_core import ModelParams, crra_utility, validate, value_upper_bound
 from ifpclosed.validation import (
     PATH_TOL,
@@ -65,14 +67,82 @@ class TestAdaptiveSimpson:
         assert adaptive_simpson(lambda x: x * x, 0.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_sine(self):
-        assert adaptive_simpson(math.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
+        assert adaptive_simpson(np.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
 
     def test_empty_interval(self):
         assert adaptive_simpson(math.exp, 1.0, 1.0) == 0.0
 
     def test_oscillatory(self):
-        val = adaptive_simpson(lambda x: math.sin(20.0 * x), 0.0, 1.0)
+        val = adaptive_simpson(lambda x: np.sin(20.0 * x), 0.0, 1.0)
         assert val == pytest.approx((1.0 - math.cos(20.0)) / 20.0, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "f, a, b, max_depth",
+        [
+            (lambda x: np.sin(20.0 * x), 0.0, 1.0, 60),
+            (np.sqrt, 0.0, 2.0, 60),  # unbounded slope at 0: refines deep on the left only
+            (lambda x: np.where(x < 0.3, 1.0, 2.0), 0.0, 1.0, 60),
+            (lambda x: np.exp(-x) * np.cos(50.0 * x), 0.0, 3.0, 60),
+            (lambda x: np.where(x < 0.3, 1.0, 2.0), 0.0, 1.0, 6),  # stopped by the depth cap
+        ],
+    )
+    def test_equals_the_recursion(self, f, a, b, max_depth):
+        # classical depth-first adaptive Simpson, one node per call of f
+        def f1(x):
+            return float(f(np.array([x]))[0])
+
+        def simpson(fl, fm, fr, h):
+            return h / 6.0 * (fl + 4.0 * fm + fr)
+
+        def recurse(lo, hi, flo, fmid, fhi, whole, eps, depth):
+            mid = 0.5 * (lo + hi)
+            flm, frm = f1(0.5 * (lo + mid)), f1(0.5 * (mid + hi))
+            left = simpson(flo, flm, fmid, mid - lo)
+            right = simpson(fmid, frm, fhi, hi - mid)
+            err = (left + right - whole) / 15.0
+            if depth >= max_depth or abs(err) <= max(eps, 1e-14 * (abs(left) + abs(right))):
+                return left + right + err
+            return recurse(lo, mid, flo, flm, fmid, left, 0.5 * eps, depth + 1) + recurse(
+                mid, hi, fmid, frm, fhi, right, 0.5 * eps, depth + 1
+            )
+
+        fa, fm, fb = f1(a), f1(0.5 * (a + b)), f1(b)
+        expected = recurse(a, b, fa, fm, fb, simpson(fa, fm, fb, b - a), 1e-10, 0)
+        assert adaptive_simpson(f, a, b, max_depth=max_depth) == expected
+
+    def test_one_call_of_f_per_level(self):
+        nodes = []
+
+        def f(x):
+            assert isinstance(x, np.ndarray) and x.ndim == 1
+            nodes.append(x.size)
+            return np.sqrt(x)
+
+        adaptive_simpson(f, 0.0, 2.0, max_depth=12)
+        assert nodes[0] == 3 and len(nodes) <= 12 + 2
+
+    def test_criterion_6_integrals_match_the_recursion(self, monkeypatch):
+        # the 21 head integrals of criterion 6 (ten pdv_utility calls for the
+        # bound, then the optimum and ten perturbed plans), as the depth-first
+        # recursion with per-point calls returned them
+        expected = [
+            3.765604971414273, 11.318815994643757, 18.790915095520692, 32.35201957043509,
+            91.97193575843927, 4.017244793474083, 12.021904190414896, 19.87213645551057,
+            33.98325940908206, 95.36555603329577, 11.318815994643757, 11.312484363926892,
+            11.317038517864633, 11.315848772595473, 11.317054278257821, 11.3130396568399,
+            11.317044110664067, 11.314655742103747, 11.31043027881402, 11.316093099451574,
+            11.317043266235235,
+        ]
+        values = []
+
+        def recorded(*args, **kwargs):
+            values.append(adaptive_simpson(*args, **kwargs))
+            return values[-1]
+
+        monkeypatch.setattr(validation, "adaptive_simpson", recorded)
+        run_criterion(6)
+        assert len(values) == len(expected)
+        assert np.all(np.abs(np.subtract(values, expected)) <= 1e-13 * np.abs(expected))
 
 
 class TestPdvUtility:
@@ -170,6 +240,62 @@ class TestSimulateAssets:
         with pytest.raises(ValueError):
             simulate_assets(FIG1_R0, 0.0, 1e-3)
 
+    @staticmethod
+    def rk4_loop(p, a0, dt):
+        """Step-by-step classical RK4 with per-point calls of the time path."""
+        T = best_depletion_time(p, a0).T
+        r, y, t_end = p.r, p.y, T + 1.0
+        t, a, c = 0.0, a0, consumption_from_depletion_time(p, T, 0.0)
+        ts, as_, cs = [t], [a], [c]
+        for _ in range(math.ceil(t_end / dt)):
+            h = min(dt, t_end - t)
+            c_mid = consumption_from_depletion_time(p, T, t + 0.5 * h)
+            c_end = consumption_from_depletion_time(p, T, t + h)
+            k1 = r * a + y - c
+            k2 = r * (a + 0.5 * h * k1) + y - c_mid
+            k3 = r * (a + 0.5 * h * k2) + y - c_mid
+            k4 = r * (a + h * k3) + y - c_end
+            a += (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            t, c = t + h, c_end
+            ts.append(t), as_.append(a), cs.append(c)
+        return np.array(ts), np.array(as_), np.array(cs)
+
+    @pytest.mark.parametrize("p", [FIG1_R0, FIG1])
+    def test_matches_the_reference_loop(self, p):
+        T = best_depletion_time(p, 3.0).T
+        for dt in (T / 2_000.0, T / 777.0, (T + 1.0) / 1000.0, (T + 1.0) / 1024.0):
+            ts, as_, cs = self.rk4_loop(p, 3.0, dt)
+            path = simulate_assets(p, 3.0, dt)
+            assert np.array_equal(path.t, ts)  # the same nodes, bit for bit
+            assert np.all(np.abs(path.c - cs) <= 2.0 * np.spacing(cs))  # vector exp: an ulp
+            assert np.max(np.abs(path.a - as_)) <= 1e-14 * 3.0
+
+    # a(t) of the step-by-step RK4 loop at the samples criterion 5 reads, and
+    # at four early ones, from a0 = 3 with dt = T/10_000
+    SAMPLES = [1, 10, 100, 1000] + [round(j * 10_000 / 11) for j in range(1, 11)]
+    LOOP_PATHS = {
+        0.0: [
+            2.9993437391985385, 2.9934411735954454, 2.9347892525626436, 2.3850080263009135,
+            2.4376082382634032, 1.9414905744786104, 1.5086043972234824, 1.1360467798781104,
+            0.821048067763864, 0.5607089439473381, 0.35307814987125885, 0.19543455123611947,
+            0.0854832603480847, 0.021034746684908883,
+        ],
+        0.01: [
+            2.99935022828108, 2.993505936504738, 2.9354241713750833, 2.390166111464761,
+            2.4424005030201834, 1.9491218934552472, 1.5174962056118817, 1.1449718291130584,
+            0.8291084533641251, 0.5673135999891865, 0.35792864166720156, 0.1985019383453283,
+            0.08699217707296064, 0.021447173571515404,
+        ],
+    }
+
+    @pytest.mark.parametrize("r", [0.0, 0.01])
+    def test_matches_the_step_by_step_loop(self, r):
+        p = validate(replace(FIG1, r=r))
+        T = best_depletion_time(p, 3.0).T
+        a = simulate_assets(p, 3.0, T / 10_000.0).a
+        expected = np.array(self.LOOP_PATHS[r])
+        assert np.all(np.abs(a[self.SAMPLES] - expected) <= 1e-12 * expected)
+
 
 class TestPerturbationDominance:
     def test_closed_form_beats_perturbed_plans(self):
@@ -185,10 +311,27 @@ class TestPerturbationDominance:
     def test_discounted_utility_of_plain_path_matches_pdv(self):
         T = h_closed_r0(FIG1_R0, 3.0).T
         b = FIG1_R0.rho / FIG1_R0.gamma
-        c_fn = lambda t: FIG1_R0.y * math.exp(b * (T - t))
+        c_fn = lambda t: FIG1_R0.y * np.exp(b * (T - t))
         assert discounted_utility(FIG1_R0, c_fn, T) == pytest.approx(
             pdv_utility(FIG1_R0, 3.0), rel=1e-12
         )
+
+
+class TestTimePathOracles:
+    def test_criteria_5_and_6_evaluate_the_path_in_array_calls(self, monkeypatch):
+        # one call per time point would be about 61,000
+        original = consumption.consumption_from_depletion_time
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (consumption, validation, checks):
+            monkeypatch.setattr(module, "consumption_from_depletion_time", counted)
+        run_criterion(5)
+        run_criterion(6)
+        assert 0 < len(calls) <= 1_000
 
 
 class TestMakeAssetGrid:
