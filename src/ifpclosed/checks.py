@@ -212,13 +212,15 @@ def check_feasibility_rk4() -> list[CheckResult]:
 
 def check_value_bound() -> list[CheckResult]:
     """Criterion 6: Lemma-style value bound and dominance over perturbed plans."""
+    v_star, perturbed = perturbed_path_values(_FIGURE1_R0, 3.0, n_paths=10, eps=0.05)
     bound_margin = math.inf
     for r in (0.0, FIGURE1_PARAMS.r):
         p = replace(FIGURE1_PARAMS, r=r)
         for mult in (0.1, 1.0, 3.0, 10.0, 100.0):
             a0 = mult * p.y
-            bound_margin = min(bound_margin, value_upper_bound(p, a0) - pdv_utility(p, a0))
-    v_star, perturbed = perturbed_path_values(_FIGURE1_R0, 3.0, n_paths=10, eps=0.05)
+            # v_star is already the optimum at (r = 0, a0 = 3)
+            value = v_star if (p, a0) == (_FIGURE1_R0, 3.0) else pdv_utility(p, a0)
+            bound_margin = min(bound_margin, value_upper_bound(p, a0) - value)
     dominance = min(v_star - v for v in perturbed)
     return [
         _positive("value_bound.margin", bound_margin),
@@ -267,7 +269,7 @@ def check_discrete_model(include_dp: bool = True) -> list[CheckResult]:
         dp_gap = float(np.max(np.abs(sol.policy - pol(grid)))) / p0.y
         elapsed = time.perf_counter() - t0
         results.append(_bounded("discrete.dp_policy_gap_over_y", dp_gap, 2e-3))
-        results.append(_bounded("discrete.dp_runtime_seconds", elapsed, 120.0))
+        results.append(_bounded("discrete.dp_runtime_seconds", elapsed, 1.0))
         # grid_dp's own stop bound, so the row shows how far inside it the solve ended
         stop = _DP_TOL * (1.0 + float(np.max(np.abs(sol.value))))
         results.append(_bounded("discrete.dp_sup_norm_residual", sol.sup_norm_residual, stop))

@@ -11,7 +11,7 @@ evaluates them from one branch offset v = 1 + w < 0 through the bounded
 factors q = (v-1)/v > 1 and s = du/v in (-1, 0):
 
     dc/da    = b*q
-    dc/dy    = (v-1)*log1p(-v)/v      (v + du = -log1p(-v))
+    dc/dy    = q*log1p(-v)            (v + du = -log1p(-v))
     d2c/da2  = -b^2/y * q/v^2
     d2c/dady = b/y * s*q/v
     d2c/dy2  = -s^2*q/y
@@ -175,7 +175,7 @@ def consumption_derivatives(params: ModelParams, a: float) -> ConsumptionDerivat
         T=T,
         c=consumption_from_depletion_time(params, T),
         dc_da=b - b / v,
-        dc_dy=(v - 1.0) * log1p_neg_v / v,
+        dc_dy=q * log1p_neg_v,
         d2c_da2=-b * b / y * q / v / v,
         d2c_dady=b / y * s * q / v,
         d2c_dy2=-s * s * q / y,

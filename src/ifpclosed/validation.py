@@ -361,14 +361,15 @@ def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
     return d
 
 
-def _pchip(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def _pchip(x: np.ndarray, y: np.ndarray) -> Callable[..., np.ndarray]:
     """Monotone piecewise-cubic Hermite (PCHIP) interpolant through (x, y).
 
     Node slopes follow Fritsch and Carlson: the weighted harmonic mean of
     the neighbouring secants, or 0 where they differ in sign or either is
     0; the end slopes use the clamped three-point rule, and two nodes give
     the straight line.  ``x`` must be strictly increasing.  The returned
-    evaluator extends the end cubics beyond [x[0], x[-1]].
+    evaluator extends the end cubics beyond [x[0], x[-1]]; called with
+    ``slopes=True`` it returns the pair (P', P'') of the same cubic pieces.
     """
     h = np.diff(x)
     m = np.diff(y) / h
@@ -395,13 +396,22 @@ def _pchip(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     left = x[:-1].copy()
     inner = x[1:-1].copy()
 
-    def evaluate(q: np.ndarray) -> np.ndarray:
+    def evaluate(q: np.ndarray, slopes: bool = False):
         i = np.searchsorted(inner, q, side="right")
         s = q - left[i]
+        if slopes:  # the first and second derivative, from the same piece
+            b2, b3 = c2[i], c3[i]
+            return c1[i] + s * (2.0 * b2 + 3.0 * b3 * s), 2.0 * b2 + 6.0 * b3 * s
         s2 = s * s
         return c0[i] + c1[i] * s + c2[i] * s2 + c3[i] * (s2 * s)
 
     return evaluate
+
+
+# Cap on a node's steps toward its first-order condition.  A bracket no wider
+# than its upper end hi falls below the 4e-16*hi width stop after 52 halvings
+# (more only where hi itself shrinks), so bisection fits under the cap.
+_FOC_STEPS = 64
 
 
 def grid_dp(
@@ -413,12 +423,20 @@ def grid_dp(
 ) -> DpSolution:
     """Value iteration for the discrete model on ``a_grid`` (must start at 0).
 
-    Bellman equation V(a) = max_c delta*u(c) + V(a')/(1 + rho*delta) with
-    a' = (1 + r*delta)*a + delta*(y - c).  The maximization is a vectorized
-    golden-section search over c in [1e-6*y, y + (1+r*delta)*a/delta]
-    (floored to keep u finite, capped so a' stays on the grid at the top
-    nodes); the continuation value is monotone-cubic (PCHIP) interpolated
-    by ``_pchip``.
+    Bellman equation V(a) = max_c delta*u(c) + beta*V(a') with
+    beta = 1/(1 + rho*delta), a' = (1 + r*delta)*a + delta*(y - c) and c in
+    [1e-6*y, y + (1+r*delta)*a/delta] (floored to keep u finite, capped so
+    a' stays on the grid at the top nodes).  The continuation value is the
+    monotone-cubic (PCHIP) interpolant P of V from ``_pchip``, whose pieces
+    give P' and P'' exactly.  Each node solves the first-order condition
+    g(c) = u'(c) - beta*P'(a') = 0.  A node takes the upper end of its
+    range when g >= 0 there and the lower end when g <= 0 there; every other
+    node keeps a bracket with g(lo) > 0 > g(hi), so it ends at a local
+    maximum.  Those take Newton steps with g' = u''(c) + beta*delta*P''(a'),
+    starting from the previous sweep's policy (the bracket midpoint on the
+    first sweep), and bisect wherever g' >= 0 or the step would leave the
+    bracket.  A node stops once its step is at most 2e-15 of c, g(c) is 0,
+    or its bracket is at most 4e-16 of its upper end wide.
     Iterates until the sup-norm value change is <= tol*(1 + |V|).
     """
     a = np.asarray(a_grid, dtype=float)
@@ -438,40 +456,46 @@ def grid_dp(
             return np.log(c)
         return c ** (1.0 - gam) / (1.0 - gam)
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    width = float(np.max(c_hi - c_lo))
-    n_golden = max(20, int(math.ceil(math.log(1e-10 / width) / math.log(invphi))))
-
-    def bellman(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def bellman(v: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         interp = _pchip(a, v)
 
-        def objective(c: np.ndarray) -> np.ndarray:
-            a_next = gross * a + delta * (y - c)
-            return delta * utility(c) + beta * interp(a_next)
+        def foc(c: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # g and g' at consumption c of the nodes with assets at
+            slope, curvature = interp(gross * at + delta * (y - c), slopes=True)
+            marginal = c**-gam
+            return marginal - beta * slope, beta * delta * curvature - gam * marginal / c
 
-        lo, hi = c_lo.copy(), c_hi.copy()
-        x1 = hi - invphi * (hi - lo)
-        x2 = lo + invphi * (hi - lo)
-        f1, f2 = objective(x1), objective(x2)
-        for _ in range(n_golden):
-            take_right = f1 < f2
-            lo = np.where(take_right, x1, lo)
-            hi = np.where(take_right, hi, x2)
-            x1_new = np.where(take_right, x2, hi - invphi * (hi - lo))
-            x2_new = np.where(take_right, lo + invphi * (hi - lo), x1)
-            f_known = np.where(take_right, f2, f1)
-            x_fresh = np.where(take_right, x2_new, x1_new)
-            f_fresh = objective(x_fresh)
-            x1, x2 = x1_new, x2_new
-            f1 = np.where(take_right, f_known, f_fresh)
-            f2 = np.where(take_right, f_fresh, f_known)
-        c_star = 0.5 * (lo + hi)
-        return objective(c_star), c_star
+        g_hi, _ = foc(c_hi, a)
+        g_lo, _ = foc(c_lo, a)
+        c_star = np.where(g_hi >= 0.0, c_hi, c_lo)
+        nodes = np.nonzero((g_hi < 0.0) & (g_lo > 0.0))[0]
+        at, lo, hi, c = a[nodes], c_lo[nodes], c_hi[nodes], guess[nodes]
+        c = np.where((lo < c) & (c < hi), c, 0.5 * (lo + hi))
+        for _ in range(_FOC_STEPS):
+            g, dg = foc(c, at)
+            lo = np.where(g > 0.0, c, lo)
+            hi = np.where(g < 0.0, c, hi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = c - g / dg
+            # a closed test: near the root the step rounds back onto c, which
+            # has just become a bracket end, and that is convergence
+            newton = (dg < 0.0) & (lo <= step) & (step <= hi)
+            c_new = np.where(g == 0.0, c, np.where(newton, step, 0.5 * (lo + hi)))
+            done = (np.abs(c_new - c) <= 2e-15 * c_new) | (hi - lo <= 4e-16 * hi)
+            c_star[nodes[done]] = c_new[done]
+            going = ~done
+            nodes, at, lo, hi = nodes[going], at[going], lo[going], hi[going]
+            c = c_new[going]
+            if nodes.size == 0:
+                break
+        c_star[nodes] = c
+        a_next = gross * a + delta * (y - c_star)
+        return delta * utility(c_star) + beta * interp(a_next), c_star
 
     v = delta * utility(np.maximum(y + r * a, 1e-6 * y)) / (1.0 - beta)
-    policy = np.full_like(a, y)
+    policy = 0.5 * (c_lo + c_hi)
     for it in range(1, max_iter + 1):
-        v_new, policy = bellman(v)
+        v_new, policy = bellman(v, policy)
         diff = float(np.max(np.abs(v_new - v)))
         v = v_new
         if diff <= tol * (1.0 + float(np.max(np.abs(v)))):

@@ -107,6 +107,11 @@ class TestEval:
         assert "nan" not in out and "inf" not in out
         assert parse_kv(out)["d2c_dy2"] < 0.0
 
+    def test_income_mpc_finite_at_tiny_income(self, capsys):
+        # a/y = 1e308: the true dc/dy is q*log1p(-v) ~ 707
+        assert main(["eval", "--r", "0", "--y", "1e-8", "--a", "1e300"]) == 0
+        assert parse_kv(capsys.readouterr().out)["dc_dy"] == pytest.approx(707.3636271784178, rel=1e-14)
+
     def test_huge_assets_converge(self, capsys):
         assert main(["eval", "--r", "0", "--a", "3e152"]) == 0
         T = parse_kv(capsys.readouterr().out)["T_numeric"]

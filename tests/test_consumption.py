@@ -267,6 +267,25 @@ class TestJacobianClosed:
             ref = r0_reference(FIG1_R0.rho, FIG1_R0.gamma, FIG1_R0.y, a)["dc_dy"]
             assert rel_err(jacobian(FIG1_R0, a)[1], ref) <= 1e-14, ratio
 
+    def test_income_mpc_finite_where_its_product_would_overflow(self):
+        # (v - 1)*log1p(-v) passes the double range from a/y ~ 1e306; q*log1p(-v) does not
+        from mp_reference import r0_reference, rel_err
+
+        p = validate(ModelParams(rho=0.08, r=0.0, gamma=0.5, y=1e-8))
+        ref = r0_reference(p.rho, p.gamma, p.y, 1e300)["dc_dy"]
+        assert rel_err(jacobian(p, 1e300)[1], ref) <= 1e-14
+
+    def test_income_mpc_array_finite_where_its_product_would_overflow(self):
+        from mp_reference import r0_reference, rel_err
+
+        p = validate(ModelParams(rho=0.08, r=0.0, gamma=0.5, y=1e-8))
+        a = np.array([3e-8, 1e290, 1e297, 1e300, 1.7e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dc_dy = consumption_derivatives(p, a).dc_dy
+        for a_i, got in zip(a.tolist(), dc_dy.tolist()):
+            assert rel_err(got, r0_reference(p.rho, p.gamma, p.y, a_i)["dc_dy"]) <= 1e-14, a_i
+
 
 class TestHessianClosed:
     def test_frozen_figure_values(self):

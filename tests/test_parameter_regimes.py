@@ -8,8 +8,9 @@ import pytest
 
 from ifpclosed.consumption import consumption_derivatives, consumption_path, discrete_policy
 from ifpclosed.depletion_map import best_depletion_time, h_approx_small_r, h_closed_r0, h_numeric, mu
-from ifpclosed.model_core import ModelParams, validate, value_upper_bound
+from ifpclosed.model_core import ModelParams, crra_utility, validate, value_upper_bound
 from ifpclosed.validation import (
+    _pchip,
     fd_gradient,
     fd_hessian,
     grid_dp,
@@ -75,6 +76,30 @@ def test_dp_agrees_with_knot_policy_at_zero_rate(p):
     pol = discrete_policy(p, 1.0, 10.0 * p.y)
     assert np.max(np.abs(sol.policy - pol(grid))) <= 5e-4 * p.y
     assert sol.policy[0] == pytest.approx(p.y, abs=1e-6)
+
+
+@pytest.mark.parametrize("p", ZERO_RATE_SETS + POSITIVE_RATE_SETS)
+def test_dp_policy_beats_a_dense_scan(p):
+    # the Bellman objective rebuilt from the converged V, scanned at 4001
+    # points of each node's consumption range [c_lo, c_hi]
+    delta = 1.0
+    grid = make_asset_grid(10.0 * p.y, 400, p.y)
+    sol = grid_dp(p, delta, grid)
+    beta = 1.0 / (1.0 + p.rho * delta)
+    gross = 1.0 + p.r * delta
+    interp = _pchip(grid, sol.value)
+
+    def objective(c, a):
+        return delta * crra_utility(c, p.gamma) + beta * interp(gross * a + delta * (p.y - c))
+
+    c_hi = p.y + gross * grid / delta
+    c_lo = np.maximum(1e-6 * p.y, (gross * grid + delta * p.y - grid[-1]) / delta)
+    at_policy = objective(sol.policy, grid)
+    share = np.linspace(0.0, 1.0, 4001)
+    for block in np.array_split(np.arange(grid.size), 8):
+        c = c_lo[block, None] + share * (c_hi - c_lo)[block, None]
+        best = np.max(objective(c, grid[block, None]), axis=1)
+        assert np.all(best - at_policy[block] <= 1e-14 * (1.0 + np.abs(sol.value[block])))
 
 
 @pytest.mark.parametrize("p", ZERO_RATE_SETS + POSITIVE_RATE_SETS)

@@ -122,16 +122,16 @@ class TestAdaptiveSimpson:
         assert nodes[0] == 3 and len(nodes) <= 12 + 2
 
     def test_criterion_6_integrals_match_the_recursion(self, monkeypatch):
-        # the 21 head integrals of criterion 6 (ten pdv_utility calls for the
-        # bound, then the optimum and ten perturbed plans), as the depth-first
-        # recursion with per-point calls returned them
+        # the 20 head integrals of criterion 6 (the optimum at a0 = 3 and ten
+        # perturbed plans, then the nine other pdv_utility calls of the
+        # bound), as the depth-first recursion with per-point calls returned them
         expected = [
-            3.765604971414273, 11.318815994643757, 18.790915095520692, 32.35201957043509,
-            91.97193575843927, 4.017244793474083, 12.021904190414896, 19.87213645551057,
-            33.98325940908206, 95.36555603329577, 11.318815994643757, 11.312484363926892,
-            11.317038517864633, 11.315848772595473, 11.317054278257821, 11.3130396568399,
-            11.317044110664067, 11.314655742103747, 11.31043027881402, 11.316093099451574,
-            11.317043266235235,
+            11.318815994643757, 11.312484363926892, 11.317038517864633, 11.315848772595473,
+            11.317054278257821, 11.3130396568399, 11.317044110664067, 11.314655742103747,
+            11.31043027881402, 11.316093099451574, 11.317043266235235,
+            3.765604971414273, 18.790915095520692, 32.35201957043509, 91.97193575843927,
+            4.017244793474083, 12.021904190414896, 19.87213645551057, 33.98325940908206,
+            95.36555603329577,
         ]
         values = []
 
@@ -386,6 +386,17 @@ class TestGridDp:
         assert sol.sup_norm_residual <= 1e-10 * (1.0 + float(np.max(np.abs(sol.value))))
         assert sol.iterations < 100
 
+    @pytest.mark.parametrize("p", [FIG1_R0, FIG1])
+    def test_constrained_node_policy_is_exactly_income(self, p):
+        # at a = 0 the upper end of the range is c = y, and the first-order
+        # condition there is >= 0, so the node takes that end exactly
+        sol = grid_dp(p, 1.0, make_asset_grid(10.0, 300, p.y))
+        assert sol.policy[0] == p.y
+
+    def test_acceptance_solve_takes_ten_sweeps(self):
+        grid = make_asset_grid(30.0, 2000, FIG1_R0.y)
+        assert grid_dp(FIG1_R0, 1.0, grid, tol=checks._DP_TOL).iterations == 10
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             grid_dp(FIG1_R0, 1.0, np.array([1.0, 2.0]))  # must start at 0
@@ -436,6 +447,16 @@ class TestPchip:
         # three-point end slope opposing the end secant (-> 0), and secants
         # changing sign with |slope| > 3*|secant| (-> 3*secant), at either end
         self.assert_matches_reference([0.0, 1.0, 2.0], y)
+
+    def test_slopes_match_reference_derivatives(self):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        x = make_asset_grid(30.0, 400, 3.0)
+        y = np.log1p(x) + 0.1 * x
+        ref = interpolate.PchipInterpolator(x, y, extrapolate=True)
+        q = np.linspace(-1.0, 31.0, 3001)
+        slope, curvature = _pchip(x, y)(q, slopes=True)
+        for got, want in ((slope, ref(q, 1)), (curvature, ref(q, 2))):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_two_nodes_give_the_line(self):
         self.assert_matches_reference([1.0, 3.0], [2.0, -4.0])
