@@ -28,6 +28,7 @@ from .depletion_map import h_closed_r0, h_numeric, mu, mu_discrete
 from .model_core import ModelParams, value_upper_bound
 from .special_functions import lambert_wm1
 from .validation import (
+    _DP_TOL,
     approximation_error_report,
     fd_gradient,
     fd_hessian,
@@ -38,7 +39,7 @@ from .validation import (
     simulate_assets,
 )
 
-__all__ = ["CheckResult", "CRITERIA", "FIGURE1_PARAMS", "run_criterion", "run_level"]
+__all__ = ["CheckResult", "CRITERIA", "FIGURE1_PARAMS", "run_level"]
 
 FIGURE1_PARAMS = ModelParams(rho=0.08, r=0.01, gamma=0.5, y=3.0)
 _FIGURE1_R0 = replace(FIGURE1_PARAMS, r=0.0)
@@ -50,9 +51,8 @@ _EPS = float(np.finfo(float).eps)
 # branch offset v = 1 + W inherit it amplified by about 1/|v|.
 _ARRAY_AGREEMENT = 1e-14
 
-# Criterion 8's value-iteration stop: grid_dp stops once the sup-norm change
-# is <= _DP_TOL*(1 + max|V|), and the residual row reports against that bound.
-_DP_TOL = 1e-10
+# Criterion 1's bound on W-1's relative residual |w*e^w - x|/|x|, scalar and array
+_RESIDUAL_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def _positive(name: str, margin: float) -> CheckResult:
     return CheckResult(name, margin, 0.0, bool(margin > 0.0))
 
 
-def check_lambert_kernel(residual_tol: float = 1e-13) -> list[CheckResult]:
+def check_lambert_kernel() -> list[CheckResult]:
     """Criterion 1: kernel residuals, round trip and runtime; the array path on the same grids."""
     xs = -np.geomspace(1.0 / math.e - 1e-12, 1e-12, 10_000)
     ws = np.linspace(-50.0, -1.0, 10_000)
@@ -93,10 +93,10 @@ def check_lambert_kernel(residual_tol: float = 1e-13) -> list[CheckResult]:
         float(np.max(np.abs(arr_trips - trips) / -arr_trips)),
     )
     return [
-        _bounded("lambert.wm1_residual", res_m1, residual_tol),
+        _bounded("lambert.wm1_residual", res_m1, _RESIDUAL_TOL),
         _bounded("lambert.round_trip", round_trip, 1e-12),
         _bounded("lambert.runtime_seconds", elapsed, 1.0),
-        _bounded("lambert.array_residual", arr_res, residual_tol),
+        _bounded("lambert.array_residual", arr_res, _RESIDUAL_TOL),
         _bounded("lambert.array_round_trip", float(np.max(np.abs(arr_trips - ws))), 1e-12),
         _bounded("lambert.array_vs_scalar", agreement, _ARRAY_AGREEMENT),
     ]
@@ -212,7 +212,7 @@ def check_feasibility_rk4() -> list[CheckResult]:
 
 def check_value_bound() -> list[CheckResult]:
     """Criterion 6: Lemma-style value bound and dominance over perturbed plans."""
-    v_star, perturbed = perturbed_path_values(_FIGURE1_R0, 3.0, n_paths=10, eps=0.05)
+    v_star, perturbed = perturbed_path_values(_FIGURE1_R0, 3.0)
     bound_margin = math.inf
     for r in (0.0, FIGURE1_PARAMS.r):
         p = replace(FIGURE1_PARAMS, r=r)
@@ -251,28 +251,20 @@ def check_small_r() -> list[CheckResult]:
     ]
 
 
-def check_discrete_model(include_dp: bool = True) -> list[CheckResult]:
+def check_discrete_model() -> list[CheckResult]:
     """Criterion 8: discrete knots, DP agreement, and the continuum limit."""
     p = FIGURE1_PARAMS
     knots = mu_discrete(p, 1.0, 40)
     knot_margin = float(np.min(np.diff(knots)))
-    results = [
-        _bounded("discrete.mu0", abs(float(knots[0])), 0.0),
-        _positive("discrete.knots_increasing_margin", knot_margin),
-    ]
     p0 = _FIGURE1_R0
-    if include_dp:
-        t0 = time.perf_counter()
-        grid = make_asset_grid(30.0, 2000, p0.y)
-        sol = grid_dp(p0, 1.0, grid, tol=_DP_TOL)
-        pol = discrete_policy(p0, 1.0, 30.0)
-        dp_gap = float(np.max(np.abs(sol.policy - pol(grid)))) / p0.y
-        elapsed = time.perf_counter() - t0
-        results.append(_bounded("discrete.dp_policy_gap_over_y", dp_gap, 2e-3))
-        results.append(_bounded("discrete.dp_runtime_seconds", elapsed, 1.0))
-        # grid_dp's own stop bound, so the row shows how far inside it the solve ended
-        stop = _DP_TOL * (1.0 + float(np.max(np.abs(sol.value))))
-        results.append(_bounded("discrete.dp_sup_norm_residual", sol.sup_norm_residual, stop))
+    t0 = time.perf_counter()
+    grid = make_asset_grid(30.0, 2000, p0.y)
+    sol = grid_dp(p0, 1.0, grid)
+    pol = discrete_policy(p0, 1.0, 30.0)
+    dp_gap = float(np.max(np.abs(sol.policy - pol(grid)))) / p0.y
+    elapsed = time.perf_counter() - t0
+    # grid_dp's own stop bound, so the row shows how far inside it the solve ended
+    stop = _DP_TOL * (1.0 + float(np.max(np.abs(sol.value))))
     a_eval = np.linspace(0.0, 10.0, 201)
     exact = consumption_path(p0, a_eval)
     gaps = []
@@ -280,8 +272,14 @@ def check_discrete_model(include_dp: bool = True) -> list[CheckResult]:
         pol = discrete_policy(p0, delta, 10.0)
         gaps.append(float(np.max(np.abs(pol(a_eval) - exact))))
     shrink_margin = min(gaps[0] - gaps[1], gaps[1] - gaps[2])
-    results.append(_positive("discrete.delta_shrink_margin", shrink_margin))
-    return results
+    return [
+        _bounded("discrete.mu0", abs(float(knots[0])), 0.0),
+        _positive("discrete.knots_increasing_margin", knot_margin),
+        _bounded("discrete.dp_policy_gap_over_y", dp_gap, 2e-3),
+        _bounded("discrete.dp_runtime_seconds", elapsed, 1.0),
+        _bounded("discrete.dp_sup_norm_residual", sol.sup_norm_residual, stop),
+        _positive("discrete.delta_shrink_margin", shrink_margin),
+    ]
 
 
 def check_figures() -> list[CheckResult]:
@@ -314,19 +312,8 @@ CRITERIA = {
 }
 
 
-def run_criterion(n: int, full: bool = True) -> list[CheckResult]:
-    """Run acceptance criterion ``n``; criterion 8 skips the DP solve unless ``full``."""
-    _, fn = CRITERIA[n]
-    if n == 8:
-        return fn(include_dp=full)
-    return fn()
-
-
 def run_level(level: str) -> list[CheckResult]:
-    """Run the quick (seconds) or full (includes the DP solve) acceptance suite."""
-    if level not in ("quick", "full"):
-        raise ValueError(f"unknown check level {level!r}")
-    results: list[CheckResult] = []
-    for n in sorted(CRITERIA):
-        results.extend(run_criterion(n, full=level == "full"))
-    return results
+    """Every row of every acceptance criterion, in order; ``level`` must be ``"full"``."""
+    if level != "full":
+        raise ValueError(f"unknown check level {level!r}; the only suite is 'full'")
+    return [row for n in sorted(CRITERIA) for row in CRITERIA[n][1]()]

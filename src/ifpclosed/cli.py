@@ -132,7 +132,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     from . import checks
 
-    results = checks.run_level(args.level)
+    results = checks.run_level("full")
     for res in results:
         print(res.line())
     failed = [r for r in results if not r.passed]
@@ -181,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.set_defaults(func=cmd_figure)
 
     p_check = sub.add_parser("check", help="run the acceptance checks")
-    p_check.add_argument("--level", choices=["quick", "full"], default="quick")
     p_check.set_defaults(func=cmd_check)
     return parser
 

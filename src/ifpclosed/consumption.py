@@ -16,10 +16,11 @@ factors q = (v-1)/v > 1 and s = du/v in (-1, 0):
     d2c/dady = b/y * s*q/v
     d2c/dy2  = -s^2*q/y
 
-so no entry forms (a/y)^2 or v^3 and dc/dy does not cancel: each is finite
-for every finite a until its value leaves the double range (d2c/da2 and
-d2c/dady, ~1/v^2, underflow from a/y ~ 1e155).  Each inherits v's error near
-the branch point: dc/da is off by 1.8e-11 at a = 1e-12 (rho 0.08, gamma 0.5, y 3).
+so no entry forms (a/y)^2 or v^3 and dc/dy does not cancel.  An entry past
+the double range (d2c/da2 at a = 1e-312, y = 1e-300) is a ValueError, never
+inf; d2c/da2 and d2c/dady, ~1/v^2, underflow from a/y ~ 1e155.  Each inherits
+v's error near the branch point: dc/da is off by 1.8e-11 at a = 1e-12 (rho
+0.08, gamma 0.5, y 3).
 Both MPCs are strictly positive, the Hessian diagonal is strictly negative
 and the cross-derivative strictly positive (supermodularity), all because
 w < -1 on the relevant domain.
@@ -32,7 +33,7 @@ discrete-time figure overlay, and the rows of the two figure CSVs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -162,24 +163,36 @@ def consumption_derivatives(params: ModelParams, a: float) -> ConsumptionDerivat
     ndarray a (the fields are then arrays).  T and c are exactly ``h_closed_r0``
     and ``consumption_path``; dc/da falls from +inf at a -> 0+ toward rho/gamma,
     and the Hessian has rank 1.  a = 0 is a domain error: w = -1 there and the
-    MPC is unbounded.
+    MPC is unbounded.  So is an entry past the double range: the ValueError
+    names the first such entry and the first a where it overflows.
     """
     if params.r != 0.0:
         raise ValueError(f"consumption_derivatives: requires r = 0, got r={params.r}")
     du, v, log1p_neg_v, T = _branch(params, a)
-    if (v == 0.0).any() if type(v) is _ndarray else v == 0.0:
+    array = type(v) is _ndarray
+    if (v == 0.0).any() if array else v == 0.0:
         raise ValueError(f"consumption_derivatives: MPC unbounded at the constraint, a={a}")
+    if array:
+        with np.errstate(over="ignore", invalid="ignore"):
+            entries = _derivative_entries(params, du, v, log1p_neg_v)
+        finite = all(np.isfinite(x).all() for x in entries)
+    else:
+        entries = _derivative_entries(params, du, v, log1p_neg_v)
+        finite = all(map(math.isfinite, entries))
+    if not finite:
+        for f, x in zip(fields(ConsumptionDerivatives)[2:], entries):
+            bad = ~np.isfinite(x)
+            if bad.any():
+                at = np.asarray(a).flat[int(np.argmax(bad))]
+                raise ValueError(f"consumption_derivatives: {f.name} overflows a double at a={at}")
+    return ConsumptionDerivatives(T, consumption_from_depletion_time(params, T), *entries)
+
+
+def _derivative_entries(params: ModelParams, du, v, log1p_neg_v) -> tuple:
+    # the five forms of the module docstring, in the order of the fields after c
     y, b = params.y, params.rho / params.gamma
     q, s = (v - 1.0) / v, du / v
-    return ConsumptionDerivatives(
-        T=T,
-        c=consumption_from_depletion_time(params, T),
-        dc_da=b - b / v,
-        dc_dy=q * log1p_neg_v,
-        d2c_da2=-b * b / y * q / v / v,
-        d2c_dady=b / y * s * q / v,
-        d2c_dy2=-s * s * q / y,
-    )
+    return (b - b / v, q * log1p_neg_v, -b * b / y * q / v / v, b / y * s * q / v, -s * s * q / y)
 
 
 def discrete_policy(params: ModelParams, delta: float, a_max: float) -> PiecewiseLinearPolicy:

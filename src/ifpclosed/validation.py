@@ -229,35 +229,36 @@ def _budget_rhs(params: ModelParams, a0: float, t: np.ndarray) -> np.ndarray:
     return a0 - params.y * np.expm1(-params.r * t) / params.r
 
 
-def perturbed_path_values(
-    params: ModelParams,
-    a0: float,
-    n_paths: int = 10,
-    eps: float = 0.05,
-    seed: int = 20240301,
-) -> tuple[float, list[float]]:
+# perturbed_path_values's plans: how many, their amplitude, their frequencies' seed
+_PERTURBED_PLANS = 10
+_PERTURBATION = 0.05
+_PERTURBATION_SEED = 20240301
+
+
+def perturbed_path_values(params: ModelParams, a0: float) -> tuple[float, list[float]]:
     """Optimality spot check: discounted utility of feasible perturbed plans.
 
-    Each perturbation multiplies the closed-form path by (1 + eps*sin(w*t))
-    for a random frequency w, then rescales by the largest factor that keeps
-    the cumulative budget inequality satisfied at every t (capped by budget
-    equality at the horizon, with a 1e-6 safety margin for the cumulative
-    quadrature).  Returns (optimal pdv, list of perturbed pdvs); every
-    perturbed value must fall strictly below the optimum.
+    Ten perturbations multiply the closed-form path by (1 + 0.05*sin(w*t)),
+    each w drawn from a fixed seed (the module constants above), then
+    rescale by the largest factor that keeps the cumulative budget
+    inequality satisfied at every t (capped by budget equality at the
+    horizon, with a 1e-6 safety margin for the cumulative quadrature).
+    Returns (optimal pdv, list of perturbed pdvs); every perturbed value must
+    fall strictly below the optimum.
     """
     T = best_depletion_time(params, a0).T
     if T <= 0.0:
         raise ValueError("perturbed_path_values: need a0 > 0 so the horizon is positive")
     v_star = pdv_utility(params, a0)
-    rng = np.random.default_rng(seed)
-    omegas = rng.uniform(1.0, 8.0, size=n_paths) * (2.0 * math.pi / T)
+    rng = np.random.default_rng(_PERTURBATION_SEED)
+    omegas = rng.uniform(1.0, 8.0, size=_PERTURBED_PLANS) * (2.0 * math.pi / T)
     tgrid = np.linspace(0.0, T, 4001)
     base = consumption_from_depletion_time(params, T, tgrid)
     disc = np.exp(-params.r * tgrid)
     rhs = _budget_rhs(params, a0, tgrid)
     values = []
     for omega in omegas:
-        shape = base * (1.0 + eps * np.sin(omega * tgrid))
+        shape = base * (1.0 + _PERTURBATION * np.sin(omega * tgrid))
         integrand = disc * shape
         cum = np.concatenate(
             ([0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(tgrid)))
@@ -265,7 +266,8 @@ def perturbed_path_values(
         scale = float(np.min(rhs[1:] / cum[1:])) * (1.0 - 1e-6)
 
         def c_tilde(t: np.ndarray, s: float = scale, w: float = omega) -> np.ndarray:
-            return s * consumption_from_depletion_time(params, T, t) * (1.0 + eps * np.sin(w * t))
+            wave = 1.0 + _PERTURBATION * np.sin(w * t)
+            return s * consumption_from_depletion_time(params, T, t) * wave
 
         values.append(discounted_utility(params, c_tilde, T))
     return v_star, values
@@ -321,11 +323,14 @@ def fd_hessian(
     return d2_aa, d2_ay, d2_yy
 
 
-def make_asset_grid(a_max: float, n: int, dense_below: float, density_ratio: float = 5.0) -> np.ndarray:
+_DENSITY_RATIO = 5.0  # make_asset_grid's node density below dense_below over that above
+
+
+def make_asset_grid(a_max: float, n: int, dense_below: float) -> np.ndarray:
     """Exponentially graded grid on [0, a_max], denser near the constraint.
 
-    Node density below ``dense_below`` is ~``density_ratio`` times the
-    density above it (curvature of the policy concentrates near a = 0).
+    Node density below ``dense_below`` is about ``_DENSITY_RATIO`` = 5 times
+    the density above it (curvature of the policy concentrates near a = 0).
     """
     if not 0.0 < dense_below < a_max:
         raise ValueError("make_asset_grid: need 0 < dense_below < a_max")
@@ -335,7 +340,7 @@ def make_asset_grid(a_max: float, n: int, dense_below: float, density_ratio: flo
         # share of nodes below dense_below for grid a = a_max*(e^(s*u)-1)/(e^s-1)
         return math.log1p(dense_below / a_max * math.expm1(s)) / s
 
-    target = density_ratio * dense_below / (density_ratio * dense_below + (a_max - dense_below))
+    target = _DENSITY_RATIO * dense_below / (_DENSITY_RATIO * dense_below + (a_max - dense_below))
     lo, hi = 1e-6, 60.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -413,14 +418,12 @@ def _pchip(x: np.ndarray, y: np.ndarray) -> Callable[..., np.ndarray]:
 # (more only where hi itself shrinks), so bisection fits under the cap.
 _FOC_STEPS = 64
 
+# grid_dp's stop: a sup-norm change of V <= _DP_TOL*(1 + max|V|), within _DP_MAX_SWEEPS
+_DP_TOL = 1e-10
+_DP_MAX_SWEEPS = 100_000
 
-def grid_dp(
-    params: ModelParams,
-    delta: float,
-    a_grid: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-) -> DpSolution:
+
+def grid_dp(params: ModelParams, delta: float, a_grid: np.ndarray) -> DpSolution:
     """Value iteration for the discrete model on ``a_grid`` (must start at 0).
 
     Bellman equation V(a) = max_c delta*u(c) + beta*V(a') with
@@ -437,7 +440,8 @@ def grid_dp(
     first sweep), and bisect wherever g' >= 0 or the step would leave the
     bracket.  A node stops once its step is at most 2e-15 of c, g(c) is 0,
     or its bracket is at most 4e-16 of its upper end wide.
-    Iterates until the sup-norm value change is <= tol*(1 + |V|).
+    Iterates until the sup-norm value change is <= _DP_TOL*(1 + max|V|) and
+    raises RuntimeError if ``_DP_MAX_SWEEPS`` sweeps do not get there.
     """
     a = np.asarray(a_grid, dtype=float)
     if a.ndim != 1 or a.size < 2 or np.any(np.diff(a) <= 0.0):
@@ -450,11 +454,6 @@ def grid_dp(
     a_top = a[-1]
     c_hi = y + gross * a / delta
     c_lo = np.maximum(1e-6 * y, (gross * a + delta * y - a_top) / delta)
-
-    def utility(c: np.ndarray) -> np.ndarray:
-        if gam == 1.0:
-            return np.log(c)
-        return c ** (1.0 - gam) / (1.0 - gam)
 
     def bellman(v: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         interp = _pchip(a, v)
@@ -490,19 +489,19 @@ def grid_dp(
                 break
         c_star[nodes] = c
         a_next = gross * a + delta * (y - c_star)
-        return delta * utility(c_star) + beta * interp(a_next), c_star
+        return delta * crra_utility(c_star, gam) + beta * interp(a_next), c_star
 
-    v = delta * utility(np.maximum(y + r * a, 1e-6 * y)) / (1.0 - beta)
+    v = delta * crra_utility(np.maximum(y + r * a, 1e-6 * y), gam) / (1.0 - beta)
     policy = 0.5 * (c_lo + c_hi)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _DP_MAX_SWEEPS + 1):
         v_new, policy = bellman(v, policy)
         diff = float(np.max(np.abs(v_new - v)))
         v = v_new
-        if diff <= tol * (1.0 + float(np.max(np.abs(v)))):
+        if diff <= _DP_TOL * (1.0 + float(np.max(np.abs(v)))):
             return DpSolution(
                 asset_grid=a, policy=policy, value=v, iterations=it, sup_norm_residual=diff
             )
-    raise RuntimeError(f"grid_dp: no convergence after {max_iter} iterations")
+    raise RuntimeError(f"grid_dp: no convergence after {_DP_MAX_SWEEPS} iterations")
 
 
 def approximation_error_report(

@@ -2,8 +2,9 @@
 
 Nothing here calls into ``ifpclosed``.  ``mu_ref`` evaluates the depletion
 map from its textbook display; ``branch_offset_ref`` solves
-v + log1p(-v) + du = 0 for the branch offset v = 1 + w with ``findroot``
-(this works where the argument -e^(-(1 + du)) of ``lambertw`` underflows),
+v + log1p(-v) + du = 0 for the branch offset v = 1 + w with ``findroot`` on
+a bracket in v < 0 (this works where the argument -e^(-(1 + du)) of
+``lambertw`` underflows, and cannot land on the W0 root v > 0),
 and ``r0_reference`` evaluates the r = 0 closed forms from the paper's
 w-displays on that root.  Importing
 this module skips the calling test when mpmath is not installed.
@@ -43,9 +44,15 @@ def branch_offset_ref(du):
 
 
 def _branch_offset(du):
-    # start on the far branch: v ~ -sqrt(2*du) near 0, ~ -du - log(du) for large du
-    v0 = -mpmath.sqrt(2 * du) if du < 1 else -du - mpmath.log(du)
-    return mpmath.findroot(lambda v: v + mpmath.log1p(-v) + du, v0)
+    # f(v) = v + log1p(-v) + du rises from -inf to f(0) = du > 0 on v < 0, and
+    # f(-2*s) < 0 for s = du + sqrt(2*du), the size of |v|; so the bracket
+    # [-2*s, 0] holds the W-1 root and not the W0 root, which is positive.  f
+    # cancels to du - v^2/2 near 0 and the solver's stop is absolute, so the
+    # solve carries log10(1/du) extra digits.
+    s = du + mpmath.sqrt(2 * du)
+    with mpmath.workdps(mpmath.mp.dps + max(0, -int(mpmath.log10(du)))):
+        v = mpmath.findroot(lambda v: v + mpmath.log1p(-v) + du, (-2 * s, 0), solver="anderson")
+    return +v
 
 
 def r0_reference(rho, gamma, y, a):

@@ -6,12 +6,12 @@ and fails if any measured value exceeds its tolerance.
 
 import pytest
 
-from ifpclosed.checks import CRITERIA, run_criterion
+from ifpclosed.checks import CRITERIA
 
 
 def run_and_report(n):
-    results = run_criterion(n, full=True)
-    title = CRITERIA[n][0]
+    title, criterion = CRITERIA[n]
+    results = criterion()
     for res in results:
         print(f"criterion {n} ({title}): {res.line()}")
     bad = [r for r in results if not r.passed]
@@ -55,8 +55,7 @@ def test_criterion_9_figure_reproduction():
 
 
 def test_criterion_8_reports_the_dp_residual_against_its_stop_bound():
-    row = {r.name: r for r in run_criterion(8, full=True)}["discrete.dp_sup_norm_residual"]
+    row = {r.name: r for r in CRITERIA[8][1]()}["discrete.dp_sup_norm_residual"]
     assert row.passed and 0.0 < row.measured <= row.tolerance
     # 1e-10*(1 + max|V|), the bound grid_dp stops at: |V| is tens here
     assert 1e-9 <= row.tolerance <= 1e-8
-    assert "discrete.dp_sup_norm_residual" not in {r.name for r in run_criterion(8, full=False)}

@@ -1,4 +1,7 @@
-"""Public surface: every ``__all__`` entry exists and every package re-export is listed."""
+"""Public surface: every ``__all__`` entry exists and every package re-export is listed.
+
+Also the layering: each module imports only modules before it in ``MODULES``.
+"""
 
 import ast
 import importlib
@@ -8,6 +11,7 @@ import pytest
 
 import ifpclosed
 
+# kernel -> model -> depletion map -> consumption -> validation -> checks -> cli
 MODULES = ("special_functions", "model_core", "depletion_map", "consumption",
            "validation", "checks", "cli")
 
@@ -43,3 +47,15 @@ def test_parameters_validated_only_by_their_type():
                 if name == "validate":
                     calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_imports_only_earlier_layers(name):
+    # every relative import, function-level ones such as cli's ``from . import checks`` too
+    path = Path(ifpclosed.__file__).with_name(f"{name}.py")
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported |= {node.module} if node.module else {alias.name for alias in node.names}
+    assert imported <= set(MODULES)
+    assert [m for m in imported if MODULES.index(m) >= MODULES.index(name)] == []

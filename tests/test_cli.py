@@ -348,26 +348,37 @@ class TestFigure:
 
 
 class TestCheck:
-    def test_quick_level_passes(self, capsys):
-        rc = main(["check", "--level", "quick"])
-        out = capsys.readouterr().out
+    def test_prints_every_row_of_the_suite(self, capsys):
+        rc = main(["check"])
+        lines = capsys.readouterr().out.splitlines()
+        rows = checks.run_level("full")
         assert rc == 0
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 20
+        assert len(rows) == 33
+        assert [line.split()[1] for line in lines[:-1]] == [r.name for r in rows]
+        assert all(line.startswith("PASS  ") for line in lines[:-1])
+        assert lines[-1] == "PASS: 33/33 checks"
 
-    def test_unknown_level_exits_2(self):
+    def test_unknown_level_exits_2(self, capsys):
+        # one suite: check takes no --level, not even the old "full"
         with pytest.raises(SystemExit) as err:
-            main(["check", "--level", "bogus"])
+            main(["check", "--level", "full"])
         assert err.value.code == 2
+        assert capsys.readouterr().out == ""
 
-    def test_broken_tolerance_fails(self):
-        results = checks.check_lambert_kernel(residual_tol=1e-30)
-        assert any(not r.passed for r in results)
+    def test_only_the_full_suite_exists(self):
+        with pytest.raises(ValueError, match="unknown check level 'quick'"):
+            checks.run_level("quick")
+
+    def test_broken_tolerance_fails(self, monkeypatch):
+        monkeypatch.setattr(checks, "_RESIDUAL_TOL", 1e-30)
+        results = checks.check_lambert_kernel()
+        assert [r.name for r in results if not r.passed] == [
+            "lambert.wm1_residual", "lambert.array_residual"]
 
     def test_failed_check_exits_1(self, monkeypatch, capsys):
         fake = [checks.CheckResult("forced.failure", 1.0, 0.5, False)]
         monkeypatch.setattr(checks, "run_level", lambda level: fake)
-        rc = main(["check", "--level", "quick"])
+        rc = main(["check"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
 
@@ -388,7 +399,10 @@ class TestRuleCheckedOnce:
          ["sweep", "jacobian", "--r", "0.01", "--a-min", "1", "--a-max", "2", "--n", "5"],
          ["sweep", "jacobian", "--r", "0", "--a-min", "0", "--a-max", "2", "--n", "5"],
          ["figure", "--which", "1", "--r", "0"],
-         ["figure", "--which", "1", "--r", "0.01", "--delta", "1e-7", "--n", "5"]],
+         ["figure", "--which", "1", "--r", "0.01", "--delta", "1e-7", "--n", "5"],
+         ["eval", "--r", "0", "--y", "1e-300", "--a", "1e-312"],
+         ["sweep", "jacobian", "hessian", "--r", "0", "--y", "1e-300",
+          "--a-min", "1e-312", "--a-max", "1e-300", "--n", "3"]],
     )
     def test_exit_2_writes_nothing(self, argv, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

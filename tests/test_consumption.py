@@ -362,6 +362,22 @@ class TestConsumptionDerivatives:
         with pytest.raises(ValueError, match="finite a"):
             consumption_derivatives(FIG1_R0, a)
 
+    # a/y = 1e-12 at y = 1e-300: d2c/da2 ~ -(b^2/y)/|v|^3 is about -1e316
+    TINY_INCOME = validate(ModelParams(rho=0.08, r=0.0, gamma=0.5, y=1e-300))
+
+    def test_entry_past_the_double_range_raises(self):
+        with pytest.raises(ValueError, match=r"d2c_da2 overflows a double at a=1e-312$"):
+            consumption_derivatives(self.TINY_INCOME, 1e-312)
+
+    def test_array_entry_past_the_double_range_raises_without_warning(self):
+        a = np.array([1e-290, 1e-300, 1e-312, 1e-313])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"d2c_da2 overflows a double at a=1e-312$"):
+                consumption_derivatives(self.TINY_INCOME, a)
+            d = consumption_derivatives(self.TINY_INCOME, a[:2])
+        assert all(np.isfinite(getattr(d, f)).all() for f in vars(d))
+
 
 class TestDiscretePolicy:
     def test_income_at_constraint(self):

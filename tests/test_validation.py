@@ -11,7 +11,7 @@ import pytest
 
 import ifpclosed
 from ifpclosed import checks, consumption, validation
-from ifpclosed.checks import run_criterion
+from ifpclosed.checks import CRITERIA
 from ifpclosed.consumption import consumption_from_depletion_time, discrete_policy
 from ifpclosed.depletion_map import best_depletion_time, h_closed_r0, h_numeric, mu
 from ifpclosed.model_core import ModelParams, crra_utility, validate, value_upper_bound
@@ -140,7 +140,7 @@ class TestAdaptiveSimpson:
             return values[-1]
 
         monkeypatch.setattr(validation, "adaptive_simpson", recorded)
-        run_criterion(6)
+        CRITERIA[6][1]()
         assert len(values) == len(expected)
         assert np.all(np.abs(np.subtract(values, expected)) <= 1e-13 * np.abs(expected))
 
@@ -299,7 +299,7 @@ class TestSimulateAssets:
 
 class TestPerturbationDominance:
     def test_closed_form_beats_perturbed_plans(self):
-        v_star, values = perturbed_path_values(FIG1_R0, 3.0, n_paths=10, eps=0.05)
+        v_star, values = perturbed_path_values(FIG1_R0, 3.0)
         assert len(values) == 10
         assert all(v < v_star for v in values)
 
@@ -329,8 +329,8 @@ class TestTimePathOracles:
 
         for module in (consumption, validation, checks):
             monkeypatch.setattr(module, "consumption_from_depletion_time", counted)
-        run_criterion(5)
-        run_criterion(6)
+        CRITERIA[5][1]()
+        CRITERIA[6][1]()
         assert 0 < len(calls) <= 1_000
 
 
@@ -395,7 +395,7 @@ class TestGridDp:
 
     def test_acceptance_solve_takes_ten_sweeps(self):
         grid = make_asset_grid(30.0, 2000, FIG1_R0.y)
-        assert grid_dp(FIG1_R0, 1.0, grid, tol=checks._DP_TOL).iterations == 10
+        assert grid_dp(FIG1_R0, 1.0, grid).iterations == 10
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
