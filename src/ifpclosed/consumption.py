@@ -19,8 +19,8 @@ factors q = (v-1)/v > 1 and s = du/v in (-1, 0):
 so no entry forms (a/y)^2 or v^3 and dc/dy does not cancel.  An entry past
 the double range (d2c/da2 at a = 1e-312, y = 1e-300) is a ValueError, never
 inf; d2c/da2 and d2c/dady, ~1/v^2, underflow from a/y ~ 1e155.  Each inherits
-v's error near the branch point: dc/da is off by 1.8e-11 at a = 1e-12 (rho
-0.08, gamma 0.5, y 3).
+v's error, which is at the rounding level on the whole branch: dc/da is off by
+9.8e-17 at a = 1e-12 (rho 0.08, gamma 0.5, y 3).
 Both MPCs are strictly positive, the Hessian diagonal is strictly negative
 and the cross-derivative strictly positive (supermodularity), all because
 w < -1 on the relevant domain.
@@ -174,7 +174,8 @@ def consumption_derivatives(params: ModelParams, a: float) -> ConsumptionDerivat
         raise ValueError(f"consumption_derivatives: MPC unbounded at the constraint, a={a}")
     if array:
         with np.errstate(over="ignore", invalid="ignore"):
-            entries = _derivative_entries(params, du, v, log1p_neg_v)
+            # asarray: numpy turns 0-d arithmetic into scalars
+            entries = [np.asarray(x) for x in _derivative_entries(params, du, v, log1p_neg_v)]
         finite = all(np.isfinite(x).all() for x in entries)
     else:
         entries = _derivative_entries(params, du, v, log1p_neg_v)

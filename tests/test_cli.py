@@ -1,11 +1,14 @@
 """Command-line interface: flags, CSV emission, exit codes."""
 
 import math
+import os
+import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import ifpclosed
 from ifpclosed import checks, depletion_map, special_functions
 from ifpclosed.cli import main, sweep_grid
 from ifpclosed.consumption import discrete_policy, figure_rows
@@ -202,6 +205,22 @@ class TestSweep:
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
         assert "overflows" in captured.err
+
+    def test_huge_assets_write_nothing_to_stderr(self, tmp_path):
+        # sweep rows are numpy scalars, which warn on stderr for any overflowing
+        # intermediate; run in a fresh interpreter, where such a warning is printed
+        src = os.path.dirname(os.path.dirname(os.path.abspath(ifpclosed.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        argv = ["sweep", "c", "T", "jacobian", "hessian", "--r", "0", "--y", "0.001",
+                "--a-min", "1e200", "--a-max", "1e300", "--n", "3", "--out", str(tmp_path / "s.csv")]
+        code = f"import sys\nfrom ifpclosed.cli import main\nsys.exit(main({argv!r}))\n"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0 and out.stderr == ""
+        _, rows = read_csv(tmp_path / "s.csv")
+        assert len(rows) == 3 and all(math.isfinite(float(x)) for row in rows for x in row)
 
     def test_n_too_small(self, capsys):
         rc = main(["sweep", "c", "--a-min", "0", "--a-max", "2", "--n", "1"])

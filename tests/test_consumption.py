@@ -369,6 +369,13 @@ class TestConsumptionDerivatives:
         with pytest.raises(ValueError, match=r"d2c_da2 overflows a double at a=1e-312$"):
             consumption_derivatives(self.TINY_INCOME, 1e-312)
 
+    def test_zero_d_array_gives_zero_d_array_fields(self):
+        d = consumption_derivatives(FIG1_R0, np.array(3.0))
+        point = consumption_derivatives(FIG1_R0, 3.0)
+        for name, value in vars(d).items():
+            assert type(value) is np.ndarray and value.shape == (), name
+            assert value == getattr(point, name), name
+
     def test_array_entry_past_the_double_range_raises_without_warning(self):
         a = np.array([1e-290, 1e-300, 1e-312, 1e-313])
         with warnings.catch_warnings():

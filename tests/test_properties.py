@@ -276,8 +276,8 @@ def test_scalar_entry_points_return_python_floats(p, ratio):
     assert all(type(value) is float for value in values)
 
 
-# The kernel's error against 60-digit mpmath, as the README quotes it (two digits)
-README_TABLE = {1e-4: "2.7e-15", 1e-8: "5.8e-13", 1e-12: "4.1e-11", 1e-15: "6.4e-10"}
+# The kernel's error against 50-digit mpmath, as the README quotes it (two digits)
+README_TABLE = {1e-4: "4.5e-17", 1e-8: "1.4e-17", 1e-12: "5.4e-17", 1e-15: "8.2e-17"}
 
 
 @pytest.mark.parametrize("path", ["array", "scalar"])

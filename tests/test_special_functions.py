@@ -1,10 +1,12 @@
-"""Lambert W kernel tests against an independent bisection oracle."""
+"""Lambert W kernel tests against an independent bisection oracle and mpmath."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from ifpclosed import special_functions
 from ifpclosed.special_functions import (
     BRANCH_EPS,
     _wm1_offset_guess,
@@ -140,12 +142,12 @@ class TestNegExpForm:
 
     def test_offset_precision_near_branch(self):
         # offset must track the branch series v = -(p + p^2/3 + 11 p^3/72 + ...)
-        # down to the residual's rounding floor (~1e-10 relative), far below
-        # the ulp(1) absolute noise that iterating in w itself would leave
+        # to the last bits, far below the ulp(1) absolute noise that iterating
+        # in w itself would leave
         for du in (1e-12, 1e-8, 1e-4):
             v = wm1_neg_exp_offset(du)
             p = math.sqrt(2.0 * du)
-            assert abs(v + p * (1.0 + p / 3.0)) <= 0.2 * p**3 + 1e-10 * p
+            assert abs(v + p * (1.0 + p / 3.0)) <= 0.2 * p**3 + 1e-15 * p
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -157,3 +159,74 @@ class TestNegExpForm:
     def test_overflowed_offset_rejected(self, du):
         with pytest.raises(ValueError, match="overflowed"):
             wm1_neg_exp_offset(du)
+
+    @pytest.mark.parametrize("path", ["scalar", "array"])
+    def test_no_intermediate_overflows(self, path):
+        # numpy scalars warn where Python floats overflow silently, so the
+        # np.float64 path shows any intermediate that leaves the double range
+        du = np.array([0.3, 0.7, 2.0, 1e10, 1e100, 1e300, 1.7e308, np.finfo(float).max])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = wm1_neg_exp_offset(du) if path == "array" else [wm1_neg_exp_offset(x) for x in du]
+        big = du > 1e10
+        # v = -du - log(-w): the log term is below an ulp of du out there
+        assert np.array_equal(np.array(v)[big], -du[big])
+        assert np.all(np.isfinite(v)) and np.all(np.array(v) < 0.0)
+
+
+class TestAgainstMpmath:
+    @pytest.mark.parametrize("path", ["scalar", "array"])
+    def test_full_relative_precision_on_the_whole_branch(self, path):
+        from mp_reference import branch_offset_ref, rel_err
+
+        du = np.geomspace(1e-15, 1e12, 271)  # ten points a decade
+        v = wm1_neg_exp_offset(du) if path == "array" else [wm1_neg_exp_offset(float(x)) for x in du]
+        worst = max(rel_err(v_x, branch_offset_ref(x)) for x, v_x in zip(du, v))
+        assert worst <= 1e-15
+
+
+def count_halley_steps(monkeypatch):
+    """Record one entry per Halley step: each step takes a value of ``range(_MAX_ITER)``."""
+    steps = []
+
+    def counted_range(*args):
+        for i in range(*args):
+            if args == (special_functions._MAX_ITER,):
+                steps.append(i)
+            yield i
+
+    monkeypatch.setattr(special_functions, "range", counted_range, raising=False)
+    return steps
+
+
+# Criterion 1's grids: x across the branch, and the round trip of w in [-50, -1]
+_WS = np.linspace(-50.0, -1.0, 10_000)
+CRITERION_1_GRIDS = {
+    "residual": -np.geomspace(1.0 / math.e - 1e-12, 1e-12, 10_000),
+    "round_trip": _WS * np.exp(_WS),
+}
+
+
+class TestHalleySteps:
+    """The start and the stop make most calls finish in one or two Halley steps."""
+
+    @pytest.mark.parametrize("grid", list(CRITERION_1_GRIDS))
+    def test_scalar_mean_steps(self, grid, monkeypatch):
+        xs = CRITERION_1_GRIDS[grid].tolist()
+        steps = count_halley_steps(monkeypatch)
+        for x in xs:
+            lambert_wm1(x)
+        assert len(steps) / len(xs) <= 2.1
+
+    @pytest.mark.parametrize("grid", list(CRITERION_1_GRIDS))
+    def test_array_rounds(self, grid, monkeypatch):
+        # 10k elements are five blocks of _BLOCK; each round is one masked step
+        steps = count_halley_steps(monkeypatch)
+        lambert_wm1(CRITERION_1_GRIDS[grid])
+        assert len(steps) <= 12
+
+    def test_an_exact_start_takes_one_step(self, monkeypatch):
+        # du = 1e-10: the series start is exact to rounding, so one step ends the call
+        steps = count_halley_steps(monkeypatch)
+        assert wm1_neg_exp_offset(1e-10) < 0.0
+        assert len(steps) == 1
