@@ -68,12 +68,12 @@ class CheckResult:
 
 
 def _bounded(name: str, measured: float, tol: float) -> CheckResult:
-    return CheckResult(name, measured, tol, bool(measured <= tol))
+    return CheckResult(name, float(measured), tol, bool(measured <= tol))
 
 
 def _positive(name: str, margin: float) -> CheckResult:
     # Margin checks: pass when the measured margin is strictly positive.
-    return CheckResult(name, margin, 0.0, bool(margin > 0.0))
+    return CheckResult(name, float(margin), 0.0, bool(margin > 0.0))
 
 
 def check_lambert_kernel() -> list[CheckResult]:
@@ -83,9 +83,10 @@ def check_lambert_kernel() -> list[CheckResult]:
     arr_m1, arr_trips = lambert_wm1(xs), lambert_wm1(ws * np.exp(ws))
     arr_res = float(np.max(np.abs(arr_m1 * np.exp(arr_m1) - xs) / -xs))
     t0 = time.perf_counter()
-    ws_m1 = [lambert_wm1(x) for x in xs]
-    res_m1 = max(abs(w * math.exp(w) - x) / abs(x) for x, w in zip(xs, ws_m1))
-    trips = np.fromiter((lambert_wm1(w * math.exp(w)) for w in ws), float, ws.size)
+    # memoryviews hand the timed scalar calls Python floats, not numpy scalars
+    ws_m1 = [lambert_wm1(x) for x in memoryview(xs)]
+    res_m1 = max(abs(w * math.exp(w) - x) / abs(x) for x, w in zip(memoryview(xs), ws_m1))
+    trips = np.fromiter((lambert_wm1(w * math.exp(w)) for w in memoryview(ws)), float, ws.size)
     round_trip = float(np.max(np.abs(trips - ws)))
     elapsed = time.perf_counter() - t0
     agreement = max(

@@ -173,7 +173,8 @@ def _branch(params: ModelParams, a: float | np.ndarray) -> tuple:
     if type(a) is _ndarray:
         if a.ndim == 0:  # numpy turns 0-d results into scalars, which take the scalar path
             return tuple(x.reshape(()) for x in _branch(params, a.reshape(1)))
-        du = big_b * a / (params.gamma * params.y)
+        with np.errstate(over="ignore"):  # an overflowed du is the ValueError below
+            du = big_b * a / (params.gamma * params.y)
         for bad in a[~((a >= 0.0) & (du < math.inf))][:1]:
             _branch(params, float(bad))  # raises the scalar path's error
         v = wm1_neg_exp_offset(du)

@@ -10,13 +10,20 @@ branch offset 1 + W-1(-exp(-(1 + du))).  It stays accurate arbitrarily
 deep into the tail where -exp(-u) itself would underflow, and it sidesteps
 the catastrophic cancellation of forming 1 + e*x near the branch point.
 Near the branch point the residual is a series free of v + log1p(-v)'s
-cancellation; v is within 2.7e-16 relative of 50-digit mpmath on 2701
+cancellation; v is within 3.0e-16 relative of 50-digit mpmath on 2701
 log-spaced du in [1e-15, 1e12] on both paths (1.8 ulp at du ~ 0.1-1).
 
-Algorithm: series / asymptotic initial guess followed by Halley iteration
-(Corless, Gonnet, Hare, Jeffrey & Knuth 1996 style) on the log form of the
-defining equation, written in the branch offset so it is well scaled on
-the whole branch.
+Algorithm: a start within 1.8e-6 relative of the root, then one step of
+Householder's method of degree 3 (order four) on the log form of the defining
+equation, in the branch offset so it is well scaled on the whole branch.  The
+step leaves at most 1.1e-25 in exact arithmetic, so its rounded result is
+final and there is no iteration (Fritsch, Shafer & Crowley 1973; Veberic 2012).
+The start is the branch series (Corless et al. 1996) below du = 0.02, a
+degree-7 polynomial in sqrt(du) up to du = 25, and the asymptotic series
+beyond.  The polynomial is a least-squares fit of v, in the Chebyshev basis,
+at 400 Chebyshev nodes of sqrt(du) on [sqrt(0.02), 5] against 40-digit mpmath,
+reweighted by |relative error|^0.3 sixty times toward the minimax error
+(1.0e-6), then converted to monomials.
 """
 
 from __future__ import annotations
@@ -39,30 +46,45 @@ BRANCH_EPS = 4.0 * math.ulp(1.0 / math.e)
 # |du/dx| = e at the branch point, so this matches BRANCH_EPS to first order.
 _U_EPS = 4.0 * math.ulp(1.0)
 
-_MAX_ITER = 30
-# Halley is cubic: a step of relative size m leaves an error ~m^3, so a step this small is final.
-_STOP = 1e-6
 _NEAR_BRANCH = -0.5  # above this v the residual is summed by _phi_near_branch
 _ndarray = np.ndarray  # the array paths take exactly this type; bound once for a cheap test
 _BLOCK = 2048
+_SERIES_TO, _ASYMPTOTIC_FROM = 0.02, 25.0  # where the start's three regions meet
 
 
-def _wm1_offset_guess(du: float) -> float:
-    """Initial guess for v = 1 + W-1(-exp(-(1 + du))), du > 0.
+def _branch_series(p):
+    # 1 + W-1 = -p - p^2/3 - 11 p^3/72 - 43 p^4/540 - 769 p^5/17280 - 221 p^6/8505 - ...
+    tail = 43 / 540 + p * (769 / 17280 + p * (221 / 8505))
+    return -p * (1.0 + p * (1 / 3 + p * (11 / 72 + p * tail)))
 
-    Below du = 0.6 the branch series in p = sqrt(-2*expm1(-du)) to p^6, from
-    du = 0.6 on the asymptotic form w ~ -u - L - L/u + L(L-2)/(2u^2) in
-    u = 1 + du and L = log(u), written so no product overflows at du ~ 1e308.
-    Either is within 2% of v where they meet, and far closer away from there.
-    """
-    if du < 0.6:
-        p = math.sqrt(-2.0 * math.expm1(-du))
-        # 1 + W-1 = -p - p^2/3 - 11 p^3/72 - 43 p^4/540 - 769 p^5/17280 - 221 p^6/8505 - ...
-        tail = 43 / 540 + p * (769 / 17280 + p * (221 / 8505))
-        return -p * (1.0 + p * (1 / 3 + p * (11 / 72 + p * tail)))
-    log_u = math.log1p(du)
+
+def _sqrt_du_poly(s):
+    # v in s = sqrt(du) on [0.02, 25], within 1.0e-6 relative; the fit is in the module docstring
+    tail = 0.015561556905724487 + s * (-0.0022559769542965817 + s * (
+        0.00020432546293953438 - 8.43636054992978e-06 * s))
+    head = -0.6666884472957597 + s * (-0.07881391823337144 + s * tail)
+    return -2.960187195810704e-06 + s * (-1.4141879007704798 + s * head)
+
+
+def _asymptotic(log_u, du):
+    # w ~ -u - L - L/u + L(L-2)/(2u^2) in u = 1 + du and L = log(u), with no product that overflows
     l_u = log_u / (1.0 + du)
     return l_u * ((0.5 * log_u - 1.0) / (1.0 + du)) - l_u - log_u - du
+
+
+def _wm1_offset_guess(du):
+    """The start (regions in the module docstring): within 1.8e-6 relative of v for du > 0."""
+    if type(du) is _ndarray:  # the polynomial, clamped to stay finite, then the other regions
+        v = _sqrt_du_poly(np.sqrt(np.minimum(du, _ASYMPTOTIC_FROM)))
+        near, far = du < _SERIES_TO, du >= _ASYMPTOTIC_FROM
+        v[near] = _branch_series(np.sqrt(-2.0 * np.expm1(-du[near])))
+        v[far] = _asymptotic(np.log1p(du[far]), du[far])
+        return v
+    if du < _SERIES_TO:
+        return _branch_series(math.sqrt(-2.0 * math.expm1(-du)))
+    if du < _ASYMPTOTIC_FROM:
+        return _sqrt_du_poly(math.sqrt(du))
+    return _asymptotic(math.log1p(du), du)
 
 
 def _phi_near_branch(v, du):
@@ -76,24 +98,45 @@ def _phi_near_branch(v, du):
     return (du - half_v2) - s * (half_v2 + 2.0 * s2 * tail)
 
 
+def _phi(v, du):
+    # phi(v) = v + log1p(-v) + du with each regime's leading cancellation exact: the series has
+    # none; then v cancels log1p(-v)'s linear part; far out v + du cancels within Sterbenz range
+    if type(v) is _ndarray:
+        log1p_neg_v = np.log1p(-v)
+        phi = np.where(v > -2.5, (v + log1p_neg_v) + du, (v + du) + log1p_neg_v)
+        near = v > _NEAR_BRANCH
+        phi[near] = _phi_near_branch(v[near], du[near])
+        return phi
+    if v > _NEAR_BRANCH:
+        return _phi_near_branch(v, du)
+    if v > -2.5:
+        return (v + math.log1p(-v)) + du
+    return (v + du) + math.log1p(-v)
+
+
+def _step(v, du):
+    # Householder on phi' = -v/(1-v), phi'' = -1/(1-v)^2, phi''' = -2/(1-v)^3; t, q never overflow
+    t = _phi(v, du) / v
+    q = t / v
+    return v + t * (1.0 - v) * (1.0 + 0.5 * q) / (1.0 + q + t * q / 3.0)
+
+
 def wm1_neg_exp_offset(du: float | np.ndarray) -> float | np.ndarray:
     """The branch offset v = 1 + W-1(-exp(-(1 + du))) for du >= 0.
 
-    Iterating in the offset keeps v relatively accurate near the branch
-    point (measured bounds in the module docstring), where w itself would
-    only be known to an absolute ulp of 1; downstream formulas that divide
-    by 1 + w need exactly this.  Solves phi(v) = v + log1p(-v) + du = 0
-    (the log form of w*exp(w) = -exp(-u)) by Halley's method until a step
-    moves v by at most ``_STOP`` relative; exact 0.0 is returned for du within
-    ``_U_EPS`` of the branch point.  Valid for any finite du, in particular far
-    beyond du ~ 745 where -exp(-u) underflows to -0.0, and no intermediate
-    overflows; du = inf (an overflowed input) is a ValueError.
+    Working in the offset keeps v relatively accurate near the branch point
+    (measured bounds in the module docstring), where w itself would only be
+    known to an absolute ulp of 1; downstream formulas that divide by 1 + w
+    need exactly this.  v solves phi(v) = v + log1p(-v) + du = 0 (the log form
+    of w*exp(w) = -exp(-u)) by a three-region start and one fourth-order step,
+    with no loop; 0.0 for du within ``_U_EPS`` of the branch point.  Valid for
+    any finite du, far beyond du ~ 745 where -exp(-u) underflows to -0.0, with
+    no intermediate overflow; du = inf (an overflowed input) is a ValueError.
 
-    An ndarray ``du`` takes one masked numpy Halley iteration: the same guess
-    and step, each element stopping by the rule above.  99.3% of values are
-    bit-equal to the scalar kernel's and w = v - 1 agrees to 2 ulp; where
-    numpy's log1p rounds apart from libm's (du ~ 1e-3..10), v differs by up to
-    5.1e-16 relative (4e5 du in 1e-14..1e12).
+    An ndarray ``du`` takes the same start and step in numpy, one residual per
+    block of ``_BLOCK`` elements.  On 4e5 du in 1e-14..1e12, 99.5% of values are
+    bit-equal to the scalar kernel's and w = v - 1 agrees to 2 ulp; where numpy's
+    log1p rounds apart from libm's (du ~ 1e-3..10), v differs by up to 5.1e-16.
     """
     if type(du) is _ndarray:
         return _wm1_offset_array(du)
@@ -103,30 +146,7 @@ def wm1_neg_exp_offset(du: float | np.ndarray) -> float | np.ndarray:
         raise ValueError(f"wm1_neg_exp_offset: need du >= 0, got du={du!r}")
     if du <= _U_EPS:
         return 0.0
-    v = _wm1_offset_guess(du)
-    prev_move = math.inf
-    for it in range(_MAX_ITER):
-        # Grouping keeps the leading cancellation exact in each regime: near
-        # the branch the series has none; then v and the linear part of
-        # log1p(-v) cancel; far out v + du cancels to -log(-w) within Sterbenz range.
-        if v > _NEAR_BRANCH:
-            phi = _phi_near_branch(v, du)
-        elif v > -2.5:
-            phi = (v + math.log1p(-v)) + du
-        else:
-            phi = (v + du) + math.log1p(-v)
-        # Halley on phi' = -v/(1 - v), phi'' = -1/(1 - v)^2, with t = phi/v: no term overflows
-        t = phi / v
-        v_new = v + t * (1.0 - v) / (1.0 + 0.5 * t / v)
-        if v_new >= 0.0:  # overshot past the branch value; bisect toward it
-            v_new = 0.5 * v
-        move = abs(v_new - v)
-        # Second clause: steps have hit the rounding floor of phi.
-        if move <= -_STOP * v_new or (it >= 2 and move >= prev_move):
-            return v_new
-        prev_move = move
-        v = v_new
-    return v  # still moving at the cap: the last iterate
+    return _step(_wm1_offset_guess(du), du)
 
 
 def _wm1_offset_array(du: np.ndarray) -> np.ndarray:
@@ -138,29 +158,7 @@ def _wm1_offset_array(du: np.ndarray) -> np.ndarray:
     for start in range(0, live.size, _BLOCK):
         idx = live[start : start + _BLOCK]
         d = du.reshape(-1)[idx].astype(float)
-        p = np.sqrt(-2.0 * np.expm1(-np.minimum(d, 0.6)))  # _wm1_offset_guess, element-wise
-        tail = 43 / 540 + p * (769 / 17280 + p * (221 / 8505))
-        v = -p * (1.0 + p * (1 / 3 + p * (11 / 72 + p * tail)))
-        log_u = np.log1p(d)
-        l_u = log_u / (1.0 + d)
-        v = np.where(d < 0.6, v, l_u * ((0.5 * log_u - 1.0) / (1.0 + d)) - l_u - log_u - d)
-        prev_move = math.inf
-        for it in range(_MAX_ITER):
-            log1p_neg_v = np.log1p(-v)
-            phi = np.where(v > -2.5, (v + log1p_neg_v) + d, (v + d) + log1p_neg_v)
-            near = v > _NEAR_BRANCH
-            if near.any():
-                phi[near] = _phi_near_branch(v[near], d[near])
-            t = phi / v
-            v_new = v + t * (1.0 - v) / (1.0 + 0.5 * t / v)
-            v_new = np.where(v_new >= 0.0, 0.5 * v, v_new)
-            move = np.abs(v_new - v)
-            done = (move <= -_STOP * v_new) | ((it >= 2) & (move >= prev_move))  # v_new < 0
-            flat[idx[done]] = v_new[done]
-            idx, d, v, prev_move = idx[~done], d[~done], v_new[~done], move[~done]
-            if not idx.size:
-                break
-        flat[idx] = v  # still moving at the cap: the last iterate, as in the scalar path
+        flat[idx] = _step(_wm1_offset_guess(d), d)
     return out
 
 

@@ -377,6 +377,12 @@ class TestCheck:
         assert all(line.startswith("PASS  ") for line in lines[:-1])
         assert lines[-1] == "PASS: 33/33 checks"
 
+    def test_every_measured_value_is_a_python_float(self):
+        # a numpy scalar would print as np.float64(...) in a repr of the row
+        rows = checks.run_level("full")
+        assert [r.name for r in rows if type(r.measured) is not float] == []
+        assert len(rows) == 33
+
     def test_unknown_level_exits_2(self, capsys):
         # one suite: check takes no --level, not even the old "full"
         with pytest.raises(SystemExit) as err:

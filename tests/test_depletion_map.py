@@ -5,10 +5,12 @@ bisection) before being pinned here.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from ifpclosed.consumption import consumption_derivatives, consumption_path
 from ifpclosed.depletion_map import (
     best_depletion_time,
     h_approx_small_r,
@@ -311,6 +313,15 @@ class TestOverflowingExponentOffset:
         p = validate(ModelParams(rho=0.08, r=r, gamma=0.5, y=0.001))
         with pytest.raises(ValueError, match="overflows"):
             inverse(p, a)
+
+    @pytest.mark.parametrize(
+        "fn", [h_closed_r0, h_approx_small_r, consumption_path, consumption_derivatives])
+    def test_array_raises_without_a_warning_first(self, fn):
+        p = ModelParams(rho=0.08, r=0.0, gamma=0.5, y=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                fn(p, np.array([3.0, 1.7e308]))
 
 
 class TestBestDepletionTime:

@@ -185,18 +185,16 @@ class TestAgainstMpmath:
         assert worst <= 1e-15
 
 
-def count_halley_steps(monkeypatch):
-    """Record one entry per Halley step: each step takes a value of ``range(_MAX_ITER)``."""
-    steps = []
+def count_residuals(monkeypatch):
+    """Record the size of every residual evaluation the kernel makes."""
+    sizes, phi = [], special_functions._phi
 
-    def counted_range(*args):
-        for i in range(*args):
-            if args == (special_functions._MAX_ITER,):
-                steps.append(i)
-            yield i
+    def counted(v, du):
+        sizes.append(np.size(v))
+        return phi(v, du)
 
-    monkeypatch.setattr(special_functions, "range", counted_range, raising=False)
-    return steps
+    monkeypatch.setattr(special_functions, "_phi", counted)
+    return sizes
 
 
 # Criterion 1's grids: x across the branch, and the round trip of w in [-50, -1]
@@ -207,26 +205,34 @@ CRITERION_1_GRIDS = {
 }
 
 
-class TestHalleySteps:
-    """The start and the stop make most calls finish in one or two Halley steps."""
+class TestOneStep:
+    """A start within 1e-5 of v, then one fourth-order step: one residual, no iteration."""
+
+    @pytest.mark.parametrize("path", ["scalar", "array"])
+    def test_start_within_1e_5_of_mpmath(self, path):
+        from mp_reference import branch_offset_ref, rel_err
+
+        # twenty points a decade, and each side of the two region edges
+        edges = [np.nextafter(e, side) for e in (0.02, 25.0) for side in (0.0, math.inf)]
+        du = np.concatenate((np.geomspace(1e-15, 1e12, 541), edges, [0.02, 25.0]))
+        v0 = _wm1_offset_guess(du) if path == "array" else [_wm1_offset_guess(float(x)) for x in du]
+        worst = max(rel_err(v_x, branch_offset_ref(x)) for x, v_x in zip(du, v0))
+        assert worst <= 1e-5
 
     @pytest.mark.parametrize("grid", list(CRITERION_1_GRIDS))
-    def test_scalar_mean_steps(self, grid, monkeypatch):
+    def test_scalar_call_evaluates_the_residual_once(self, grid, monkeypatch):
         xs = CRITERION_1_GRIDS[grid].tolist()
-        steps = count_halley_steps(monkeypatch)
+        sizes = count_residuals(monkeypatch)
         for x in xs:
             lambert_wm1(x)
-        assert len(steps) / len(xs) <= 2.1
+        # w = -1 (x = -1/e) is snapped onto the branch point before the kernel
+        assert sizes == [1] * sum(x > -1.0 / math.e + BRANCH_EPS for x in xs)
 
     @pytest.mark.parametrize("grid", list(CRITERION_1_GRIDS))
-    def test_array_rounds(self, grid, monkeypatch):
-        # 10k elements are five blocks of _BLOCK; each round is one masked step
-        steps = count_halley_steps(monkeypatch)
-        lambert_wm1(CRITERION_1_GRIDS[grid])
-        assert len(steps) <= 12
-
-    def test_an_exact_start_takes_one_step(self, monkeypatch):
-        # du = 1e-10: the series start is exact to rounding, so one step ends the call
-        steps = count_halley_steps(monkeypatch)
-        assert wm1_neg_exp_offset(1e-10) < 0.0
-        assert len(steps) == 1
+    def test_array_evaluates_the_residual_once_per_block(self, grid, monkeypatch):
+        # up to 10k elements off the branch point are five blocks of _BLOCK
+        xs = CRITERION_1_GRIDS[grid]
+        sizes = count_residuals(monkeypatch)
+        lambert_wm1(xs)
+        block = special_functions._BLOCK
+        assert sizes == [block] * 4 + [np.sum(xs > -1.0 / math.e + BRANCH_EPS) - 4 * block]
