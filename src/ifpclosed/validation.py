@@ -13,7 +13,6 @@ from __future__ import annotations
 from array import array
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -146,35 +145,46 @@ def simulate_assets(params: ModelParams, a0: float, dt: float) -> AssetPath:
 
 
 def adaptive_simpson(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
+    f: Callable[..., np.ndarray],
+    a: float | np.ndarray,
+    b: float | np.ndarray,
     tol: float = 1e-10,
     max_depth: int = 60,
-) -> float:
+) -> float | np.ndarray:
     """Adaptive Simpson quadrature of f on [a, b] to absolute tolerance tol.
 
-    ``f`` maps a 1-D ndarray of nodes to the ndarray of its values.  The
-    refinement runs breadth-first: each level calls f once, on the new
-    midpoints of every subinterval still open, and a subinterval's
-    accept/refine test reads only its own values, its tolerance (tol halved
-    per level) and its depth, so the accepted leaves and the tree-order sum
-    are those of the classical recursion.  Each subinterval also accepts
-    once its error estimate falls below 1e-14 of the local integral
-    magnitude: for integrands so large that ``tol`` is below the rounding
-    floor of double arithmetic, the rule stops at machine-relative precision
-    instead of subdividing without bound.
+    For float ends, ``f(t)`` maps a 1-D ndarray of nodes to the ndarray of
+    its values and the result is a float.  ``a`` and ``b`` may instead be
+    equal-length 1-D arrays, one interval each: then ``f(t, k)`` also gets
+    the index k of each node's interval, and the result is one value per
+    interval.  The refinement runs breadth-first over all intervals: each
+    level calls f once, on the new midpoints of every subinterval still
+    open, and a subinterval's accept/refine test reads only its own values,
+    its tolerance (tol halved per level) and its depth, so each interval's
+    accepted leaves and tree-order sum are those of the classical recursion,
+    and its value is bit for bit that of a call on it alone.  Each
+    subinterval also accepts once its error estimate falls below 1e-14 of
+    the local integral magnitude: for integrands so large that ``tol`` is
+    below the rounding floor of double arithmetic, the rule stops at
+    machine-relative precision instead of subdividing without bound.  An
+    interval with a == b gives 0.0 and f is not called on it.
     """
-    if a == b:
-        return 0.0
-    lo, hi = np.array([a]), np.array([b])
-    flo, fmid, fhi = f(np.array([a, 0.5 * (a + b), b])).reshape(3, 1)
-    whole = (b - a) / 6.0 * (flo + 4.0 * fmid + fhi)
+    if np.ndim(a) == 0:  # a batch of one, whose f takes the nodes alone
+        batch = adaptive_simpson(lambda t, k: f(t), np.array([a]), np.array([b]), tol, max_depth)
+        return float(batch[0])
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    total = np.zeros(a.size)
+    roots = np.flatnonzero(a != b)
+    if roots.size == 0:
+        return total
+    lo, hi, k = a[roots], b[roots], roots
+    flo, fmid, fhi = f(np.concatenate((lo, 0.5 * (lo + hi), hi)), np.tile(k, 3)).reshape(3, -1)
+    whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
     eps = tol
     levels = []  # per depth: which subintervals split, and the accepted values
     for depth in range(max_depth + 1):
         mid = 0.5 * (lo + hi)
-        f_new = f(np.concatenate((0.5 * (lo + mid), 0.5 * (mid + hi))))
+        f_new = f(np.concatenate((0.5 * (lo + mid), 0.5 * (mid + hi))), np.concatenate((k, k)))
         flm, frm = f_new[: lo.size], f_new[lo.size :]
         left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
         right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
@@ -188,38 +198,61 @@ def adaptive_simpson(
         # the left and right half of each split subinterval, side by side
         halves = halves[:, split].reshape(2, 6, -1).transpose(1, 2, 0).reshape(6, -1)
         lo, hi, flo, fmid, fhi, whole = halves
+        k = np.repeat(k[split], 2)
         eps *= 0.5
-    # sum up the tree, as the recursion does: a split subinterval is left + right
+    # sum up each tree, as the recursion does: a split subinterval is left + right
     value = levels.pop()[1]
     for split, accepted in reversed(levels):
         accepted[split] = value[0::2] + value[1::2]
         value = accepted
-    return float(value[0])
+    total[roots] = value
+    return total
 
 
 def discounted_utility(
     params: ModelParams,
-    c_of_t: Callable[[np.ndarray], np.ndarray],
-    horizon: float,
+    c_of_t: Callable[..., np.ndarray],
+    horizon: float | np.ndarray,
     tol: float = 1e-10,
-) -> float:
+) -> float | np.ndarray:
     """Present discounted utility of a plan equal to c_of_t on [0, horizon], y after.
 
-    ``c_of_t`` maps an ndarray of times to the plan's consumption there.  The
-    head integral uses adaptive Simpson; the constant-consumption tail is
-    evaluated analytically as e^(-rho*T)*u(y)/rho.
+    ``c_of_t(t)`` maps an ndarray of times to the plan's consumption there.
+    ``horizon`` may be a 1-D array of horizons, one plan each: then
+    ``c_of_t(t, k)`` also gets the index k of each time's plan, and the
+    result is one value per horizon.  The head integrals are one adaptive
+    Simpson call; each constant-consumption tail is evaluated analytically
+    as e^(-rho*T)*u(y)/rho, with ``math.exp`` per horizon.
     """
     rho, gam, y = params.rho, params.gamma, params.y
-    head = adaptive_simpson(
-        lambda t: np.exp(-rho * t) * crra_utility(c_of_t(t), gam), 0.0, horizon, tol
+    if np.ndim(horizon) == 0:
+        batch = discounted_utility(params, lambda t, k: c_of_t(t), np.array([horizon]), tol)
+        return float(batch[0])
+    heads = adaptive_simpson(
+        lambda t, k: np.exp(-rho * t) * crra_utility(c_of_t(t, k), gam),
+        np.zeros(len(horizon)), horizon, tol,
     )
-    return head + math.exp(-rho * horizon) * crra_utility(y, gam) / rho
+    tails = np.array([math.exp(-rho * T) for T in horizon])
+    return heads + tails * crra_utility(y, gam) / rho
 
 
-def pdv_utility(params: ModelParams, a0: float, tol: float = 1e-10) -> float:
-    """Lifetime discounted utility of the closed-form plan from assets a0 >= 0."""
-    T = best_depletion_time(params, a0).T
-    return discounted_utility(params, partial(consumption_from_depletion_time, params, T), T, tol)
+def pdv_utility(
+    params: ModelParams, a0: float | Sequence[float], tol: float = 1e-10
+) -> float | np.ndarray:
+    """Lifetime discounted utility of the closed-form plan from assets a0 >= 0.
+
+    ``a0`` may be a sequence: its depletion times come from one
+    ``best_depletion_time`` call each, and the utilities from one
+    ``discounted_utility`` call, one value per a0.
+    """
+    if np.ndim(a0) == 0:
+        return float(pdv_utility(params, [a0], tol)[0])
+    T = np.array([best_depletion_time(params, a).T for a in a0])
+
+    def plan(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+        return consumption_from_depletion_time(params, T[k], t)
+
+    return discounted_utility(params, plan, T, tol)
 
 
 def _budget_rhs(params: ModelParams, a0: float, t: np.ndarray) -> np.ndarray:
@@ -243,8 +276,9 @@ def perturbed_path_values(params: ModelParams, a0: float) -> tuple[float, list[f
     rescale by the largest factor that keeps the cumulative budget
     inequality satisfied at every t (capped by budget equality at the
     horizon, with a 1e-6 safety margin for the cumulative quadrature).
-    Returns (optimal pdv, list of perturbed pdvs); every perturbed value must
-    fall strictly below the optimum.
+    The optimum is one ``pdv_utility`` call and the ten plans one
+    ``discounted_utility`` call.  Returns (optimal pdv, list of perturbed
+    pdvs); every perturbed value must fall strictly below the optimum.
     """
     T = best_depletion_time(params, a0).T
     if T <= 0.0:
@@ -256,20 +290,21 @@ def perturbed_path_values(params: ModelParams, a0: float) -> tuple[float, list[f
     base = consumption_from_depletion_time(params, T, tgrid)
     disc = np.exp(-params.r * tgrid)
     rhs = _budget_rhs(params, a0, tgrid)
-    values = []
+    scales = []
     for omega in omegas:
         shape = base * (1.0 + _PERTURBATION * np.sin(omega * tgrid))
         integrand = disc * shape
         cum = np.concatenate(
             ([0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(tgrid)))
         )
-        scale = float(np.min(rhs[1:] / cum[1:])) * (1.0 - 1e-6)
+        scales.append(float(np.min(rhs[1:] / cum[1:])) * (1.0 - 1e-6))
+    scales = np.array(scales)
 
-        def c_tilde(t: np.ndarray, s: float = scale, w: float = omega) -> np.ndarray:
-            wave = 1.0 + _PERTURBATION * np.sin(w * t)
-            return s * consumption_from_depletion_time(params, T, t) * wave
+    def c_tilde(t: np.ndarray, k: np.ndarray) -> np.ndarray:
+        wave = 1.0 + _PERTURBATION * np.sin(omegas[k] * t)
+        return scales[k] * consumption_from_depletion_time(params, T, t) * wave
 
-        values.append(discounted_utility(params, c_tilde, T))
+    values = discounted_utility(params, c_tilde, np.full(_PERTURBED_PLANS, T)).tolist()
     return v_star, values
 
 

@@ -22,6 +22,11 @@ def test_all_names_resolve(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
+def test_public_surface_does_not_grow():
+    # the module ``__all__`` total is a tracked number that should only go down
+    assert sum(len(importlib.import_module(f"ifpclosed.{m}").__all__) for m in MODULES) <= 44
+
+
 def test_package_reexports_are_listed():
     tree = ast.parse(Path(ifpclosed.__file__).read_text())
     unlisted = []

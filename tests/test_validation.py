@@ -62,6 +62,15 @@ class TestFiniteDifferences:
         assert at == pytest.approx(swapped, rel=1e-9)
 
 
+RECURSION_CASES = [
+    (lambda x: np.sin(20.0 * x), 0.0, 1.0, 60),
+    (np.sqrt, 0.0, 2.0, 60),  # unbounded slope at 0: refines deep on the left only
+    (lambda x: np.where(x < 0.3, 1.0, 2.0), 0.0, 1.0, 60),
+    (lambda x: np.exp(-x) * np.cos(50.0 * x), 0.0, 3.0, 60),
+    (lambda x: np.where(x < 0.3, 1.0, 2.0), 0.0, 1.0, 6),  # stopped by the depth cap
+]
+
+
 class TestAdaptiveSimpson:
     def test_polynomial(self):
         assert adaptive_simpson(lambda x: x * x, 0.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -76,16 +85,7 @@ class TestAdaptiveSimpson:
         val = adaptive_simpson(lambda x: np.sin(20.0 * x), 0.0, 1.0)
         assert val == pytest.approx((1.0 - math.cos(20.0)) / 20.0, abs=1e-10)
 
-    @pytest.mark.parametrize(
-        "f, a, b, max_depth",
-        [
-            (lambda x: np.sin(20.0 * x), 0.0, 1.0, 60),
-            (np.sqrt, 0.0, 2.0, 60),  # unbounded slope at 0: refines deep on the left only
-            (lambda x: np.where(x < 0.3, 1.0, 2.0), 0.0, 1.0, 60),
-            (lambda x: np.exp(-x) * np.cos(50.0 * x), 0.0, 3.0, 60),
-            (lambda x: np.where(x < 0.3, 1.0, 2.0), 0.0, 1.0, 6),  # stopped by the depth cap
-        ],
-    )
+    @pytest.mark.parametrize("f, a, b, max_depth", RECURSION_CASES)
     def test_equals_the_recursion(self, f, a, b, max_depth):
         # classical depth-first adaptive Simpson, one node per call of f
         def f1(x):
@@ -121,6 +121,39 @@ class TestAdaptiveSimpson:
         adaptive_simpson(f, 0.0, 2.0, max_depth=12)
         assert nodes[0] == 3 and len(nodes) <= 12 + 2
 
+        # a batch: one call per level for all its intervals, as many as its deepest tree needs
+        levels = []
+        for a, b in ((0.0, 1.0), (1.0, 2.0), (0.0, 0.5)):
+            nodes.clear()
+            adaptive_simpson(f, a, b, max_depth=12)
+            levels.append(len(nodes))
+        nodes.clear()
+        a, b = np.array([0.0, 1.0, 0.0]), np.array([1.0, 2.0, 0.5])
+        adaptive_simpson(lambda t, k: f(t), a, b, max_depth=12)
+        assert nodes[0] == 9 and len(nodes) == max(levels)
+
+    @pytest.mark.parametrize("max_depth", [60, 6])
+    def test_a_batch_equals_calls_on_each_interval(self, max_depth):
+        # every recursion case's integrand on its interval, in one batch with a
+        # zero-width interval; at max_depth = 6 the depth cap stops several trees
+        cases = [(f, a, b) for f, a, b, _ in RECURSION_CASES] + [(np.exp, 0.7, 0.7)]
+        seen = []
+
+        def f(t, k):
+            seen.extend(k.tolist())
+            out = np.empty(t.size)
+            for j, (g, _, _) in enumerate(cases):
+                here = k == j
+                out[here] = g(t[here])
+            return out
+
+        a, b = np.array([lo for _, lo, _ in cases]), np.array([hi for _, _, hi in cases])
+        batch = adaptive_simpson(f, a, b, max_depth=max_depth)
+        assert isinstance(batch, np.ndarray) and batch.shape == (len(cases),)
+        single = [adaptive_simpson(g, lo, hi, max_depth=max_depth) for g, lo, hi in cases]
+        assert batch.tolist() == single
+        assert batch[-1] == 0.0 and len(cases) - 1 not in seen
+
     def test_criterion_6_integrals_match_the_recursion(self, monkeypatch):
         # the 20 head integrals of criterion 6 (the optimum at a0 = 3 and ten
         # perturbed plans, then the nine other pdv_utility calls of the
@@ -133,14 +166,17 @@ class TestAdaptiveSimpson:
             4.017244793474083, 12.021904190414896, 19.87213645551057, 33.98325940908206,
             95.36555603329577,
         ]
-        values = []
+        calls = []
 
         def recorded(*args, **kwargs):
-            values.append(adaptive_simpson(*args, **kwargs))
-            return values[-1]
+            calls.append(adaptive_simpson(*args, **kwargs))
+            return calls[-1]
 
         monkeypatch.setattr(validation, "adaptive_simpson", recorded)
         CRITERIA[6][1]()
+        # the optimum, the ten plans in one batch, and one batch per rate
+        assert len(calls) == 4
+        values = [v for batch in calls for v in np.atleast_1d(batch).tolist()]
         assert len(values) == len(expected)
         assert np.all(np.abs(np.subtract(values, expected)) <= 1e-13 * np.abs(expected))
 
@@ -167,6 +203,23 @@ class TestPdvUtility:
             )
             tail = math.exp(-p.rho * T) * crra_utility(p.y, p.gamma) / p.rho
             assert pdv_utility(p, a0) == pytest.approx(head + tail, rel=1e-9)
+
+    @pytest.mark.parametrize("r", [0.0, 0.01])
+    def test_a_sequence_equals_scalar_calls(self, r):
+        p = replace(FIG1, r=r)
+        a0s = [0.0, 0.3, 3.0, 9.0, 300.0]
+        values = pdv_utility(p, a0s)
+        assert values.tolist() == [pdv_utility(p, a0) for a0 in a0s]
+        assert values[0] == crra_utility(3.0, 0.5) / 0.08
+
+    @pytest.mark.parametrize("r", [0.0, 0.01])
+    def test_a_negative_a0_in_a_sequence_raises(self, r):
+        p = replace(FIG1, r=r)
+        with pytest.raises(ValueError) as scalar:
+            pdv_utility(p, -1.0)
+        with pytest.raises(ValueError) as batch:
+            pdv_utility(p, [3.0, -1.0])
+        assert str(batch.value) == str(scalar.value)
 
     def test_stable_under_tighter_tolerance(self):
         coarse = pdv_utility(FIG1_R0, 3.0, tol=1e-10)
