@@ -189,7 +189,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # every overflow that matters raises a ValueError; numpy-scalar rows
+        # would also print a RuntimeWarning for the intermediate that overflowed
+        with np.errstate(over="ignore"):
+            return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -245,7 +245,8 @@ def figure_rows(
     and is flagged.  The rule reads only the original grid, so rows stay
     strictly increasing, each within half a neighbouring step of its point.
     Figure 2: small-r closed-form approximation against the numerically
-    inverted solution.
+    inverted solution.  A value past the double range (a/y at y < 1, say)
+    is a ``ValueError`` naming its column and the first such a.
     """
     y = params.y
     if which == 1:
@@ -262,8 +263,8 @@ def figure_rows(
         flags = np.bincount(moved, minlength=grid.size)
         header = ["a_over_y", "c_discrete_over_y", "c_unconstrained_over_y", "knot_flag"]
         columns = (grid / y, policy(grid) / y, consumption_unconstrained(params, grid) / y, flags)
-        return header, list(zip(*(col.tolist() for col in columns)))
-    if which == 2:
+        rows = list(zip(*(col.tolist() for col in columns)))
+    elif which == 2:
         header = ["a_over_y", "c_closed_approx_over_y", "c_numeric_over_y"]
         rows = [
             (
@@ -273,5 +274,10 @@ def figure_rows(
             )
             for a in grid
         ]
-        return header, rows
-    raise ValueError(f"unknown figure {which!r}; expected 1 or 2")
+    else:
+        raise ValueError(f"unknown figure {which!r}; expected 1 or 2")
+    infinite = ~np.isfinite(np.array(rows, dtype=float))
+    if infinite.any():
+        column, i = np.argwhere(infinite.T)[0]  # the first column, then its first row
+        raise ValueError(f"figure {which}: {header[column]} overflows a double at a={grid[i]}")
+    return header, rows

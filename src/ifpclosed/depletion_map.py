@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -245,8 +246,7 @@ def mu_discrete(params: ModelParams, delta: float, n_knots: int) -> np.ndarray:
     dy = delta * params.y
     shrink = 1.0 + params.r * delta
     rhs = dy * growth ** np.arange(n_knots + 1)
-    assets = np.empty(n_knots + 1)
-    assets[0] = 0.0
-    for k in range(1, n_knots + 1):
-        assets[k] = rhs[k] - (dy - assets[k - 1]) / shrink
-    return assets
+    # a memoryview hands the recursion Python floats one at a time, where a
+    # list of them would hold ~32 bytes a knot (2**24 knots: ~0.5 GB)
+    knots = accumulate(memoryview(rhs)[1:], lambda m, g: g - (dy - m) / shrink, initial=0.0)
+    return np.fromiter(knots, float, n_knots + 1)

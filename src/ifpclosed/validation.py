@@ -22,12 +22,9 @@ from .depletion_map import best_depletion_time, mu
 from .model_core import ModelParams, crra_utility
 
 __all__ = [
-    "ApproxGapRow",
     "AssetPath",
     "DpSolution",
-    "adaptive_simpson",
     "approximation_error_report",
-    "discounted_utility",
     "fd_gradient",
     "fd_hessian",
     "grid_dp",
@@ -36,11 +33,6 @@ __all__ = [
     "perturbed_path_values",
     "simulate_assets",
 ]
-
-# Sample-level slack allowed on the borrowing constraint a(t) >= 0; covers
-# the RK4 error floor at the coarsest admissible step dt = T/100.
-PATH_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class AssetPath:
@@ -61,19 +53,10 @@ class AssetPath:
 class DpSolution:
     """Converged value-iteration solve of the discrete model on an asset grid."""
 
-    asset_grid: np.ndarray
     policy: np.ndarray
     value: np.ndarray
     iterations: int
     sup_norm_residual: float
-
-
-@dataclass(frozen=True)
-class ApproxGapRow:
-    """Max relative gap of the small-r approximation at one interest rate."""
-
-    r: float
-    max_rel_gap: float
 
 
 def simulate_assets(params: ModelParams, a0: float, dt: float) -> AssetPath:
@@ -144,35 +127,30 @@ def simulate_assets(params: ModelParams, a0: float, dt: float) -> AssetPath:
     return AssetPath(t=ts, a=as_, c=cs, depletion_time_observed=t_obs)
 
 
-def adaptive_simpson(
-    f: Callable[..., np.ndarray],
-    a: float | np.ndarray,
-    b: float | np.ndarray,
-    tol: float = 1e-10,
-    max_depth: int = 60,
-) -> float | np.ndarray:
-    """Adaptive Simpson quadrature of f on [a, b] to absolute tolerance tol.
+# _adaptive_simpson's absolute tolerance on each integral, and its depth cap
+_SIMPSON_TOL = 1e-10
+_SIMPSON_MAX_DEPTH = 60
 
-    For float ends, ``f(t)`` maps a 1-D ndarray of nodes to the ndarray of
-    its values and the result is a float.  ``a`` and ``b`` may instead be
-    equal-length 1-D arrays, one interval each: then ``f(t, k)`` also gets
-    the index k of each node's interval, and the result is one value per
-    interval.  The refinement runs breadth-first over all intervals: each
-    level calls f once, on the new midpoints of every subinterval still
-    open, and a subinterval's accept/refine test reads only its own values,
-    its tolerance (tol halved per level) and its depth, so each interval's
-    accepted leaves and tree-order sum are those of the classical recursion,
-    and its value is bit for bit that of a call on it alone.  Each
-    subinterval also accepts once its error estimate falls below 1e-14 of
-    the local integral magnitude: for integrands so large that ``tol`` is
-    below the rounding floor of double arithmetic, the rule stops at
-    machine-relative precision instead of subdividing without bound.  An
-    interval with a == b gives 0.0 and f is not called on it.
+
+def _adaptive_simpson(f: Callable[..., np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Adaptive Simpson quadrature of f on each interval [a[i], b[i]].
+
+    ``a`` and ``b`` are equal-length 1-D arrays, and ``f(t, k)`` maps a 1-D
+    ndarray of nodes t, with the index k of each node's interval, to the
+    ndarray of its values.  The result is one value per interval, each to
+    absolute tolerance ``_SIMPSON_TOL``.  The refinement runs breadth-first
+    over all intervals: each level calls f once, on the new midpoints of
+    every subinterval still open, and a subinterval's accept/refine test
+    reads only its own values, its tolerance (halved per level) and its
+    depth (at most ``_SIMPSON_MAX_DEPTH``), so each interval's accepted
+    leaves and tree-order sum are those of the classical recursion, and its
+    value is bit for bit that of a batch of it alone.  Each subinterval also
+    accepts once its error estimate falls below 1e-14 of the local integral
+    magnitude: for integrands so large that the tolerance is below the
+    rounding floor of double arithmetic, the rule stops at machine-relative
+    precision instead of subdividing without bound.  An interval with
+    a == b gives 0.0 and f is not called on it.
     """
-    if np.ndim(a) == 0:  # a batch of one, whose f takes the nodes alone
-        batch = adaptive_simpson(lambda t, k: f(t), np.array([a]), np.array([b]), tol, max_depth)
-        return float(batch[0])
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     total = np.zeros(a.size)
     roots = np.flatnonzero(a != b)
     if roots.size == 0:
@@ -180,9 +158,9 @@ def adaptive_simpson(
     lo, hi, k = a[roots], b[roots], roots
     flo, fmid, fhi = f(np.concatenate((lo, 0.5 * (lo + hi), hi)), np.tile(k, 3)).reshape(3, -1)
     whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-    eps = tol
+    eps = _SIMPSON_TOL
     levels = []  # per depth: which subintervals split, and the accepted values
-    for depth in range(max_depth + 1):
+    for depth in range(_SIMPSON_MAX_DEPTH + 1):
         mid = 0.5 * (lo + hi)
         f_new = f(np.concatenate((0.5 * (lo + mid), 0.5 * (mid + hi))), np.concatenate((k, k)))
         flm, frm = f_new[: lo.size], f_new[lo.size :]
@@ -190,7 +168,7 @@ def adaptive_simpson(
         right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
         err = (left + right - whole) / 15.0
         eps_here = np.maximum(eps, 1e-14 * (np.abs(left) + np.abs(right)))
-        split = ~(np.abs(err) <= eps_here) & (depth < max_depth)
+        split = ~(np.abs(err) <= eps_here) & (depth < _SIMPSON_MAX_DEPTH)
         levels.append((split, left + right + err))
         if not split.any():
             break
@@ -209,50 +187,41 @@ def adaptive_simpson(
     return total
 
 
-def discounted_utility(
-    params: ModelParams,
-    c_of_t: Callable[..., np.ndarray],
-    horizon: float | np.ndarray,
-    tol: float = 1e-10,
-) -> float | np.ndarray:
-    """Present discounted utility of a plan equal to c_of_t on [0, horizon], y after.
+def _discounted_utility(
+    params: ModelParams, c_of_t: Callable[..., np.ndarray], horizon: np.ndarray
+) -> np.ndarray:
+    """Present discounted utility of each plan k: c_of_t on [0, horizon[k]], y after.
 
-    ``c_of_t(t)`` maps an ndarray of times to the plan's consumption there.
-    ``horizon`` may be a 1-D array of horizons, one plan each: then
-    ``c_of_t(t, k)`` also gets the index k of each time's plan, and the
-    result is one value per horizon.  The head integrals are one adaptive
-    Simpson call; each constant-consumption tail is evaluated analytically
-    as e^(-rho*T)*u(y)/rho, with ``math.exp`` per horizon.
+    ``horizon`` is a 1-D array of horizons, one plan each, and
+    ``c_of_t(t, k)`` maps an ndarray of times, with the index k of each
+    time's plan, to the plans' consumption there.  The head integrals are
+    one adaptive Simpson call; each constant-consumption tail is evaluated
+    analytically as e^(-rho*T)*u(y)/rho, with ``math.exp`` per horizon.
     """
     rho, gam, y = params.rho, params.gamma, params.y
-    if np.ndim(horizon) == 0:
-        batch = discounted_utility(params, lambda t, k: c_of_t(t), np.array([horizon]), tol)
-        return float(batch[0])
-    heads = adaptive_simpson(
+    heads = _adaptive_simpson(
         lambda t, k: np.exp(-rho * t) * crra_utility(c_of_t(t, k), gam),
-        np.zeros(len(horizon)), horizon, tol,
+        np.zeros(len(horizon)), horizon,
     )
     tails = np.array([math.exp(-rho * T) for T in horizon])
     return heads + tails * crra_utility(y, gam) / rho
 
 
-def pdv_utility(
-    params: ModelParams, a0: float | Sequence[float], tol: float = 1e-10
-) -> float | np.ndarray:
+def pdv_utility(params: ModelParams, a0: float | Sequence[float]) -> float | np.ndarray:
     """Lifetime discounted utility of the closed-form plan from assets a0 >= 0.
 
     ``a0`` may be a sequence: its depletion times come from one
     ``best_depletion_time`` call each, and the utilities from one
-    ``discounted_utility`` call, one value per a0.
+    ``_discounted_utility`` call, one value per a0.
     """
     if np.ndim(a0) == 0:
-        return float(pdv_utility(params, [a0], tol)[0])
+        return float(pdv_utility(params, [a0])[0])
     T = np.array([best_depletion_time(params, a).T for a in a0])
 
     def plan(t: np.ndarray, k: np.ndarray) -> np.ndarray:
         return consumption_from_depletion_time(params, T[k], t)
 
-    return discounted_utility(params, plan, T, tol)
+    return _discounted_utility(params, plan, T)
 
 
 def _budget_rhs(params: ModelParams, a0: float, t: np.ndarray) -> np.ndarray:
@@ -277,7 +246,7 @@ def perturbed_path_values(params: ModelParams, a0: float) -> tuple[float, list[f
     inequality satisfied at every t (capped by budget equality at the
     horizon, with a 1e-6 safety margin for the cumulative quadrature).
     The optimum is one ``pdv_utility`` call and the ten plans one
-    ``discounted_utility`` call.  Returns (optimal pdv, list of perturbed
+    ``_discounted_utility`` call.  Returns (optimal pdv, list of perturbed
     pdvs); every perturbed value must fall strictly below the optimum.
     """
     T = best_depletion_time(params, a0).T
@@ -304,7 +273,7 @@ def perturbed_path_values(params: ModelParams, a0: float) -> tuple[float, list[f
         wave = 1.0 + _PERTURBATION * np.sin(omegas[k] * t)
         return scales[k] * consumption_from_depletion_time(params, T, t) * wave
 
-    values = discounted_utility(params, c_tilde, np.full(_PERTURBED_PLANS, T)).tolist()
+    values = _discounted_utility(params, c_tilde, np.full(_PERTURBED_PLANS, T)).tolist()
     return v_star, values
 
 
@@ -533,25 +502,23 @@ def grid_dp(params: ModelParams, delta: float, a_grid: np.ndarray) -> DpSolution
         diff = float(np.max(np.abs(v_new - v)))
         v = v_new
         if diff <= _DP_TOL * (1.0 + float(np.max(np.abs(v)))):
-            return DpSolution(
-                asset_grid=a, policy=policy, value=v, iterations=it, sup_norm_residual=diff
-            )
+            return DpSolution(policy=policy, value=v, iterations=it, sup_norm_residual=diff)
     raise RuntimeError(f"grid_dp: no convergence after {_DP_MAX_SWEEPS} iterations")
 
 
 def approximation_error_report(
     params_base: ModelParams, r_list: Sequence[float], a_grid: Sequence[float]
-) -> list[ApproxGapRow]:
-    """Max relative gap of the small-r consumption approximation at each r in ``r_list``.
+) -> dict[float, float]:
+    """Max relative gap of the small-r consumption approximation, keyed by each r in ``r_list``.
 
     For each r, compares the approximation against consumption evaluated
     with the best available depletion time (exact closed form at r = 0,
-    numeric inversion otherwise) over ``a_grid``.  The r = 0 row is
+    numeric inversion otherwise) over ``a_grid``.  The r = 0 gap is
     identically zero because the two routes coincide there: both columns
     are one array evaluation of the same closed form.
     """
     a_grid = np.asarray(a_grid, dtype=float)
-    rows = []
+    gaps_by_r = {}
     for r in r_list:
         p = replace(params_base, r=r)
         if p.r == 0.0:
@@ -559,5 +526,5 @@ def approximation_error_report(
         else:  # the numeric inversion takes one point at a time
             c_ref = np.array([consumption_path(p, a) for a in a_grid.tolist()])
         gaps = np.abs(consumption_approx_small_r(p, a_grid) - c_ref) / c_ref
-        rows.append(ApproxGapRow(r=r, max_rel_gap=float(np.max(gaps))))
-    return rows
+        gaps_by_r[r] = float(np.max(gaps))
+    return gaps_by_r

@@ -41,6 +41,17 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
+def run_fresh(argv):
+    """``main(argv)`` in a fresh interpreter, where a numpy warning prints to stderr."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ifpclosed.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = f"import sys\nfrom ifpclosed.cli import main\nsys.exit(main({argv!r}))\n"
+    return subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -207,17 +218,10 @@ class TestSweep:
         assert "overflows" in captured.err
 
     def test_huge_assets_write_nothing_to_stderr(self, tmp_path):
-        # sweep rows are numpy scalars, which warn on stderr for any overflowing
-        # intermediate; run in a fresh interpreter, where such a warning is printed
-        src = os.path.dirname(os.path.dirname(os.path.abspath(ifpclosed.__file__)))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        argv = ["sweep", "c", "T", "jacobian", "hessian", "--r", "0", "--y", "0.001",
-                "--a-min", "1e200", "--a-max", "1e300", "--n", "3", "--out", str(tmp_path / "s.csv")]
-        code = f"import sys\nfrom ifpclosed.cli import main\nsys.exit(main({argv!r}))\n"
-        out = subprocess.run(
-            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-            capture_output=True, text=True, timeout=120,
-        )
+        # sweep rows are numpy scalars, which warn on stderr for any overflowing intermediate
+        out = run_fresh(["sweep", "c", "T", "jacobian", "hessian", "--r", "0", "--y", "0.001",
+                         "--a-min", "1e200", "--a-max", "1e300", "--n", "3",
+                         "--out", str(tmp_path / "s.csv")])
         assert out.returncode == 0 and out.stderr == ""
         _, rows = read_csv(tmp_path / "s.csv")
         assert len(rows) == 3 and all(math.isfinite(float(x)) for row in rows for x in row)
@@ -360,6 +364,16 @@ class TestFigure:
             assert float(row[1]) == exp[1]
             assert float(row[2]) == exp[2]
 
+    @pytest.mark.parametrize("which", ["1", "2"])
+    def test_ratio_past_the_double_range_exits_2(self, which, tmp_path, capsys):
+        # a/y at a = 5e305, y = 0.001 is past the double range: no inf row
+        out = tmp_path / "f.csv"
+        rc = main(["figure", "--which", which, "--r", "0.01", "--y", "0.001",
+                   "--a-min", "0", "--a-max", "1e306", "--n", "3", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and not out.exists()
+        assert captured.err.startswith(f"error: figure {which}: a_over_y overflows a double at a=")
+
     def test_unknown_figure(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["figure", "--which", "3"])
@@ -438,6 +452,23 @@ class TestRuleCheckedOnce:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert not (tmp_path / "f.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep", "jacobian", "hessian", "--r", "0", "--y", "1e-300",
+      "--a-min", "1e-312", "--a-max", "1e-300", "--n", "3"],
+     ["sweep", "c", "T", "--r", "0", "--y", "0.001", "--a-min", "1e305", "--a-max", "1.7e308",
+      "--n", "3"],
+     ["figure", "--which", "2", "--y", "0.001", "--a-min", "1e305", "--a-max", "1.7e308",
+      "--n", "3"]],
+)
+def test_exit_2_writes_only_the_error_line(argv):
+    # these rows overflow numpy-scalar intermediates before the explicit ValueError
+    out = run_fresh(argv)
+    assert out.returncode == 2 and out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 class TestIoErrors:

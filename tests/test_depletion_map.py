@@ -360,6 +360,17 @@ class TestMuDiscrete:
             sups.append(np.max(np.abs(np.interp(ts, times, knots) - exact)))
         assert sups[0] > sups[1] > sups[2]
 
+    @pytest.mark.parametrize("params", [FIG1, validate(ModelParams(0.05, 0.02, 2.0, 0.7)),
+                                        validate(ModelParams(0.08, 0.079, 5.0, 100.0))])
+    @pytest.mark.parametrize("delta, n", [(1.0, 40), (0.02, 2000), (1e-3, 200_000)])
+    def test_equals_the_knot_by_knot_recursion(self, params, delta, n):
+        dy, shrink = delta * params.y, 1.0 + params.r * delta
+        rhs = dy * step_growth_factor(params, delta) ** np.arange(n + 1)
+        expected = np.zeros(n + 1)
+        for k in range(1, n + 1):
+            expected[k] = rhs[k] - (dy - expected[k - 1]) / shrink
+        assert mu_discrete(params, delta, n).tobytes() == expected.tobytes()
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             mu_discrete(FIG1, 0.0, 5)

@@ -16,10 +16,9 @@ from ifpclosed.consumption import consumption_from_depletion_time, discrete_poli
 from ifpclosed.depletion_map import best_depletion_time, h_closed_r0, h_numeric, mu
 from ifpclosed.model_core import ModelParams, crra_utility, validate, value_upper_bound
 from ifpclosed.validation import (
-    PATH_TOL,
-    adaptive_simpson,
+    _adaptive_simpson,
+    _discounted_utility,
     approximation_error_report,
-    discounted_utility,
     fd_gradient,
     fd_hessian,
     grid_dp,
@@ -32,6 +31,10 @@ from ifpclosed.validation import (
 
 FIG1 = validate(ModelParams(rho=0.08, r=0.01, gamma=0.5, y=3.0))
 FIG1_R0 = validate(ModelParams(rho=0.08, r=0.0, gamma=0.5, y=3.0))
+
+# Sample-level slack allowed on the borrowing constraint a(t) >= 0; covers
+# the RK4 error floor at the coarsest admissible step dt = T/100.
+PATH_TOL = 1e-8
 
 
 class TestFiniteDifferences:
@@ -71,22 +74,27 @@ RECURSION_CASES = [
 ]
 
 
+def integrate(f, a, b):
+    """``_adaptive_simpson`` on the one interval [a, b], for an integrand of the nodes alone."""
+    return float(_adaptive_simpson(lambda t, k: f(t), np.array([a]), np.array([b]))[0])
+
+
 class TestAdaptiveSimpson:
     def test_polynomial(self):
-        assert adaptive_simpson(lambda x: x * x, 0.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert integrate(lambda x: x * x, 0.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_sine(self):
-        assert adaptive_simpson(np.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
+        assert integrate(np.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
 
     def test_empty_interval(self):
-        assert adaptive_simpson(math.exp, 1.0, 1.0) == 0.0
+        assert integrate(math.exp, 1.0, 1.0) == 0.0
 
     def test_oscillatory(self):
-        val = adaptive_simpson(lambda x: np.sin(20.0 * x), 0.0, 1.0)
+        val = integrate(lambda x: np.sin(20.0 * x), 0.0, 1.0)
         assert val == pytest.approx((1.0 - math.cos(20.0)) / 20.0, abs=1e-10)
 
     @pytest.mark.parametrize("f, a, b, max_depth", RECURSION_CASES)
-    def test_equals_the_recursion(self, f, a, b, max_depth):
+    def test_equals_the_recursion(self, f, a, b, max_depth, monkeypatch):
         # classical depth-first adaptive Simpson, one node per call of f
         def f1(x):
             return float(f(np.array([x]))[0])
@@ -108,9 +116,10 @@ class TestAdaptiveSimpson:
 
         fa, fm, fb = f1(a), f1(0.5 * (a + b)), f1(b)
         expected = recurse(a, b, fa, fm, fb, simpson(fa, fm, fb, b - a), 1e-10, 0)
-        assert adaptive_simpson(f, a, b, max_depth=max_depth) == expected
+        monkeypatch.setattr(validation, "_SIMPSON_MAX_DEPTH", max_depth)
+        assert integrate(f, a, b) == expected
 
-    def test_one_call_of_f_per_level(self):
+    def test_one_call_of_f_per_level(self, monkeypatch):
         nodes = []
 
         def f(x):
@@ -118,22 +127,23 @@ class TestAdaptiveSimpson:
             nodes.append(x.size)
             return np.sqrt(x)
 
-        adaptive_simpson(f, 0.0, 2.0, max_depth=12)
+        monkeypatch.setattr(validation, "_SIMPSON_MAX_DEPTH", 12)
+        integrate(f, 0.0, 2.0)
         assert nodes[0] == 3 and len(nodes) <= 12 + 2
 
         # a batch: one call per level for all its intervals, as many as its deepest tree needs
         levels = []
         for a, b in ((0.0, 1.0), (1.0, 2.0), (0.0, 0.5)):
             nodes.clear()
-            adaptive_simpson(f, a, b, max_depth=12)
+            integrate(f, a, b)
             levels.append(len(nodes))
         nodes.clear()
         a, b = np.array([0.0, 1.0, 0.0]), np.array([1.0, 2.0, 0.5])
-        adaptive_simpson(lambda t, k: f(t), a, b, max_depth=12)
+        _adaptive_simpson(lambda t, k: f(t), a, b)
         assert nodes[0] == 9 and len(nodes) == max(levels)
 
     @pytest.mark.parametrize("max_depth", [60, 6])
-    def test_a_batch_equals_calls_on_each_interval(self, max_depth):
+    def test_a_batch_equals_calls_on_each_interval(self, max_depth, monkeypatch):
         # every recursion case's integrand on its interval, in one batch with a
         # zero-width interval; at max_depth = 6 the depth cap stops several trees
         cases = [(f, a, b) for f, a, b, _ in RECURSION_CASES] + [(np.exp, 0.7, 0.7)]
@@ -148,9 +158,10 @@ class TestAdaptiveSimpson:
             return out
 
         a, b = np.array([lo for _, lo, _ in cases]), np.array([hi for _, _, hi in cases])
-        batch = adaptive_simpson(f, a, b, max_depth=max_depth)
+        monkeypatch.setattr(validation, "_SIMPSON_MAX_DEPTH", max_depth)
+        batch = _adaptive_simpson(f, a, b)
         assert isinstance(batch, np.ndarray) and batch.shape == (len(cases),)
-        single = [adaptive_simpson(g, lo, hi, max_depth=max_depth) for g, lo, hi in cases]
+        single = [integrate(g, lo, hi) for g, lo, hi in cases]
         assert batch.tolist() == single
         assert batch[-1] == 0.0 and len(cases) - 1 not in seen
 
@@ -169,14 +180,14 @@ class TestAdaptiveSimpson:
         calls = []
 
         def recorded(*args, **kwargs):
-            calls.append(adaptive_simpson(*args, **kwargs))
+            calls.append(_adaptive_simpson(*args, **kwargs))
             return calls[-1]
 
-        monkeypatch.setattr(validation, "adaptive_simpson", recorded)
+        monkeypatch.setattr(validation, "_adaptive_simpson", recorded)
         CRITERIA[6][1]()
         # the optimum, the ten plans in one batch, and one batch per rate
         assert len(calls) == 4
-        values = [v for batch in calls for v in np.atleast_1d(batch).tolist()]
+        values = [v for batch in calls for v in batch.tolist()]
         assert len(values) == len(expected)
         assert np.all(np.abs(np.subtract(values, expected)) <= 1e-13 * np.abs(expected))
 
@@ -221,9 +232,10 @@ class TestPdvUtility:
             pdv_utility(p, [3.0, -1.0])
         assert str(batch.value) == str(scalar.value)
 
-    def test_stable_under_tighter_tolerance(self):
-        coarse = pdv_utility(FIG1_R0, 3.0, tol=1e-10)
-        fine = pdv_utility(FIG1_R0, 3.0, tol=1e-12)
+    def test_stable_under_tighter_tolerance(self, monkeypatch):
+        coarse = pdv_utility(FIG1_R0, 3.0)
+        monkeypatch.setattr(validation, "_SIMPSON_TOL", 1e-12)
+        fine = pdv_utility(FIG1_R0, 3.0)
         assert abs(coarse - fine) <= 1e-9
 
     @pytest.mark.parametrize("mult", [0.1, 1.0, 3.0, 10.0, 100.0])
@@ -364,8 +376,8 @@ class TestPerturbationDominance:
     def test_discounted_utility_of_plain_path_matches_pdv(self):
         T = h_closed_r0(FIG1_R0, 3.0).T
         b = FIG1_R0.rho / FIG1_R0.gamma
-        c_fn = lambda t: FIG1_R0.y * np.exp(b * (T - t))
-        assert discounted_utility(FIG1_R0, c_fn, T) == pytest.approx(
+        c_fn = lambda t, k: FIG1_R0.y * np.exp(b * (T - t))
+        assert _discounted_utility(FIG1_R0, c_fn, np.array([T]))[0] == pytest.approx(
             pdv_utility(FIG1_R0, 3.0), rel=1e-12
         )
 
@@ -549,18 +561,15 @@ class TestPchip:
 class TestApproximationErrorReport:
     def test_zero_rate_row_identically_zero(self):
         a_grid = np.linspace(0.0, 100.0, 41) * 3.0
-        rows = approximation_error_report(FIG1, [0.0], a_grid)
-        assert rows[0].max_rel_gap == 0.0
+        assert approximation_error_report(FIG1, [0.0], a_grid) == {0.0: 0.0}
 
     def test_gap_vanishes_at_constraint(self):
         for r in (0.02, 0.01, 0.005):
-            rows = approximation_error_report(FIG1, [r], np.array([0.0]))
-            assert rows[0].max_rel_gap == 0.0
+            assert approximation_error_report(FIG1, [r], np.array([0.0])) == {r: 0.0}
 
     def test_order_r_halving(self):
         a_grid = np.linspace(0.0, 100.0, 41) * 3.0
-        rows = approximation_error_report(FIG1, [0.02, 0.01, 0.005], a_grid)
-        by_r = {row.r: row.max_rel_gap for row in rows}
+        by_r = approximation_error_report(FIG1, [0.02, 0.01, 0.005], a_grid)
         assert 1.5 <= by_r[0.02] / by_r[0.01] <= 3.0
         assert 1.5 <= by_r[0.01] / by_r[0.005] <= 3.0
 
