@@ -7,6 +7,11 @@ time-0 consumption function, its Jacobian and Hessian follow in closed form.
 Everything is cross-checked against solver-grade oracles: safeguarded Newton
 inversion, RK4 budget integration, quadrature, finite differences, and a
 grid value-iteration solve of the discrete-time model.
+
+The closed forms run on ``math`` alone: importing the package, or calling it
+on floats, loads no numpy.  numpy loads on the first array, and with the
+oracles: the names re-exported from ``validation`` below resolve on first
+access (PEP 562), so ``from ifpclosed import grid_dp`` loads them then.
 """
 
 from .consumption import (
@@ -31,16 +36,15 @@ from .depletion_map import (
 )
 from .model_core import ModelParams, crra_utility, validate, value_upper_bound
 from .special_functions import lambert_wm1, wm1_neg_exp_offset
-from .validation import (
-    AssetPath,
-    DpSolution,
-    approximation_error_report,
-    fd_gradient,
-    fd_hessian,
-    grid_dp,
-    make_asset_grid,
-    pdv_utility,
-    simulate_assets,
-)
 
 __version__ = "0.1.0"
+
+_VALIDATION_NAMES = ("AssetPath", "DpSolution", "approximation_error_report", "fd_gradient",
+                     "fd_hessian", "grid_dp", "make_asset_grid", "pdv_utility", "simulate_assets")
+
+
+def __getattr__(name: str):
+    if name in _VALIDATION_NAMES:
+        from . import validation
+        return getattr(validation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

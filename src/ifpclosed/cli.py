@@ -14,8 +14,6 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 from .consumption import (
     consumption_derivatives,
     consumption_from_depletion_time,
@@ -45,6 +43,7 @@ def sweep_grid(a_min: float, a_max: float, n: int, spacing: str = "linear") -> n
         raise ValueError(f"sweep: need a_max > a_min, got [{a_min}, {a_max}]")
     if n < 2:
         raise ValueError(f"sweep: need n_points >= 2, got {n}")
+    import numpy as np
     if spacing == "log":
         if a_min <= 0.0:
             raise ValueError("sweep: log spacing requires a_min > 0")
@@ -104,27 +103,33 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    import numpy as np
     params = _params_from(args)
     grid = sweep_grid(args.a_min, args.a_max, args.n, args.spacing)
     columns = [col for out in args.outputs for col in _COLUMNS[out]]
     needs_derivs = "jacobian" in args.outputs or "hessian" in args.outputs
     rows = []  # built whole, so an error on any row (e.g. derivatives at r > 0) writes nothing
-    for a in grid:
-        if needs_derivs:
-            point = vars(consumption_derivatives(params, a))
-        else:
-            T = best_depletion_time(params, a).T
-            point = {"T": T, "c": consumption_from_depletion_time(params, T)}
-        rows.append((a, *(point[col] for col in columns)))
+    # every overflow that matters raises a ValueError; numpy-scalar rows
+    # would also print a RuntimeWarning for the intermediate that overflowed
+    with np.errstate(over="ignore"):
+        for a in grid:
+            if needs_derivs:
+                point = vars(consumption_derivatives(params, a))
+            else:
+                T = best_depletion_time(params, a).T
+                point = {"T": T, "c": consumption_from_depletion_time(params, T)}
+            rows.append((a, *(point[col] for col in columns)))
     _write_csv(args.out, ["a", *columns], rows)
     return 0
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
+    import numpy as np
     params = _params_from(args)
     a_max = args.a_max if args.a_max is not None else 10.0 * params.y
     grid = sweep_grid(args.a_min, a_max, args.n, args.spacing)
-    header, rows = figure_rows(params, args.which, grid, args.delta)
+    with np.errstate(over="ignore"):  # as in cmd_sweep; figure 1's arrays can overflow too
+        header, rows = figure_rows(params, args.which, grid, args.delta)
     _write_csv(args.out, header, rows)
     return 0
 
@@ -189,10 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # every overflow that matters raises a ValueError; numpy-scalar rows
-        # would also print a RuntimeWarning for the intermediate that overflowed
-        with np.errstate(over="ignore"):
-            return args.func(args)
+        return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -35,11 +35,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from .depletion_map import (
     _branch,
-    _ndarray,
+    _is_ndarray,
     best_depletion_time,
     h_approx_small_r,
     h_numeric,
@@ -88,6 +86,7 @@ class PiecewiseLinearPolicy:
     knot_consumption: np.ndarray
 
     def __call__(self, a):
+        import numpy as np
         arr = np.asarray(a, dtype=float)
         if not np.all((arr >= 0.0) & (arr <= self.knot_assets[-1])):
             raise ValueError(f"policy evaluation outside [0, {float(self.knot_assets[-1])!r}]")
@@ -105,7 +104,8 @@ def consumption_from_depletion_time(params: ModelParams, T: float, t: float = 0.
     be ndarrays: they broadcast, and the result is exactly y wherever t > T.  A
     consumption past the double range is a ValueError on either path, never inf.
     """
-    if type(T) is _ndarray or type(t) is _ndarray:
+    if not (isinstance(T, float) and isinstance(t, float)) and (_is_ndarray(T) or _is_ndarray(t)):
+        import numpy as np
         with np.errstate(over="ignore"):
             c = params.y * np.exp((params.rho - params.r) * (T - t) / params.gamma)
         c = np.where(t > T, params.y, c)
@@ -169,10 +169,11 @@ def consumption_derivatives(params: ModelParams, a: float) -> ConsumptionDerivat
     if params.r != 0.0:
         raise ValueError(f"consumption_derivatives: requires r = 0, got r={params.r}")
     du, v, log1p_neg_v, T = _branch(params, a)
-    array = type(v) is _ndarray
+    array = not isinstance(v, float) and _is_ndarray(v)
     if (v == 0.0).any() if array else v == 0.0:
         raise ValueError(f"consumption_derivatives: MPC unbounded at the constraint, a={a}")
     if array:
+        import numpy as np
         with np.errstate(over="ignore", invalid="ignore"):
             # asarray: numpy turns 0-d arithmetic into scalars
             entries = [np.asarray(x) for x in _derivative_entries(params, du, v, log1p_neg_v)]
@@ -181,6 +182,7 @@ def consumption_derivatives(params: ModelParams, a: float) -> ConsumptionDerivat
         entries = _derivative_entries(params, du, v, log1p_neg_v)
         finite = all(map(math.isfinite, entries))
     if not finite:
+        import numpy as np
         for f, x in zip(fields(ConsumptionDerivatives)[2:], entries):
             bad = ~np.isfinite(x)
             if bad.any():
@@ -207,6 +209,7 @@ def discrete_policy(params: ModelParams, delta: float, a_max: float) -> Piecewis
     """
     if not 0.0 < a_max < math.inf:
         raise ValueError(f"discrete_policy: need finite a_max > 0, got {a_max}")
+    import numpy as np
     growth = step_growth_factor(params, delta)
     n = 1.1 * float(best_depletion_time(params, a_max).T) / delta + 16.0
     while n <= 2**24:
@@ -244,15 +247,22 @@ def figure_rows(
     moves onto the nearest knot that nominated it (the lower knot on a tie)
     and is flagged.  The rule reads only the original grid, so rows stay
     strictly increasing, each within half a neighbouring step of its point.
+    A point's nearest nominating knot is one of the two knots around it, so
+    the rule runs on those alone, in memory of the grid's size.
     Figure 2: small-r closed-form approximation against the numerically
     inverted solution.  A value past the double range (a/y at y < 1, say)
     is a ``ValueError`` naming its column and the first such a.
     """
+    import numpy as np
     y = params.y
     if which == 1:
         grid = np.array(grid, dtype=float)  # a copy: the knots go into it
         policy = discrete_policy(params, delta, grid[-1])
         knots = policy.knot_assets
+        # the knots around each grid point, unsorted and repeating: a tie can only be between
+        # the two around one point, and the lower of them comes first, as the rule needs
+        around = np.searchsorted(knots, grid)
+        knots = knots[np.clip(np.concatenate((around - 1, around)), 0, knots.size - 1)]
         knots = knots[(knots >= grid[0]) & (knots <= grid[-1])]
         upper = np.searchsorted(grid, knots)
         lower = np.maximum(upper - 1, 0)
@@ -272,7 +282,7 @@ def figure_rows(
                 consumption_approx_small_r(params, a) / y,
                 consumption_from_depletion_time(params, h_numeric(params, a).T) / y,
             )
-            for a in grid
+            for a in grid.tolist()
         ]
     else:
         raise ValueError(f"unknown figure {which!r}; expected 1 or 2")

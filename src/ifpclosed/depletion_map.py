@@ -24,10 +24,8 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 
-import numpy as np
-
 from .model_core import ModelParams
-from .special_functions import _ndarray, wm1_neg_exp_offset
+from .special_functions import _is_ndarray, wm1_neg_exp_offset
 
 __all__ = [
     "DepletionTime",
@@ -112,7 +110,7 @@ def h_numeric(params: ModelParams, a: float) -> DepletionTime:
     pure Newton would stall.  Raises ``ValueError`` when a lies beyond the
     largest mu(T) a double holds (``mu`` reads +inf from there on).
     """
-    if type(a) is _ndarray:
+    if not isinstance(a, float) and _is_ndarray(a):
         raise ValueError("h_numeric: the numeric inversion takes one point at a time, got an array")
     if not 0.0 <= a < math.inf:
         raise ValueError(f"h_numeric: need finite a >= 0, got a={a}")
@@ -171,7 +169,8 @@ def _branch(params: ModelParams, a: float | np.ndarray) -> tuple:
     is a ValueError.
     """
     big_b = params.r * (params.gamma - 1.0) + params.rho
-    if type(a) is _ndarray:
+    if not isinstance(a, float) and _is_ndarray(a):
+        import numpy as np
         if a.ndim == 0:  # numpy turns 0-d results into scalars, which take the scalar path
             return tuple(x.reshape(()) for x in _branch(params, a.reshape(1)))
         with np.errstate(over="ignore"):  # an overflowed du is the ValueError below
@@ -242,6 +241,7 @@ def mu_discrete(params: ModelParams, delta: float, n_knots: int) -> np.ndarray:
     """
     if n_knots < 1:
         raise ValueError(f"mu_discrete: need n_knots >= 1, got {n_knots}")
+    import numpy as np
     growth = step_growth_factor(params, delta)
     dy = delta * params.y
     shrink = 1.0 + params.r * delta

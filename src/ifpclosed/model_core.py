@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = ["ModelParams", "crra_utility", "validate", "value_upper_bound"]
 
 
@@ -67,6 +65,7 @@ def crra_utility(c: float | np.ndarray, gamma: float) -> float | np.ndarray:
     from ``math``'s by an ulp).  A utility past the double range is a
     ``ValueError``, not inf.
     """
+    import numpy as np
     arr = np.asarray(c, dtype=float)
     positive = arr > 0.0
     if not positive.all():

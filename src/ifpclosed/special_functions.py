@@ -24,13 +24,19 @@ beyond.  The polynomial is a least-squares fit of v, in the Chebyshev basis,
 at 400 Chebyshev nodes of sqrt(du) on [sqrt(0.02), 5] against 40-digit mpmath,
 reweighted by |relative error|^0.3 sixty times toward the minimax error
 (1.0e-6), then converted to monomials.
+
+Only an exact ``numpy.ndarray`` takes the array paths; ints, floats, numpy
+scalars and ndarray subclasses take the scalar path, which runs on ``math``
+alone.  A float (an ``np.float64`` too) is settled by an inline ``isinstance``;
+anything else by ``_is_ndarray``, which reads ``sys.modules`` rather than
+importing numpy, since an ndarray exists only once numpy is loaded.  So numpy
+is imported on the first array, never by a scalar call.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import sys
 
 __all__ = ["BRANCH_EPS", "lambert_wm1", "wm1_neg_exp_offset"]
 
@@ -47,9 +53,13 @@ BRANCH_EPS = 4.0 * math.ulp(1.0 / math.e)
 _U_EPS = 4.0 * math.ulp(1.0)
 
 _NEAR_BRANCH = -0.5  # above this v the residual is summed by _phi_near_branch
-_ndarray = np.ndarray  # the array paths take exactly this type; bound once for a cheap test
 _BLOCK = 2048
 _SERIES_TO, _ASYMPTOTIC_FROM = 0.02, 25.0  # where the start's three regions meet
+
+
+def _is_ndarray(x) -> bool:
+    # exactly numpy.ndarray, tested without importing numpy: an ndarray means numpy is loaded
+    return type(x) is getattr(sys.modules.get("numpy"), "ndarray", None)
 
 
 def _branch_series(p):
@@ -74,7 +84,9 @@ def _asymptotic(log_u, du):
 
 def _wm1_offset_guess(du):
     """The start (regions in the module docstring): within 1.8e-6 relative of v for du > 0."""
-    if type(du) is _ndarray:  # the polynomial, clamped to stay finite, then the other regions
+    if not isinstance(du, float) and _is_ndarray(du):
+        import numpy as np
+        # the polynomial, clamped to stay finite, then the other regions
         v = _sqrt_du_poly(np.sqrt(np.minimum(du, _ASYMPTOTIC_FROM)))
         near, far = du < _SERIES_TO, du >= _ASYMPTOTIC_FROM
         v[near] = _branch_series(np.sqrt(-2.0 * np.expm1(-du[near])))
@@ -101,7 +113,8 @@ def _phi_near_branch(v, du):
 def _phi(v, du):
     # phi(v) = v + log1p(-v) + du with each regime's leading cancellation exact: the series has
     # none; then v cancels log1p(-v)'s linear part; far out v + du cancels within Sterbenz range
-    if type(v) is _ndarray:
+    if not isinstance(v, float) and _is_ndarray(v):
+        import numpy as np
         log1p_neg_v = np.log1p(-v)
         phi = np.where(v > -2.5, (v + log1p_neg_v) + du, (v + du) + log1p_neg_v)
         near = v > _NEAR_BRANCH
@@ -138,7 +151,7 @@ def wm1_neg_exp_offset(du: float | np.ndarray) -> float | np.ndarray:
     bit-equal to the scalar kernel's and w = v - 1 agrees to 2 ulp; where numpy's
     log1p rounds apart from libm's (du ~ 1e-3..10), v differs by up to 5.1e-16.
     """
-    if type(du) is _ndarray:
+    if not isinstance(du, float) and _is_ndarray(du):
         return _wm1_offset_array(du)
     if not -_U_EPS <= du < math.inf:
         if du == math.inf:
@@ -151,6 +164,7 @@ def wm1_neg_exp_offset(du: float | np.ndarray) -> float | np.ndarray:
 
 def _wm1_offset_array(du: np.ndarray) -> np.ndarray:
     """``wm1_neg_exp_offset`` over an array, in blocks of ``_BLOCK`` to bound its temporaries."""
+    import numpy as np
     for bad in du[~((du >= -_U_EPS) & (du < math.inf))][:1]:
         wm1_neg_exp_offset(float(bad))  # raises the scalar path's error
     out = np.zeros(du.shape)
@@ -175,7 +189,8 @@ def lambert_wm1(x: float | np.ndarray) -> float | np.ndarray:
     ValueError
         If x < -1/e - BRANCH_EPS or x >= 0 (including -0.0).
     """
-    if type(x) is _ndarray:
+    if not isinstance(x, float) and _is_ndarray(x):
+        import numpy as np
         for bad in x[~((x >= _X_BRANCH - BRANCH_EPS) & (x < 0.0))][:1]:
             lambert_wm1(float(bad))  # raises the scalar path's error
         du = np.where(x <= _X_BRANCH + BRANCH_EPS, 0.0, -np.log(-x) - 1.0)

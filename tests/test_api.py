@@ -35,7 +35,23 @@ def test_package_reexports_are_listed():
             module = importlib.import_module(f"ifpclosed.{node.module}")
             unlisted += [f"{node.module}.{alias.name}" for alias in node.names
                          if alias.name not in module.__all__]
+    # the oracles' names resolve on first access, each to the one object in ``validation``
+    validation = importlib.import_module("ifpclosed.validation")
+    unlisted += [f"validation.{name}" for name in ifpclosed._VALIDATION_NAMES
+                 if name not in validation.__all__]
     assert unlisted == []
+    assert all(getattr(ifpclosed, name) is getattr(validation, name)
+               for name in ifpclosed._VALIDATION_NAMES)
+
+
+def test_lazy_reexports_import_and_fail_like_attributes():
+    from ifpclosed import grid_dp
+
+    assert grid_dp is ifpclosed.validation.grid_dp
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        ifpclosed.not_a_name
+    with pytest.raises(ImportError):
+        from ifpclosed import not_a_name  # noqa: F401
 
 
 def test_parameters_validated_only_by_their_type():

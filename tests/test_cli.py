@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import ifpclosed
-from ifpclosed import checks, depletion_map, special_functions
+from ifpclosed import checks, consumption, depletion_map, special_functions
 from ifpclosed.cli import main, sweep_grid
-from ifpclosed.consumption import discrete_policy, figure_rows
+from ifpclosed.consumption import PiecewiseLinearPolicy, discrete_policy, figure_rows
 from ifpclosed.depletion_map import mu, step_growth_factor
 from ifpclosed.model_core import ModelParams, validate
 
@@ -320,6 +320,36 @@ class TestFigure:
         assert [row[0] for row in rows] == (grid / FIG1.y).tolist()
         assert [row[3] for row in rows] == [0, 0, 0]
 
+    def test_figure1_snaps_as_with_every_knot(self, monkeypatch):
+        # figure_rows reads only the two knots around each grid point; the full-knot rule
+        # is the reference, on random knots and grids, integer-valued ones included for ties
+        def snap_with_every_knot(grid, knots):
+            grid = grid.copy()
+            knots = knots[(knots >= grid[0]) & (knots <= grid[-1])]
+            upper = np.searchsorted(grid, knots)
+            lower = np.maximum(upper - 1, 0)
+            nominee = np.where(knots - grid[lower] <= grid[upper] - knots, lower, upper)
+            closest = np.lexsort((np.abs(grid[nominee] - knots), nominee))
+            moved, first = np.unique(nominee[closest], return_index=True)
+            grid[moved] = knots[closest[first]]
+            return grid, np.bincount(moved, minlength=grid.size)
+
+        p = validate(ModelParams(rho=0.08, r=0.01, gamma=0.5, y=1.0))  # rows are a exactly
+        rng = np.random.default_rng(7)
+        knots = None
+        monkeypatch.setattr(consumption, "discrete_policy",
+                            lambda params, delta, a_max: PiecewiseLinearPolicy(knots, knots + 1.0))
+        for trial in range(600):
+            draw = rng.integers if trial % 2 else rng.uniform
+            grid = np.unique(draw(0, 60, rng.integers(2, 25)).astype(float))
+            knots = np.unique(np.append(draw(0, 80, rng.integers(1, 60)), [0, 80]).astype(float))
+            if grid.size < 2:
+                continue
+            _, rows = figure_rows(p, 1, grid, 1.0)
+            snapped, flags = snap_with_every_knot(grid, knots)
+            assert [row[0] for row in rows] == snapped.tolist()
+            assert [row[3] for row in rows] == flags.tolist()
+
     def test_figure1_requires_positive_rate(self, capsys):
         rc = main(["figure", "--which", "1", "--r", "0"])
         assert rc == 2
@@ -373,6 +403,14 @@ class TestFigure:
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == "" and not out.exists()
         assert captured.err.startswith(f"error: figure {which}: a_over_y overflows a double at a=")
+
+    def test_figure2_rows_are_python_floats(self, monkeypatch):
+        # numpy-scalar rows warned in h_numeric's seed before the a_over_y ValueError
+        calls = count_calls(monkeypatch, depletion_map, "h_numeric")
+        p = validate(ModelParams(rho=0.08, r=0.01, gamma=0.5, y=0.001))
+        with pytest.raises(ValueError, match="a_over_y overflows a double at a=5e[+]305"):
+            figure_rows(p, 2, np.linspace(0.0, 1e306, 3), 1.0)
+        assert [type(args[1]) for args in calls] == [float, float, float]
 
     def test_unknown_figure(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -6,7 +6,10 @@ value of its line's expression: exactly, or to the digits written when
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -25,8 +28,8 @@ def matches(quoted, value):
     return float(quoted) == value
 
 
-def test_quickstart_quotes_computed_values():
-    source = quickstart()
+def checked_quotes(source):
+    """Run ``source`` statement by statement; assert each quoted value; return how many."""
     lines = source.splitlines()
     namespace, checked = {}, 0
     for stmt in ast.parse(source).body:
@@ -43,4 +46,25 @@ def test_quickstart_quotes_computed_values():
         for q, v in zip(quoted, values):
             assert matches(q, float(v)), (stmt.lineno, q, v)
             checked += 1
-    assert checked >= 7  # T, c, both MPCs and the three Hessian entries
+    return checked
+
+
+def test_quickstart_quotes_computed_values():
+    assert checked_quotes(quickstart()) >= 7  # T, c, both MPCs and the three Hessian entries
+
+
+def test_quickstart_scalar_lines_run_without_numpy():
+    # every line above the quickstart's ``import numpy``, in an interpreter that cannot import it
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here), str(here.parent / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import test_readme\n"
+        "print(test_readme.checked_quotes(test_readme.quickstart().partition('import numpy')[0]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) >= 7
