@@ -10,8 +10,8 @@ grid value-iteration solve of the discrete-time model.
 
 The closed forms run on ``math`` alone: importing the package, or calling it
 on floats, loads no numpy.  numpy loads on the first array, and with the
-oracles: the names re-exported from ``validation`` below resolve on first
-access (PEP 562), so ``from ifpclosed import grid_dp`` loads them then.
+oracles, which live in ``ifpclosed.validation`` alone and are imported from
+there (``from ifpclosed.validation import grid_dp``).
 """
 
 from .consumption import (
@@ -38,13 +38,3 @@ from .model_core import ModelParams, crra_utility, validate, value_upper_bound
 from .special_functions import lambert_wm1, wm1_neg_exp_offset
 
 __version__ = "0.1.0"
-
-_VALIDATION_NAMES = ("AssetPath", "DpSolution", "approximation_error_report", "fd_gradient",
-                     "fd_hessian", "grid_dp", "make_asset_grid", "pdv_utility", "simulate_assets")
-
-
-def __getattr__(name: str):
-    if name in _VALIDATION_NAMES:
-        from . import validation
-        return getattr(validation, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

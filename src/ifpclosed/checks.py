@@ -39,10 +39,10 @@ from .validation import (
     simulate_assets,
 )
 
-__all__ = ["CheckResult", "CRITERIA", "FIGURE1_PARAMS", "run_level"]
+__all__ = ["CheckResult", "CRITERIA", "run_level"]
 
-FIGURE1_PARAMS = ModelParams(rho=0.08, r=0.01, gamma=0.5, y=3.0)
-_FIGURE1_R0 = replace(FIGURE1_PARAMS, r=0.0)
+_FIGURE1_PARAMS = ModelParams(rho=0.08, r=0.01, gamma=0.5, y=3.0)
+_FIGURE1_R0 = replace(_FIGURE1_PARAMS, r=0.0)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -215,8 +215,8 @@ def check_value_bound() -> list[CheckResult]:
     """Criterion 6: Lemma-style value bound and dominance over perturbed plans."""
     v_star, perturbed = perturbed_path_values(_FIGURE1_R0, 3.0)
     margins = [value_upper_bound(_FIGURE1_R0, 3.0) - v_star]
-    for r in (0.0, FIGURE1_PARAMS.r):
-        p = replace(FIGURE1_PARAMS, r=r)
+    for r in (0.0, _FIGURE1_PARAMS.r):
+        p = replace(_FIGURE1_PARAMS, r=r)
         a0s = [mult * p.y for mult in (0.1, 1.0, 3.0, 10.0, 100.0)]
         # v_star is already the optimum at (r = 0, a0 = 3)
         a0s = [a0 for a0 in a0s if (p, a0) != (_FIGURE1_R0, 3.0)]
@@ -232,7 +232,7 @@ def check_value_bound() -> list[CheckResult]:
 
 def check_small_r() -> list[CheckResult]:
     """Criterion 7: O(r) behavior of the small-r approximation."""
-    base = FIGURE1_PARAMS
+    base = _FIGURE1_PARAMS
     a_grid = np.linspace(0.0, 100.0, 81) * base.y
     by_r = approximation_error_report(base, [0.0, 0.02, 0.01, 0.005], a_grid)
     # gap at a = 0 for every r: first grid point is exactly 0
@@ -253,7 +253,7 @@ def check_small_r() -> list[CheckResult]:
 
 def check_discrete_model() -> list[CheckResult]:
     """Criterion 8: discrete knots, DP agreement, and the continuum limit."""
-    p = FIGURE1_PARAMS
+    p = _FIGURE1_PARAMS
     knots = mu_discrete(p, 1.0, 40)
     knot_margin = float(np.min(np.diff(knots)))
     p0 = _FIGURE1_R0
@@ -284,7 +284,7 @@ def check_discrete_model() -> list[CheckResult]:
 
 def check_figures() -> list[CheckResult]:
     """Criterion 9: figure CSV data reproduce the qualitative shapes."""
-    p = FIGURE1_PARAMS
+    p = _FIGURE1_PARAMS
     grid = np.linspace(0.0, 10.0 * p.y, 201)
     _, rows1 = figure_rows(p, 1, grid, delta=1.0)
     constrained_at_zero = rows1[0][1] * p.y

@@ -19,7 +19,7 @@ from .consumption import (
     consumption_from_depletion_time,
     figure_rows,
 )
-from .depletion_map import best_depletion_time, h_approx_small_r, h_closed_r0, h_numeric
+from .depletion_map import best_depletion_time, h_approx_small_r, h_numeric
 from .model_core import ModelParams
 
 __all__ = ["main", "sweep_grid"]
@@ -88,15 +88,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
     a, t = args.a, args.t
     lines = [("a", a), ("t", t)]
     T_numeric = h_numeric(params, a).T
+    # one kernel call: at r = 0 the small-r form is the exact one, bit for bit
+    d = consumption_derivatives(params, a) if params.r == 0.0 and a > 0.0 else None
+    T_approx = h_approx_small_r(params, a).T if d is None else d.T
     T = T_numeric
     if params.r == 0.0:
-        T = h_closed_r0(params, a).T
+        T = T_approx
         lines.append(("T_exact_r0", T))
     lines.append(("T_numeric", T_numeric))
-    lines.append(("T_approx_small_r", h_approx_small_r(params, a).T))
+    lines.append(("T_approx_small_r", T_approx))
     lines.append(("c", consumption_from_depletion_time(params, T, t)))
-    if params.r == 0.0 and a > 0.0:
-        d = consumption_derivatives(params, a)
+    if d is not None:
         lines.extend((key, getattr(d, key)) for key in _COLUMNS["jacobian"] + _COLUMNS["hessian"])
     print("\n".join(f"{key}={_fmt(value)}" for key, value in lines))
     return 0
@@ -124,12 +126,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    import numpy as np
     params = _params_from(args)
     a_max = args.a_max if args.a_max is not None else 10.0 * params.y
     grid = sweep_grid(args.a_min, a_max, args.n, args.spacing)
-    with np.errstate(over="ignore"):  # as in cmd_sweep; figure 1's arrays can overflow too
-        header, rows = figure_rows(params, args.which, grid, args.delta)
+    header, rows = figure_rows(params, args.which, grid, args.delta)
     _write_csv(args.out, header, rows)
     return 0
 

@@ -251,29 +251,32 @@ def figure_rows(
     the rule runs on those alone, in memory of the grid's size.
     Figure 2: small-r closed-form approximation against the numerically
     inverted solution.  A value past the double range (a/y at y < 1, say)
-    is a ``ValueError`` naming its column and the first such a.
+    is a ``ValueError`` naming its column and the first such a, with no numpy
+    overflow warning before it.
     """
     import numpy as np
     y = params.y
     if which == 1:
         grid = np.array(grid, dtype=float)  # a copy: the knots go into it
-        policy = discrete_policy(params, delta, grid[-1])
-        knots = policy.knot_assets
-        # the knots around each grid point, unsorted and repeating: a tie can only be between
-        # the two around one point, and the lower of them comes first, as the rule needs
-        around = np.searchsorted(knots, grid)
-        knots = knots[np.clip(np.concatenate((around - 1, around)), 0, knots.size - 1)]
-        knots = knots[(knots >= grid[0]) & (knots <= grid[-1])]
-        upper = np.searchsorted(grid, knots)
-        lower = np.maximum(upper - 1, 0)
-        nominee = np.where(knots - grid[lower] <= grid[upper] - knots, lower, upper)
-        closest = np.lexsort((np.abs(grid[nominee] - knots), nominee))
-        moved, first = np.unique(nominee[closest], return_index=True)
-        grid[moved] = knots[closest[first]]
-        flags = np.bincount(moved, minlength=grid.size)
-        header = ["a_over_y", "c_discrete_over_y", "c_unconstrained_over_y", "knot_flag"]
-        columns = (grid / y, policy(grid) / y, consumption_unconstrained(params, grid) / y, flags)
-        rows = list(zip(*(col.tolist() for col in columns)))
+        # an overflow on the way (the knots' growth, grid / y) ends in the ValueError below
+        with np.errstate(over="ignore"):
+            policy = discrete_policy(params, delta, grid[-1])
+            knots = policy.knot_assets
+            # the knots around each grid point, unsorted and repeating: a tie can only be between
+            # the two around one point, and the lower of them comes first, as the rule needs
+            around = np.searchsorted(knots, grid)
+            knots = knots[np.clip(np.concatenate((around - 1, around)), 0, knots.size - 1)]
+            knots = knots[(knots >= grid[0]) & (knots <= grid[-1])]
+            upper = np.searchsorted(grid, knots)
+            lower = np.maximum(upper - 1, 0)
+            nominee = np.where(knots - grid[lower] <= grid[upper] - knots, lower, upper)
+            closest = np.lexsort((np.abs(grid[nominee] - knots), nominee))
+            moved, first = np.unique(nominee[closest], return_index=True)
+            grid[moved] = knots[closest[first]]
+            flags = np.bincount(moved, minlength=grid.size)
+            header = ["a_over_y", "c_discrete_over_y", "c_unconstrained_over_y", "knot_flag"]
+            columns = (grid / y, policy(grid) / y, consumption_unconstrained(params, grid) / y, flags)
+            rows = list(zip(*(col.tolist() for col in columns)))
     elif which == 2:
         header = ["a_over_y", "c_closed_approx_over_y", "c_numeric_over_y"]
         rows = [

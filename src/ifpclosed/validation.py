@@ -280,14 +280,14 @@ def perturbed_path_values(params: ModelParams, a0: float) -> tuple[float, list[f
 def fd_gradient(
     fn: Callable[[float, float], float],
     point: tuple[float, float],
-    step: float | Sequence[float],
+    step: tuple[float, float],
 ) -> tuple[float, float]:
     """Central-difference gradient of fn(a, y), Richardson-extrapolated once.
 
-    ``step`` is the absolute step per coordinate (a scalar applies to both).
+    ``step`` is the pair of absolute steps (ha, hy), one per coordinate.
     """
     a, y = point
-    ha, hy = (step, step) if np.isscalar(step) else step
+    ha, hy = step
 
     def central_a(h):
         return (fn(a + h, y) - fn(a - h, y)) / (2.0 * h)
@@ -303,11 +303,11 @@ def fd_gradient(
 def fd_hessian(
     fn: Callable[[float, float], float],
     point: tuple[float, float],
-    step: float | Sequence[float],
+    step: tuple[float, float],
 ) -> tuple[float, float, float]:
     """Second-order central stencils for (d2_aa, d2_ay, d2_yy), Richardson-extrapolated once."""
     a, y = point
-    ha, hy = (step, step) if np.isscalar(step) else step
+    ha, hy = step
     f0 = fn(a, y)
 
     def second_a(h):

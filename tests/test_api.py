@@ -24,7 +24,7 @@ def test_all_names_resolve(name):
 
 def test_public_surface_does_not_grow():
     # the module ``__all__`` total is a tracked number that should only go down
-    assert sum(len(importlib.import_module(f"ifpclosed.{m}").__all__) for m in MODULES) <= 41
+    assert sum(len(importlib.import_module(f"ifpclosed.{m}").__all__) for m in MODULES) <= 40
 
 
 def test_package_reexports_are_listed():
@@ -35,19 +35,14 @@ def test_package_reexports_are_listed():
             module = importlib.import_module(f"ifpclosed.{node.module}")
             unlisted += [f"{node.module}.{alias.name}" for alias in node.names
                          if alias.name not in module.__all__]
-    # the oracles' names resolve on first access, each to the one object in ``validation``
-    validation = importlib.import_module("ifpclosed.validation")
-    unlisted += [f"validation.{name}" for name in ifpclosed._VALIDATION_NAMES
-                 if name not in validation.__all__]
     assert unlisted == []
-    assert all(getattr(ifpclosed, name) is getattr(validation, name)
-               for name in ifpclosed._VALIDATION_NAMES)
 
 
 def test_lazy_reexports_import_and_fail_like_attributes():
-    from ifpclosed import grid_dp
-
-    assert grid_dp is ifpclosed.validation.grid_dp
+    # the oracles have one home, ``ifpclosed.validation``; the package re-exports none of them
+    assert "__getattr__" not in vars(ifpclosed)
+    with pytest.raises(ImportError):
+        from ifpclosed import grid_dp  # noqa: F401
     with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
         ifpclosed.not_a_name
     with pytest.raises(ImportError):

@@ -147,6 +147,14 @@ class TestEval:
         assert captured.out == ""
         assert "past the range of mu" in captured.err
 
+    @pytest.mark.parametrize("r", ["0", "0.01"])
+    @pytest.mark.parametrize("a", ["0", "3"])
+    def test_one_kernel_call_per_point(self, r, a, monkeypatch, capsys):
+        # T_exact_r0, T_approx_small_r and the derivatives all come from one branch offset
+        calls = count_calls(monkeypatch, special_functions, "wm1_neg_exp_offset")
+        assert main(["eval", "--r", r, "--a", a]) == 0
+        assert len(calls) == 1
+
     @pytest.mark.parametrize(
         "flags",
         [["--rho", "inf", "--r", "0"], ["--gamma", "inf", "--r", "0"], ["--y", "inf", "--r", "0"],
@@ -403,6 +411,13 @@ class TestFigure:
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == "" and not out.exists()
         assert captured.err.startswith(f"error: figure {which}: a_over_y overflows a double at a=")
+
+    def test_figure1_past_the_double_range_raises_without_a_warning(self):
+        # the knots' growth and grid / y overflow on the way to the a_over_y ValueError;
+        # with warnings as errors, a RuntimeWarning would be raised first
+        p = validate(ModelParams(rho=0.08, r=0.01, gamma=0.5, y=0.001))
+        with pytest.raises(ValueError, match="a_over_y overflows a double at a="):
+            figure_rows(p, 1, np.linspace(0.0, 1e306, 3), 1.0)
 
     def test_figure2_rows_are_python_floats(self, monkeypatch):
         # numpy-scalar rows warned in h_numeric's seed before the a_over_y ValueError

@@ -39,12 +39,12 @@ PATH_TOL = 1e-8
 
 class TestFiniteDifferences:
     def test_gradient_bilinear(self):
-        fd = fd_gradient(lambda a, y: a * y, (2.0, 3.0), 1e-4)
+        fd = fd_gradient(lambda a, y: a * y, (2.0, 3.0), (1e-4, 1e-4))
         assert fd[0] == pytest.approx(3.0, abs=1e-10)
         assert fd[1] == pytest.approx(2.0, abs=1e-10)
 
     def test_gradient_constant(self):
-        fd = fd_gradient(lambda a, y: 7.0, (1.0, 1.0), 1e-3)
+        fd = fd_gradient(lambda a, y: 7.0, (1.0, 1.0), (1e-3, 1e-3))
         assert fd == (0.0, 0.0)
 
     def test_gradient_per_coordinate_steps(self):
@@ -53,15 +53,15 @@ class TestFiniteDifferences:
         assert fd[1] == pytest.approx(27.0, rel=1e-10)
 
     def test_hessian_polynomial(self):
-        fd = fd_hessian(lambda a, y: a**2 * y, (1.0, 1.0), 1e-3)
+        fd = fd_hessian(lambda a, y: a**2 * y, (1.0, 1.0), (1e-3, 1e-3))
         assert fd[0] == pytest.approx(2.0, abs=1e-6)
         assert fd[1] == pytest.approx(2.0, abs=1e-6)
         assert fd[2] == pytest.approx(0.0, abs=1e-6)
 
     def test_hessian_cross_symmetric_function(self):
         fn = lambda a, y: math.sin(a * y)
-        at = fd_hessian(fn, (0.4, 0.9), 1e-4)[1]
-        swapped = fd_hessian(lambda a, y: fn(y, a), (0.9, 0.4), 1e-4)[1]
+        at = fd_hessian(fn, (0.4, 0.9), (1e-4, 1e-4))[1]
+        swapped = fd_hessian(lambda a, y: fn(y, a), (0.9, 0.4), (1e-4, 1e-4))[1]
         assert at == pytest.approx(swapped, rel=1e-9)
 
 
