@@ -29,6 +29,7 @@ from .model_core import ModelParams, value_upper_bound
 from .special_functions import lambert_wm1
 from .validation import (
     _DP_TOL,
+    _anchor_depletion_time,
     approximation_error_report,
     fd_gradient,
     fd_hessian,
@@ -104,7 +105,10 @@ def check_lambert_kernel() -> list[CheckResult]:
 
 
 def check_closed_vs_numeric() -> list[CheckResult]:
-    """Criterion 2: r = 0 closed form against numeric inversion, and the -y*w identity."""
+    """Criterion 2: numeric inversion against the r = 0 closed form and the exact r > 0 anchor.
+
+    Also the -y*w identity of the r = 0 closed form.
+    """
     p = _FIGURE1_R0
     a = np.geomspace(1e-6, 1e6, 200) * p.y
     c_num = np.array([consumption_from_depletion_time(p, h_numeric(p, a_).T) for a_ in a.tolist()])
@@ -116,9 +120,15 @@ def check_closed_vs_numeric() -> list[CheckResult]:
     c_closed = consumption_path(p, a)
     f = -np.exp(-(1.0 + p.rho * a / (p.gamma * p.y)))
     ident = float(np.max(np.abs(c_closed + p.y * lambert_wm1(f)) / c_closed))
+    p = replace(_FIGURE1_PARAMS, r=_FIGURE1_PARAMS.rho / (1.0 + _FIGURE1_PARAMS.gamma))
+    anchor_gap = 0.0
+    for a in (10.0**k * p.y for k in range(-12, 13)):
+        T = _anchor_depletion_time(p, a)
+        anchor_gap = max(anchor_gap, abs(h_numeric(p, a).T - T) / T)
     return [
         _bounded("closed_vs_numeric.max_rel_gap", gap, 1e-9),
         _bounded("closed_vs_numeric.lambert_identity", ident, 1e-13),
+        _bounded("closed_vs_numeric.exact_anchor_rel_gap", anchor_gap, 1e-12),
     ]
 
 
@@ -127,12 +137,13 @@ def check_jacobian() -> list[CheckResult]:
     p = _FIGURE1_R0
     y = p.y
     fn = lambda a_, y_: consumption_path(replace(p, y=y_), a_)
-    h_rel = _EPS ** (1.0 / 3.0)
+    # fd_gradient's error is O(h^4) truncation plus O(eps/h) rounding: both
+    # are about eps^(4/5) at h = eps^(1/5) relative to each coordinate
+    h_rel = _EPS ** (1.0 / 5.0)
     fd_err = 0.0
     for ratio in np.geomspace(1e-3, 1e3, 25):
         a = ratio * y
-        steps = (h_rel * max(a, y), h_rel * y)
-        g_fd = fd_gradient(fn, (a, y), steps)
+        g_fd = fd_gradient(fn, (a, y), (h_rel * a, h_rel * y))
         d = consumption_derivatives(p, a)
         fd_err = max(
             fd_err,
@@ -145,7 +156,7 @@ def check_jacobian() -> list[CheckResult]:
     euler = float(np.max(np.abs(a * d.dc_da + y * d.dc_dy - d.c) / d.c))
     mpc_tail = abs(consumption_derivatives(p, 1e8 * y).dc_da - p.rho / p.gamma)
     return [
-        _bounded("jacobian.fd_rel_err", fd_err, 1e-6),
+        _bounded("jacobian.fd_rel_err", fd_err, 1e-9),
         _positive("jacobian.entries_positive_margin", sign_margin),
         _bounded("jacobian.euler_identity", euler, 1e-10),
         _bounded("jacobian.asymptotic_mpc", mpc_tail, 1e-4),
@@ -157,12 +168,13 @@ def check_hessian() -> list[CheckResult]:
     p = _FIGURE1_R0
     y = p.y
     fn = lambda a_, y_: consumption_path(replace(p, y=y_), a_)
-    h_rel = _EPS ** (1.0 / 4.0)
+    # fd_hessian's error is O(h^4) truncation plus O(eps/h^2) rounding: both
+    # are about eps^(2/3) at h = eps^(1/6) relative to each coordinate
+    h_rel = _EPS ** (1.0 / 6.0)
     fd_err = 0.0
     for ratio in np.geomspace(1e-3, 1e3, 25):
         a = ratio * y
-        steps = (h_rel * max(a, y), h_rel * y)
-        h_fd = fd_hessian(fn, (a, y), steps)
+        h_fd = fd_hessian(fn, (a, y), (h_rel * a, h_rel * y))
         d = consumption_derivatives(p, a)
         h_cl = (d.d2c_da2, d.d2c_dady, d.d2c_dy2)
         fd_err = max(fd_err, max(abs(f - c) / abs(c) for f, c in zip(h_fd, h_cl)))
@@ -181,7 +193,7 @@ def check_hessian() -> list[CheckResult]:
         cross = c_hi[n:] - c_lo[n:] - c_hi[:n] + c_lo[:n]
         cross_margin = min(cross_margin, float(cross.min()))
     return [
-        _bounded("hessian.fd_rel_err", fd_err, 1e-4),
+        _bounded("hessian.fd_rel_err", fd_err, 1e-6),
         _positive("hessian.sign_pattern_margin", sign_margin),
         _bounded("hessian.determinant_rel", det_rel, 1e-12),
         _positive("hessian.supermodularity_margin", cross_margin),

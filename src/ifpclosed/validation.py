@@ -3,9 +3,11 @@
 Nothing here trusts the Lambert-W algebra beyond the depletion time itself:
 feasibility is checked by integrating the budget equation with RK4,
 optimality by discounted-utility quadrature against perturbed feasible
-plans and by a grid value-iteration solve of the discrete model, and the
-derivative formulas by Richardson-extrapolated finite differences.  All
-closed-form-vs-oracle comparisons elsewhere route through this module.
+plans and by a grid value-iteration solve of the discrete model, the
+derivative formulas by Richardson-extrapolated finite differences, and the
+numeric inversion at r > 0 by the exact depletion time at
+r = rho/(1 + gamma).  All closed-form-vs-oracle comparisons elsewhere route
+through this module.
 """
 
 from __future__ import annotations
@@ -231,20 +233,25 @@ def _budget_rhs(params: ModelParams, a0: float, t: np.ndarray) -> np.ndarray:
     return a0 - params.y * np.expm1(-params.r * t) / params.r
 
 
-# perturbed_path_values's plans: how many, their amplitude, their frequencies' seed
-_PERTURBED_PLANS = 10
+# perturbed_path_values's plans: their amplitude, and each plan's frequency in
+# cycles per horizon (ten uniform draws on [1, 8), written out as doubles)
 _PERTURBATION = 0.05
-_PERTURBATION_SEED = 20240301
+_PERTURBATION_CYCLES = (
+    4.717980841733359, 7.311324807967013, 5.607743348616114, 6.2136749664291,
+    5.721664902205905, 3.3725831833491933, 6.674356317774705, 5.97319857372346,
+    1.5402462145845388, 3.357423215343582,
+)
 
 
 def perturbed_path_values(params: ModelParams, a0: float) -> tuple[float, list[float]]:
     """Optimality spot check: discounted utility of feasible perturbed plans.
 
     Ten perturbations multiply the closed-form path by (1 + 0.05*sin(w*t)),
-    each w drawn from a fixed seed (the module constants above), then
-    rescale by the largest factor that keeps the cumulative budget
-    inequality satisfied at every t (capped by budget equality at the
-    horizon, with a 1e-6 safety margin for the cumulative quadrature).
+    each w = 2*pi*n/T for a fixed number n of cycles per horizon (the
+    module constants above), then rescale by the largest factor that keeps
+    the cumulative budget inequality satisfied at every t (capped by budget
+    equality at the horizon, with a 1e-6 safety margin for the cumulative
+    quadrature).
     The optimum is one ``pdv_utility`` call and the ten plans one
     ``_discounted_utility`` call.  Returns (optimal pdv, list of perturbed
     pdvs); every perturbed value must fall strictly below the optimum.
@@ -253,8 +260,7 @@ def perturbed_path_values(params: ModelParams, a0: float) -> tuple[float, list[f
     if T <= 0.0:
         raise ValueError("perturbed_path_values: need a0 > 0 so the horizon is positive")
     v_star = pdv_utility(params, a0)
-    rng = np.random.default_rng(_PERTURBATION_SEED)
-    omegas = rng.uniform(1.0, 8.0, size=_PERTURBED_PLANS) * (2.0 * math.pi / T)
+    omegas = np.array(_PERTURBATION_CYCLES) * (2.0 * math.pi / T)
     tgrid = np.linspace(0.0, T, 4001)
     base = consumption_from_depletion_time(params, T, tgrid)
     disc = np.exp(-params.r * tgrid)
@@ -273,8 +279,22 @@ def perturbed_path_values(params: ModelParams, a0: float) -> tuple[float, list[f
         wave = 1.0 + _PERTURBATION * np.sin(omegas[k] * t)
         return scales[k] * consumption_from_depletion_time(params, T, t) * wave
 
-    values = _discounted_utility(params, c_tilde, np.full(_PERTURBED_PLANS, T)).tolist()
+    values = _discounted_utility(params, c_tilde, np.full(omegas.size, T)).tolist()
     return v_star, values
+
+
+def _anchor_depletion_time(params: ModelParams, a: float) -> float:
+    """Exact depletion time at the rate r = rho/(1 + gamma), from assets a >= 0.
+
+    There k = (rho - r)/gamma equals r, and mu(T) = a reads
+    s + 1/s - 2 = du with s = e^(rT) and du = B*a/(gamma*y), that is
+    (2*sinh(rT/2))^2 = du, so T = (2/r)*asinh(sqrt(du)/2).  It shares no
+    code with ``h_numeric``, so it grades that inversion at r > 0.
+    """
+    if params.r != params.rho / (1.0 + params.gamma):
+        raise ValueError(f"_anchor_depletion_time: need r = rho/(1 + gamma), got r={params.r}")
+    du = (params.r * (params.gamma - 1.0) + params.rho) * a / (params.gamma * params.y)
+    return 2.0 / params.r * math.asinh(math.sqrt(du) / 2.0)
 
 
 def fd_gradient(

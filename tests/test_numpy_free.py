@@ -1,6 +1,7 @@
 """numpy loads on the first array, never on ``import ifpclosed`` or a scalar call.
 
-The fresh-interpreter checks run in a subprocess, since this one has numpy
+The acceptance suite loads numpy but not ``numpy.random``.  The
+fresh-interpreter checks run in a subprocess, since this one has numpy
 loaded already.  The in-process checks pin the route each input type takes:
 only an exact ``numpy.ndarray`` takes the array path.
 """
@@ -66,6 +67,16 @@ assert cli.main(["eval", "--r", "{r}", "--a", "3"]) == 0
 print("numpy" in sys.modules)
 """
     assert run_fresh(code).stdout.splitlines()[-1] == "False"
+
+
+def test_the_acceptance_suite_loads_no_numpy_random():
+    code = """
+import sys
+from ifpclosed import checks
+assert all(row.passed for row in checks.run_level("full"))
+print([name for name in ("numpy.random", "secrets") if name in sys.modules])
+"""
+    assert run_fresh(code).stdout == "[]\n"
 
 
 def test_an_array_loads_numpy():

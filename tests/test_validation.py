@@ -373,6 +373,11 @@ class TestPerturbationDominance:
         second = perturbed_path_values(FIG1_R0, 3.0)
         assert first == second
 
+    def test_cycles_are_the_seeded_draws(self):
+        # the ten frequencies were drawn once from this seed; the module keeps the doubles
+        drawn = np.random.default_rng(20240301).uniform(1.0, 8.0, 10)
+        assert np.array(validation._PERTURBATION_CYCLES).tobytes() == drawn.tobytes()
+
     def test_discounted_utility_of_plain_path_matches_pdv(self):
         T = h_closed_r0(FIG1_R0, 3.0).T
         b = FIG1_R0.rho / FIG1_R0.gamma
@@ -380,6 +385,25 @@ class TestPerturbationDominance:
         assert _discounted_utility(FIG1_R0, c_fn, np.array([T]))[0] == pytest.approx(
             pdv_utility(FIG1_R0, 3.0), rel=1e-12
         )
+
+
+class TestExactAnchor:
+    @pytest.mark.parametrize("rho, gamma, y", [(0.08, 0.5, 3.0), (0.05, 5.0, 0.01),
+                                               (0.06, 2.0, 100.0), (0.08, 1.0, 1.0)])
+    def test_matches_the_mpmath_root(self, rho, gamma, y):
+        from mp_reference import depletion_time_ref, rel_err
+
+        p = ModelParams(rho, rho / (1.0 + gamma), gamma, y)
+        for a in (10.0**k * y for k in range(-12, 13)):
+            T = validation._anchor_depletion_time(p, a)
+            assert rel_err(T, depletion_time_ref(rho, p.r, gamma, y, a, T)) <= 1e-15, a
+
+    def test_zero_assets_deplete_at_once(self):
+        assert validation._anchor_depletion_time(ModelParams(0.08, 0.08 / 1.5, 0.5, 3.0), 0.0) == 0.0
+
+    def test_refuses_another_rate(self):
+        with pytest.raises(ValueError, match="need r = rho/"):
+            validation._anchor_depletion_time(FIG1, 3.0)
 
 
 class TestTimePathOracles:
