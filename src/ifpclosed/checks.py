@@ -47,10 +47,10 @@ _FIGURE1_R0 = replace(_FIGURE1_PARAMS, r=0.0)
 
 _EPS = float(np.finfo(float).eps)
 
-# Relative agreement in W-1 of the array and the scalar kernel: about 7x the
-# worst seen on criterion 1's grids (1.35e-15).  Outputs that divide by the
-# branch offset v = 1 + W inherit it amplified by about 1/|v|.
-_ARRAY_AGREEMENT = 1e-14
+# Relative agreement in W-1 of the array and the scalar kernel on the same
+# inputs: about 8x the worst seen on criterion 1's grids (3.8e-16).  Outputs
+# that divide by the branch offset v = 1 + W inherit it amplified by about 1/|v|.
+_ARRAY_AGREEMENT = 3e-15
 
 # Criterion 1's bound on W-1's relative residual |w*e^w - x|/|x|, scalar and array
 _RESIDUAL_TOL = 1e-13
@@ -78,25 +78,25 @@ def _positive(name: str, margin: float) -> CheckResult:
 
 
 def check_lambert_kernel() -> list[CheckResult]:
-    """Criterion 1: kernel residuals, round trip and runtime; the array path on the same grids."""
+    """Criterion 1: kernel residuals, round trip and runtime; the array path on the same inputs."""
     xs = -np.geomspace(1.0 / math.e - 1e-12, 1e-12, 10_000)
     ws = np.linspace(-50.0, -1.0, 10_000)
-    arr_m1, arr_trips = lambert_wm1(xs), lambert_wm1(ws * np.exp(ws))
+    x_trips = ws * np.exp(ws)
+    arr_m1, arr_trips = lambert_wm1(xs), lambert_wm1(x_trips)
     arr_res = float(np.max(np.abs(arr_m1 * np.exp(arr_m1) - xs) / -xs))
     t0 = time.perf_counter()
     # memoryviews hand the timed scalar calls Python floats, not numpy scalars
-    ws_m1 = [lambert_wm1(x) for x in memoryview(xs)]
-    res_m1 = max(abs(w * math.exp(w) - x) / abs(x) for x, w in zip(memoryview(xs), ws_m1))
-    trips = np.fromiter((lambert_wm1(w * math.exp(w)) for w in memoryview(ws)), float, ws.size)
-    round_trip = float(np.max(np.abs(trips - ws)))
+    ws_m1 = np.array([lambert_wm1(x) for x in memoryview(xs)])
+    trips = np.array([lambert_wm1(x) for x in memoryview(x_trips)])
     elapsed = time.perf_counter() - t0
+    res_m1 = float(np.max(np.abs(ws_m1 * np.exp(ws_m1) - xs) / -xs))
     agreement = max(
         float(np.max(np.abs(arr_m1 - ws_m1) / -arr_m1)),
         float(np.max(np.abs(arr_trips - trips) / -arr_trips)),
     )
     return [
         _bounded("lambert.wm1_residual", res_m1, _RESIDUAL_TOL),
-        _bounded("lambert.round_trip", round_trip, 1e-12),
+        _bounded("lambert.round_trip", float(np.max(np.abs(trips - ws))), 1e-12),
         _bounded("lambert.runtime_seconds", elapsed, 1.0),
         _bounded("lambert.array_residual", arr_res, _RESIDUAL_TOL),
         _bounded("lambert.array_round_trip", float(np.max(np.abs(arr_trips - ws))), 1e-12),

@@ -25,12 +25,13 @@ at 400 Chebyshev nodes of sqrt(du) on [sqrt(0.02), 5] against 40-digit mpmath,
 reweighted by |relative error|^0.3 sixty times toward the minimax error
 (1.0e-6), then converted to monomials.
 
-Only an exact ``numpy.ndarray`` takes the array paths; ints, floats, numpy
-scalars and ndarray subclasses take the scalar path, which runs on ``math``
-alone.  A float (an ``np.float64`` too) is settled by an inline ``isinstance``;
-anything else by ``_is_ndarray``, which reads ``sys.modules`` rather than
-importing numpy, since an ndarray exists only once numpy is loaded.  So numpy
-is imported on the first array, never by a scalar call.
+Only an exact ``numpy.ndarray`` takes the array helpers; ints, floats, numpy
+scalars and ndarray subclasses take one scalar body, ``_offset``, straight-line
+code on ``math`` alone that both public entries run once their checks pass.  A
+float (an ``np.float64`` too) is settled by an inline ``isinstance``; anything
+else by ``_is_ndarray``, which reads ``sys.modules`` rather than importing
+numpy, since an ndarray exists only once numpy is loaded.  So numpy is imported
+on the first array, never by a scalar call.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 import sys
 
-__all__ = ["BRANCH_EPS", "lambert_wm1", "wm1_neg_exp_offset"]
+__all__ = ["lambert_wm1", "wm1_neg_exp_offset"]
 
 # The branch point of W-1: W-1(-1/e) = -1.
 _X_BRANCH = -1.0 / math.e
@@ -46,10 +47,11 @@ _X_BRANCH = -1.0 / math.e
 # Inputs within 4 ulp of -1/e are snapped onto the branch point: the double
 # nearest -1/e is itself ~1 ulp off the real number, so exact-arithmetic
 # callers (a = 0 downstream) must land inside this band.
-BRANCH_EPS = 4.0 * math.ulp(1.0 / math.e)
+_BRANCH_EPS = 4.0 * math.ulp(1.0 / math.e)
+_X_BELOW, _X_SNAP = _X_BRANCH - _BRANCH_EPS, _X_BRANCH + _BRANCH_EPS  # the band's edges
 
 # Same snap radius expressed in the exponent variable u of -exp(-u);
-# |du/dx| = e at the branch point, so this matches BRANCH_EPS to first order.
+# |du/dx| = e at the branch point, so this matches _BRANCH_EPS to first order.
 _U_EPS = 4.0 * math.ulp(1.0)
 
 _NEAR_BRANCH = -0.5  # above this v the residual is summed by _phi_near_branch
@@ -83,20 +85,13 @@ def _asymptotic(log_u, du):
 
 
 def _wm1_offset_guess(du):
-    """The start (regions in the module docstring): within 1.8e-6 relative of v for du > 0."""
-    if not isinstance(du, float) and _is_ndarray(du):
-        import numpy as np
-        # the polynomial, clamped to stay finite, then the other regions
-        v = _sqrt_du_poly(np.sqrt(np.minimum(du, _ASYMPTOTIC_FROM)))
-        near, far = du < _SERIES_TO, du >= _ASYMPTOTIC_FROM
-        v[near] = _branch_series(np.sqrt(-2.0 * np.expm1(-du[near])))
-        v[far] = _asymptotic(np.log1p(du[far]), du[far])
-        return v
-    if du < _SERIES_TO:
-        return _branch_series(math.sqrt(-2.0 * math.expm1(-du)))
-    if du < _ASYMPTOTIC_FROM:
-        return _sqrt_du_poly(math.sqrt(du))
-    return _asymptotic(math.log1p(du), du)
+    # ``_offset``'s start over ndarrays: the polynomial, clamped to stay finite, then the rest
+    import numpy as np
+    v = _sqrt_du_poly(np.sqrt(np.minimum(du, _ASYMPTOTIC_FROM)))
+    near, far = du < _SERIES_TO, du >= _ASYMPTOTIC_FROM
+    v[near] = _branch_series(np.sqrt(-2.0 * np.expm1(-du[near])))
+    v[far] = _asymptotic(np.log1p(du[far]), du[far])
+    return v
 
 
 def _phi_near_branch(v, du):
@@ -110,25 +105,42 @@ def _phi_near_branch(v, du):
     return (du - half_v2) - s * (half_v2 + 2.0 * s2 * tail)
 
 
-def _phi(v, du):
+def _offset(du):
+    """The scalar kernel body for du >= -_U_EPS: snap, start, residual and one step."""
+    if du <= _U_EPS:
+        return 0.0
+    # the start (regions in the module docstring): within 1.8e-6 relative of v for du > 0
+    if du < _SERIES_TO:
+        v = _branch_series(math.sqrt(-2.0 * math.expm1(-du)))
+    elif du < _ASYMPTOTIC_FROM:
+        v = _sqrt_du_poly(math.sqrt(du))
+    else:
+        v = _asymptotic(math.log1p(du), du)
     # phi(v) = v + log1p(-v) + du with each regime's leading cancellation exact: the series has
     # none; then v cancels log1p(-v)'s linear part; far out v + du cancels within Sterbenz range
-    if not isinstance(v, float) and _is_ndarray(v):
-        import numpy as np
-        log1p_neg_v = np.log1p(-v)
-        phi = np.where(v > -2.5, (v + log1p_neg_v) + du, (v + du) + log1p_neg_v)
-        near = v > _NEAR_BRANCH
-        phi[near] = _phi_near_branch(v[near], du[near])
-        return phi
     if v > _NEAR_BRANCH:
-        return _phi_near_branch(v, du)
-    if v > -2.5:
-        return (v + math.log1p(-v)) + du
-    return (v + du) + math.log1p(-v)
+        phi = _phi_near_branch(v, du)
+    elif v > -2.5:
+        phi = (v + math.log1p(-v)) + du
+    else:
+        phi = (v + du) + math.log1p(-v)
+    # Householder on phi' = -v/(1-v), phi'' = -1/(1-v)^2, phi''' = -2/(1-v)^3; t, q never overflow
+    t = phi / v
+    q = t / v
+    return v + t * (1.0 - v) * (1.0 + 0.5 * q) / (1.0 + q + t * q / 3.0)
+
+
+def _phi(v, du):
+    # ``_offset``'s residual over ndarrays, with the same three groupings (``_step`` takes its step)
+    import numpy as np
+    log1p_neg_v = np.log1p(-v)
+    phi = np.where(v > -2.5, (v + log1p_neg_v) + du, (v + du) + log1p_neg_v)
+    near = v > _NEAR_BRANCH
+    phi[near] = _phi_near_branch(v[near], du[near])
+    return phi
 
 
 def _step(v, du):
-    # Householder on phi' = -v/(1-v), phi'' = -1/(1-v)^2, phi''' = -2/(1-v)^3; t, q never overflow
     t = _phi(v, du) / v
     q = t / v
     return v + t * (1.0 - v) * (1.0 + 0.5 * q) / (1.0 + q + t * q / 3.0)
@@ -157,9 +169,7 @@ def wm1_neg_exp_offset(du: float | np.ndarray) -> float | np.ndarray:
         if du == math.inf:
             raise ValueError("wm1_neg_exp_offset: du overflowed to inf")
         raise ValueError(f"wm1_neg_exp_offset: need du >= 0, got du={du!r}")
-    if du <= _U_EPS:
-        return 0.0
-    return _step(_wm1_offset_guess(du), du)
+    return _offset(du)
 
 
 def _wm1_offset_array(du: np.ndarray) -> np.ndarray:
@@ -179,27 +189,27 @@ def _wm1_offset_array(du: np.ndarray) -> np.ndarray:
 def lambert_wm1(x: float | np.ndarray) -> float | np.ndarray:
     """Lower real branch W-1 on [-1/e, 0): the solution w <= -1 of w*exp(w) = x.
 
-    Inputs within ``BRANCH_EPS`` of -1/e (including slightly below, where
-    the floating representation of -1/e may put exact-arithmetic callers)
-    return exactly -1.0.  An ndarray ``x`` is evaluated element-wise with one
-    array kernel call.
+    Inputs within 4 ulp of 1/e of -1/e (including slightly below, where the
+    floating representation of -1/e may put exact-arithmetic callers) return
+    exactly -1.0.  An ndarray ``x`` is evaluated element-wise with one array
+    kernel call.
 
     Raises
     ------
     ValueError
-        If x < -1/e - BRANCH_EPS or x >= 0 (including -0.0).
+        If x < -1/e - 4 ulp(1/e), x >= 0 (including -0.0) or x is NaN.
     """
     if not isinstance(x, float) and _is_ndarray(x):
         import numpy as np
-        for bad in x[~((x >= _X_BRANCH - BRANCH_EPS) & (x < 0.0))][:1]:
+        for bad in x[~((x >= _X_BELOW) & (x < 0.0))][:1]:
             lambert_wm1(float(bad))  # raises the scalar path's error
-        du = np.where(x <= _X_BRANCH + BRANCH_EPS, 0.0, -np.log(-x) - 1.0)
+        du = np.where(x <= _X_SNAP, 0.0, -np.log(-x) - 1.0)
         return wm1_neg_exp_offset(du) - 1.0
-    if math.isnan(x) or not x < 0.0:
+    if not x < 0.0:  # NaN included
         raise ValueError(f"lambert_wm1: need -1/e <= x < 0, got x={x!r}")
-    if x < _X_BRANCH - BRANCH_EPS:
+    if x < _X_BELOW:
         raise ValueError(f"lambert_wm1: x={x!r} below the branch point -1/e")
-    if x <= _X_BRANCH + BRANCH_EPS:
+    if x <= _X_SNAP:
         return -1.0
-    return wm1_neg_exp_offset(-math.log(-x) - 1.0) - 1.0
+    return _offset(-math.log(-x) - 1.0) - 1.0
 

@@ -1,6 +1,7 @@
 """Lambert W kernel tests against an independent bisection oracle and mpmath."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 
 from ifpclosed import special_functions
 from ifpclosed.special_functions import (
-    BRANCH_EPS,
+    _BRANCH_EPS,
+    _offset,
     _wm1_offset_guess,
     lambert_wm1,
     wm1_neg_exp_offset,
@@ -41,7 +43,7 @@ class TestBranchPoint:
         assert wm1_neg_exp_offset(0.0) - 1.0 == -1.0
 
     def test_snap_band(self):
-        assert lambert_wm1(-1.0 / math.e - 0.5 * BRANCH_EPS) == -1.0
+        assert lambert_wm1(-1.0 / math.e - 0.5 * _BRANCH_EPS) == -1.0
         assert lambert_wm1(-math.exp(-1.0)) == -1.0
 
 
@@ -92,29 +94,30 @@ class TestWm1:
 class TestInitialGuess:
     """The starting point of the offset iteration, and the kernel value reached from it.
 
-    du = -log(-x) - 1 maps x in (-1/e, 0) onto du > 0.
+    du = -log(-x) - 1 maps x in (-1/e, 0) onto du > 0.  The scalar start is inline in
+    the scalar body ``_offset``, so on floats it is read through the body's result.
     """
 
     def test_near_branch(self):
         du = 1e-10
-        assert abs(_wm1_offset_guess(du)) <= 1e-4
+        assert abs(_offset(du)) <= 1e-4
         assert abs(wm1_neg_exp_offset(du)) <= 1e-4
 
     def test_near_zero(self):
         u = -math.log(1e-8)
         target = -u - math.log(u)  # log(-x) - log(-log(-x)) at x = -1e-8
-        assert _wm1_offset_guess(u - 1.0) - 1.0 == pytest.approx(target, rel=0.1)
+        assert _offset(u - 1.0) - 1.0 == pytest.approx(target, rel=0.1)
         assert wm1_neg_exp_offset(u - 1.0) - 1.0 == pytest.approx(target, rel=0.1)
 
     def test_moderate(self):
         du = -math.log(0.2) - 1.0
-        assert -3.0 < _wm1_offset_guess(du) - 1.0 < -1.0
+        assert -3.0 < _offset(du) - 1.0 < -1.0
         assert -3.0 < wm1_neg_exp_offset(du) - 1.0 < -1.0
 
     def test_below_minus_one_everywhere(self):
         for x in -np.geomspace(0.3678, 1e-10, 200):
             du = -math.log(-x) - 1.0
-            assert _wm1_offset_guess(du) < 0.0
+            assert _offset(du) < 0.0
             assert wm1_neg_exp_offset(du) < 0.0
 
     def test_domain(self):
@@ -185,15 +188,15 @@ class TestAgainstMpmath:
         assert worst <= 1e-15
 
 
-def count_residuals(monkeypatch):
-    """Record the size of every residual evaluation the kernel makes."""
-    sizes, phi = [], special_functions._phi
+def count_calls(monkeypatch, name):
+    """Record the size of the first argument of every call of the kernel helper ``name``."""
+    sizes, helper = [], getattr(special_functions, name)
 
-    def counted(v, du):
-        sizes.append(np.size(v))
-        return phi(v, du)
+    def counted(*args):
+        sizes.append(np.size(args[0]))
+        return helper(*args)
 
-    monkeypatch.setattr(special_functions, "_phi", counted)
+    monkeypatch.setattr(special_functions, name, counted)
     return sizes
 
 
@@ -215,24 +218,53 @@ class TestOneStep:
         # twenty points a decade, and each side of the two region edges
         edges = [np.nextafter(e, side) for e in (0.02, 25.0) for side in (0.0, math.inf)]
         du = np.concatenate((np.geomspace(1e-15, 1e12, 541), edges, [0.02, 25.0]))
-        v0 = _wm1_offset_guess(du) if path == "array" else [_wm1_offset_guess(float(x)) for x in du]
+        v0 = _wm1_offset_guess(du) if path == "array" else [_offset(float(x)) for x in du]
         worst = max(rel_err(v_x, branch_offset_ref(x)) for x, v_x in zip(du, v0))
         assert worst <= 1e-5
 
     @pytest.mark.parametrize("grid", list(CRITERION_1_GRIDS))
     def test_scalar_call_evaluates_the_residual_once(self, grid, monkeypatch):
+        # the scalar body evaluates the residual once, in straight-line code; so one body call
+        # per call off the snap band (w = -1 at x = -1/e is snapped before the kernel)
         xs = CRITERION_1_GRIDS[grid].tolist()
-        sizes = count_residuals(monkeypatch)
+        sizes = count_calls(monkeypatch, "_offset")
         for x in xs:
             lambert_wm1(x)
-        # w = -1 (x = -1/e) is snapped onto the branch point before the kernel
-        assert sizes == [1] * sum(x > -1.0 / math.e + BRANCH_EPS for x in xs)
+        assert sizes == [1] * sum(x > -1.0 / math.e + _BRANCH_EPS for x in xs)
 
     @pytest.mark.parametrize("grid", list(CRITERION_1_GRIDS))
     def test_array_evaluates_the_residual_once_per_block(self, grid, monkeypatch):
         # up to 10k elements off the branch point are five blocks of _BLOCK
         xs = CRITERION_1_GRIDS[grid]
-        sizes = count_residuals(monkeypatch)
+        sizes = count_calls(monkeypatch, "_phi")
         lambert_wm1(xs)
         block = special_functions._BLOCK
-        assert sizes == [block] * 4 + [np.sum(xs > -1.0 / math.e + BRANCH_EPS) - 4 * block]
+        assert sizes == [block] * 4 + [np.sum(xs > -1.0 / math.e + _BRANCH_EPS) - 4 * block]
+
+
+# The snap band's two edges, -1/e -+ 4 ulp of 1/e, and the first x past each
+_SNAP_EDGES = [-1.0 / math.e - _BRANCH_EPS, -1.0 / math.e + _BRANCH_EPS]
+_PAST_EDGES = [math.nextafter(_SNAP_EDGES[0], -1.0), math.nextafter(_SNAP_EDGES[1], 0.0)]
+
+
+class TestSharedBody:
+    """The x-form is the exponent form at du = -log(-x) - 1: both entries run one scalar body."""
+
+    @pytest.mark.parametrize("grid", list(CRITERION_1_GRIDS))
+    def test_x_form_is_the_exponent_form_bit_for_bit(self, grid):
+        xs = CRITERION_1_GRIDS[grid].tolist() + _SNAP_EDGES + _PAST_EDGES[1:]
+        w = [lambert_wm1(x) for x in xs]
+        assert w == [wm1_neg_exp_offset(-math.log(-x) - 1.0) - 1.0 for x in xs]
+        assert [lambert_wm1(x) for x in _SNAP_EDGES] == [-1.0, -1.0]
+
+    @pytest.mark.parametrize(("x", "message"), [
+        (math.nan, "need -1/e <= x < 0, got x=nan"),
+        (math.inf, "need -1/e <= x < 0, got x=inf"),
+        (-math.inf, "x=-inf below the branch point -1/e"),
+        (0.0, "need -1/e <= x < 0, got x=0.0"),
+        (-0.0, "need -1/e <= x < 0, got x=-0.0"),
+        (_PAST_EDGES[0], f"x={_PAST_EDGES[0]!r} below the branch point -1/e"),
+    ])
+    def test_domain_messages(self, x, message):
+        with pytest.raises(ValueError, match=f"^{re.escape('lambert_wm1: ' + message)}$"):
+            lambert_wm1(x)
