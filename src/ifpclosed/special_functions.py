@@ -131,19 +131,13 @@ def _offset(du):
 
 
 def _phi(v, du):
-    # ``_offset``'s residual over ndarrays, with the same three groupings (``_step`` takes its step)
+    # ``_offset``'s residual over ndarrays, with the same three groupings
     import numpy as np
     log1p_neg_v = np.log1p(-v)
     phi = np.where(v > -2.5, (v + log1p_neg_v) + du, (v + du) + log1p_neg_v)
     near = v > _NEAR_BRANCH
     phi[near] = _phi_near_branch(v[near], du[near])
     return phi
-
-
-def _step(v, du):
-    t = _phi(v, du) / v
-    q = t / v
-    return v + t * (1.0 - v) * (1.0 + 0.5 * q) / (1.0 + q + t * q / 3.0)
 
 
 def wm1_neg_exp_offset(du: float | np.ndarray) -> float | np.ndarray:
@@ -182,7 +176,11 @@ def _wm1_offset_array(du: np.ndarray) -> np.ndarray:
     for start in range(0, live.size, _BLOCK):
         idx = live[start : start + _BLOCK]
         d = du.reshape(-1)[idx].astype(float)
-        flat[idx] = _step(_wm1_offset_guess(d), d)
+        v = _wm1_offset_guess(d)
+        # ``_offset``'s Householder step
+        t = _phi(v, d) / v
+        q = t / v
+        flat[idx] = v + t * (1.0 - v) * (1.0 + 0.5 * q) / (1.0 + q + t * q / 3.0)
     return out
 
 

@@ -91,33 +91,58 @@ class TestWm1:
             lambert_wm1(x)
 
 
+@pytest.fixture
+def scalar_start(monkeypatch):
+    """``du -> v0``: the start of the scalar body ``_offset``, recorded as it runs.
+
+    The start is inline in ``_offset``: each region returns one of three formula helpers,
+    and nothing else calls them on a float.  So the value the one called helper returns is
+    the start, before the step.
+    """
+    starts = []
+    for name in ("_branch_series", "_sqrt_du_poly", "_asymptotic"):
+
+        def recorded(*args, helper=getattr(special_functions, name)):
+            starts.append(helper(*args))
+            return starts[-1]
+
+        monkeypatch.setattr(special_functions, name, recorded)
+
+    def start(du):
+        starts.clear()
+        _offset(du)
+        (v0,) = starts
+        return v0
+
+    return start
+
+
 class TestInitialGuess:
     """The starting point of the offset iteration, and the kernel value reached from it.
 
-    du = -log(-x) - 1 maps x in (-1/e, 0) onto du > 0.  The scalar start is inline in
-    the scalar body ``_offset``, so on floats it is read through the body's result.
+    du = -log(-x) - 1 maps x in (-1/e, 0) onto du > 0.
     """
 
-    def test_near_branch(self):
+    def test_near_branch(self, scalar_start):
         du = 1e-10
-        assert abs(_offset(du)) <= 1e-4
+        assert abs(scalar_start(du)) <= 1e-4
         assert abs(wm1_neg_exp_offset(du)) <= 1e-4
 
-    def test_near_zero(self):
+    def test_near_zero(self, scalar_start):
         u = -math.log(1e-8)
         target = -u - math.log(u)  # log(-x) - log(-log(-x)) at x = -1e-8
-        assert _offset(u - 1.0) - 1.0 == pytest.approx(target, rel=0.1)
+        assert scalar_start(u - 1.0) - 1.0 == pytest.approx(target, rel=0.1)
         assert wm1_neg_exp_offset(u - 1.0) - 1.0 == pytest.approx(target, rel=0.1)
 
-    def test_moderate(self):
+    def test_moderate(self, scalar_start):
         du = -math.log(0.2) - 1.0
-        assert -3.0 < _offset(du) - 1.0 < -1.0
+        assert -3.0 < scalar_start(du) - 1.0 < -1.0
         assert -3.0 < wm1_neg_exp_offset(du) - 1.0 < -1.0
 
-    def test_below_minus_one_everywhere(self):
+    def test_below_minus_one_everywhere(self, scalar_start):
         for x in -np.geomspace(0.3678, 1e-10, 200):
             du = -math.log(-x) - 1.0
-            assert _offset(du) < 0.0
+            assert scalar_start(du) < 0.0
             assert wm1_neg_exp_offset(du) < 0.0
 
     def test_domain(self):
@@ -212,13 +237,13 @@ class TestOneStep:
     """A start within 1e-5 of v, then one fourth-order step: one residual, no iteration."""
 
     @pytest.mark.parametrize("path", ["scalar", "array"])
-    def test_start_within_1e_5_of_mpmath(self, path):
+    def test_start_within_1e_5_of_mpmath(self, path, scalar_start):
         from mp_reference import branch_offset_ref, rel_err
 
         # twenty points a decade, and each side of the two region edges
         edges = [np.nextafter(e, side) for e in (0.02, 25.0) for side in (0.0, math.inf)]
         du = np.concatenate((np.geomspace(1e-15, 1e12, 541), edges, [0.02, 25.0]))
-        v0 = _wm1_offset_guess(du) if path == "array" else [_offset(float(x)) for x in du]
+        v0 = _wm1_offset_guess(du) if path == "array" else [scalar_start(float(x)) for x in du]
         worst = max(rel_err(v_x, branch_offset_ref(x)) for x, v_x in zip(du, v0))
         assert worst <= 1e-5
 
