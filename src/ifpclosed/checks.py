@@ -9,6 +9,7 @@ is exactly one place where tolerances live.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -136,7 +137,8 @@ def check_jacobian() -> list[CheckResult]:
     """Criterion 3: Jacobian vs Richardson differences, signs, Euler identity, asymptote."""
     p = _FIGURE1_R0
     y = p.y
-    fn = lambda a_, y_: consumption_path(replace(p, y=y_), a_)
+    at_income = functools.cache(lambda y_: replace(p, y=y_))
+    fn = lambda a_, y_: consumption_path(at_income(y_), a_)
     # fd_gradient's error is O(h^4) truncation plus O(eps/h) rounding: both
     # are about eps^(4/5) at h = eps^(1/5) relative to each coordinate
     h_rel = _EPS ** (1.0 / 5.0)
@@ -167,7 +169,8 @@ def check_hessian() -> list[CheckResult]:
     """Criterion 4: Hessian vs FD, sign pattern, rank-1 determinant, supermodularity."""
     p = _FIGURE1_R0
     y = p.y
-    fn = lambda a_, y_: consumption_path(replace(p, y=y_), a_)
+    at_income = functools.cache(lambda y_: replace(p, y=y_))
+    fn = lambda a_, y_: consumption_path(at_income(y_), a_)
     # fd_hessian's error is O(h^4) truncation plus O(eps/h^2) rounding: both
     # are about eps^(2/3) at h = eps^(1/6) relative to each coordinate
     h_rel = _EPS ** (1.0 / 6.0)

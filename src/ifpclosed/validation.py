@@ -75,7 +75,7 @@ def simulate_assets(params: ModelParams, a0: float, dt: float) -> AssetPath:
     floats as a += (A - 1)*a + B: A rounded to a double drops the low bits of
     z, which over 10,000 steps at r = 0.01 moved a(t) = 0.02 by 3.9e-11
     relative to the loop.  At r = 0, A - 1 is exactly 0 and each step adds
-    B alone.  Depletion is the first
+    B alone, so the path is the running sum ``np.cumsum``.  Depletion is the first
     sample at or below the detection level max(1e-12*max(a0, y),
     4*|a(t_end)|), linearly interpolated to the zero crossing; the
     |a(t_end)| term adapts the level to the integrator's own error floor (a
@@ -107,12 +107,15 @@ def simulate_assets(params: ModelParams, a0: float, dt: float) -> AssetPath:
     growth = z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))  # A - 1, kept apart
     # memoryviews hand the loop Python floats one at a time and array("d")
     # stores them unboxed: lists of the 10,000 steps cost ~1 MB of peak memory
-    path = array("d", [a0])
-    a = a0
-    for g, b in zip(memoryview(growth), memoryview(step)):
-        a += g * a + b
-        path.append(a)
-    as_ = np.array(path)
+    if not growth.any():  # r = 0: each step adds B alone, a running sum
+        as_ = np.cumsum(np.concatenate(([a0], step)))
+    else:
+        path = array("d", [a0])
+        a = a0
+        for g, b in zip(memoryview(growth), memoryview(step)):
+            a += g * a + b
+            path.append(a)
+        as_ = np.array(path)
     level = max(1e-12 * max(a0, y), 4.0 * abs(as_[-1]))
     hit = np.nonzero(as_ <= level)[0]
     if hit.size == 0:
@@ -129,63 +132,61 @@ def simulate_assets(params: ModelParams, a0: float, dt: float) -> AssetPath:
     return AssetPath(t=ts, a=as_, c=cs, depletion_time_observed=t_obs)
 
 
-# _adaptive_simpson's absolute tolerance on each integral, and its depth cap
-_SIMPSON_TOL = 1e-10
-_SIMPSON_MAX_DEPTH = 60
+# _gauss_kronrod's absolute tolerance on each integral, and its depth cap
+_QUAD_TOL = 1e-10
+_QUAD_MAX_DEPTH = 60
+
+# QUADPACK's QK15 rule on [-1, 1] as doubles: per node x <= 0, ascending, x, its
+# Kronrod K15 weight and its Gauss G7 weight (0 off the G7 nodes); x > 0 mirror.
+_GK_NODES, _GK_K15, _GK_G7 = (
+    np.concatenate((col, sign * col[-2::-1]))
+    for sign, col in zip((-1.0, 1.0, 1.0), np.array([
+        (-0.9914553711208126, 0.022935322010529224, 0.0),
+        (-0.9491079123427585, 0.06309209262997856, 0.1294849661688697),
+        (-0.8648644233597691, 0.10479001032225019, 0.0),
+        (-0.7415311855993945, 0.14065325971552592, 0.27970539148927664),
+        (-0.5860872354676911, 0.1690047266392679, 0.0),
+        (-0.4058451513773972, 0.19035057806478542, 0.3818300505051189),
+        (-0.20778495500789848, 0.20443294007529889, 0.0),
+        (0.0, 0.20948214108472782, 0.4179591836734694),
+    ]).T)
+)
 
 
-def _adaptive_simpson(f: Callable[..., np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Adaptive Simpson quadrature of f on each interval [a[i], b[i]].
+def _gauss_kronrod(f: Callable[..., np.ndarray], a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Adaptive Gauss–Kronrod (G7–K15) quadrature of f on each interval [a[i], b[i]].
 
     ``a`` and ``b`` are equal-length 1-D arrays, and ``f(t, k)`` maps a 1-D
     ndarray of nodes t, with the index k of each node's interval, to the
     ndarray of its values.  The result is one value per interval, each to
-    absolute tolerance ``_SIMPSON_TOL``.  The refinement runs breadth-first
-    over all intervals: each level calls f once, on the new midpoints of
-    every subinterval still open, and a subinterval's accept/refine test
-    reads only its own values, its tolerance (halved per level) and its
-    depth (at most ``_SIMPSON_MAX_DEPTH``), so each interval's accepted
-    leaves and tree-order sum are those of the classical recursion, and its
-    value is bit for bit that of a batch of it alone.  Each subinterval also
-    accepts once its error estimate falls below 1e-14 of the local integral
-    magnitude: for integrands so large that the tolerance is below the
-    rounding floor of double arithmetic, the rule stops at machine-relative
-    precision instead of subdividing without bound.  An interval with
-    a == b gives 0.0 and f is not called on it.
+    absolute tolerance ``_QUAD_TOL``.  The refinement runs breadth-first:
+    each level calls f once, on the 15 nodes of every panel still open.  A
+    panel is accepted with its K15 value once |K15 - G7| is at most
+    ``_QUAD_TOL`` times its share of its interval or 1e-14 of |K15| (the
+    rounding floor of large integrands), or at depth ``_QUAD_MAX_DEPTH``;
+    else it is halved.  Each panel's rule is a row-wise sum, and an interval
+    adds its accepted panels level by level in a fixed order, so its value
+    is bit for bit that of a batch of it alone.  An interval with a == b
+    gives 0.0, and f is not called on it.
     """
     total = np.zeros(a.size)
-    roots = np.flatnonzero(a != b)
-    if roots.size == 0:
-        return total
-    lo, hi, k = a[roots], b[roots], roots
-    flo, fmid, fhi = f(np.concatenate((lo, 0.5 * (lo + hi), hi)), np.tile(k, 3)).reshape(3, -1)
-    whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-    eps = _SIMPSON_TOL
-    levels = []  # per depth: which subintervals split, and the accepted values
-    for depth in range(_SIMPSON_MAX_DEPTH + 1):
-        mid = 0.5 * (lo + hi)
-        f_new = f(np.concatenate((0.5 * (lo + mid), 0.5 * (mid + hi))), np.concatenate((k, k)))
-        flm, frm = f_new[: lo.size], f_new[lo.size :]
-        left = (mid - lo) / 6.0 * (flo + 4.0 * flm + fmid)
-        right = (hi - mid) / 6.0 * (fmid + 4.0 * frm + fhi)
-        err = (left + right - whole) / 15.0
-        eps_here = np.maximum(eps, 1e-14 * (np.abs(left) + np.abs(right)))
-        split = ~(np.abs(err) <= eps_here) & (depth < _SIMPSON_MAX_DEPTH)
-        levels.append((split, left + right + err))
-        if not split.any():
+    k = np.flatnonzero(a != b)
+    lo, hi = a[k], b[k]
+    eps = _QUAD_TOL
+    for depth in range(_QUAD_MAX_DEPTH + 1):
+        if k.size == 0:
             break
-        halves = np.array([lo, mid, flo, flm, fmid, left, mid, hi, fmid, frm, fhi, right])
-        # the left and right half of each split subinterval, side by side
-        halves = halves[:, split].reshape(2, 6, -1).transpose(1, 2, 0).reshape(6, -1)
-        lo, hi, flo, fmid, fhi, whole = halves
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        t = (mid[:, None] + half[:, None] * _GK_NODES).ravel()
+        ft = f(t, np.repeat(k, _GK_NODES.size)).reshape(k.size, _GK_NODES.size)
+        kronrod = half * np.sum(ft * _GK_K15, axis=1)
+        err = np.abs(kronrod - half * np.sum(ft * _GK_G7, axis=1))
+        split = ~((err <= eps) | (err <= 1e-14 * np.abs(kronrod))) & (depth < _QUAD_MAX_DEPTH)
+        np.add.at(total, k[~split], kronrod[~split])
+        # the left and right half of each split panel, side by side
+        lo, hi = (np.stack(pair, axis=1)[split].ravel() for pair in ((lo, mid), (mid, hi)))
         k = np.repeat(k[split], 2)
         eps *= 0.5
-    # sum up each tree, as the recursion does: a split subinterval is left + right
-    value = levels.pop()[1]
-    for split, accepted in reversed(levels):
-        accepted[split] = value[0::2] + value[1::2]
-        value = accepted
-    total[roots] = value
     return total
 
 
@@ -197,11 +198,12 @@ def _discounted_utility(
     ``horizon`` is a 1-D array of horizons, one plan each, and
     ``c_of_t(t, k)`` maps an ndarray of times, with the index k of each
     time's plan, to the plans' consumption there.  The head integrals are
-    one adaptive Simpson call; each constant-consumption tail is evaluated
-    analytically as e^(-rho*T)*u(y)/rho, with ``math.exp`` per horizon.
+    one adaptive Gauss–Kronrod call; each constant-consumption tail is
+    evaluated analytically as e^(-rho*T)*u(y)/rho, with ``math.exp`` per
+    horizon.
     """
     rho, gam, y = params.rho, params.gamma, params.y
-    heads = _adaptive_simpson(
+    heads = _gauss_kronrod(
         lambda t, k: np.exp(-rho * t) * crra_utility(c_of_t(t, k), gam),
         np.zeros(len(horizon)), horizon,
     )
@@ -224,13 +226,6 @@ def pdv_utility(params: ModelParams, a0: float | Sequence[float]) -> float | np.
         return consumption_from_depletion_time(params, T[k], t)
 
     return _discounted_utility(params, plan, T)
-
-
-def _budget_rhs(params: ModelParams, a0: float, t: np.ndarray) -> np.ndarray:
-    # Cumulative feasibility bound: integral_0^t e^(-r*tau) c <= a0 - (y/r)(e^(-rt) - 1).
-    if params.r == 0.0:
-        return a0 + params.y * t
-    return a0 - params.y * np.expm1(-params.r * t) / params.r
 
 
 # perturbed_path_values's plans: their amplitude, and each plan's frequency in
@@ -264,15 +259,17 @@ def perturbed_path_values(params: ModelParams, a0: float) -> tuple[float, list[f
     tgrid = np.linspace(0.0, T, 4001)
     base = consumption_from_depletion_time(params, T, tgrid)
     disc = np.exp(-params.r * tgrid)
-    rhs = _budget_rhs(params, a0, tgrid)
+    # the cumulative budget: integral_0^t e^(-r*tau) c <= a0 - (y/r)(e^(-rt) - 1)
+    if params.r == 0.0:
+        rhs = a0 + params.y * tgrid[1:]
+    else:
+        rhs = a0 - params.y * np.expm1(-params.r * tgrid[1:]) / params.r
+    dt = np.diff(tgrid)
     scales = []
     for omega in omegas:
-        shape = base * (1.0 + _PERTURBATION * np.sin(omega * tgrid))
-        integrand = disc * shape
-        cum = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * np.diff(tgrid)))
-        )
-        scales.append(float(np.min(rhs[1:] / cum[1:])) * (1.0 - 1e-6))
+        integrand = disc * (base * (1.0 + _PERTURBATION * np.sin(omega * tgrid)))
+        cum = np.cumsum(0.5 * (integrand[1:] + integrand[:-1]) * dt)
+        scales.append(float(np.min(rhs / cum)) * (1.0 - 1e-6))
     scales = np.array(scales)
 
     def c_tilde(t: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -390,6 +387,11 @@ def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
     return d
 
 
+def _pchip_piece(x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    i = np.searchsorted(x[1:-1], q, side="right")
+    return i, q - x[i]
+
+
 def _pchip(x: np.ndarray, y: np.ndarray) -> Callable[..., np.ndarray]:
     """Monotone piecewise-cubic Hermite (PCHIP) interpolant through (x, y).
 
@@ -399,6 +401,8 @@ def _pchip(x: np.ndarray, y: np.ndarray) -> Callable[..., np.ndarray]:
     the straight line.  ``x`` must be strictly increasing.  The returned
     evaluator extends the end cubics beyond [x[0], x[-1]]; called with
     ``slopes=True`` it returns the pair (P', P'') of the same cubic pieces.
+    It also takes, in place of the points q, their cubic pieces i and offsets
+    q - x[i], from ``_pchip_piece(x, q)``, which does not depend on y.
     """
     h = np.diff(x)
     m = np.diff(y) / h
@@ -422,12 +426,9 @@ def _pchip(x: np.ndarray, y: np.ndarray) -> Callable[..., np.ndarray]:
     c2 = (m - d[:-1]) / h - t
     c1 = d[:-1]
     c0 = y[:-1].copy()
-    left = x[:-1].copy()
-    inner = x[1:-1].copy()
 
-    def evaluate(q: np.ndarray, slopes: bool = False):
-        i = np.searchsorted(inner, q, side="right")
-        s = q - left[i]
+    def evaluate(q: np.ndarray | tuple[np.ndarray, np.ndarray], slopes: bool = False):
+        i, s = q if isinstance(q, tuple) else _pchip_piece(x, q)
         if slopes:  # the first and second derivative, from the same piece
             b2, b3 = c2[i], c3[i]
             return c1[i] + s * (2.0 * b2 + 3.0 * b3 * s), 2.0 * b2 + 6.0 * b3 * s
@@ -475,27 +476,23 @@ def grid_dp(params: ModelParams, delta: float, a_grid: np.ndarray) -> DpSolution
     rho, r, gam, y = params.rho, params.r, params.gamma, params.y
     beta = 1.0 / (1.0 + rho * delta)
     gross = 1.0 + r * delta
-    a_top = a[-1]
     c_hi = y + gross * a / delta
-    c_lo = np.maximum(1e-6 * y, (gross * a + delta * y - a_top) / delta)
+    c_lo = np.maximum(1e-6 * y, (gross * a + delta * y - a[-1]) / delta)
+    # a' and u'(c) at the two range ends do not depend on V: locate them once
+    ends = [(_pchip_piece(a, gross * a + delta * (y - c)), c**-gam) for c in (c_hi, c_lo)]
 
     def bellman(v: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         interp = _pchip(a, v)
-
-        def foc(c: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            # g and g' at consumption c of the nodes with assets at
-            slope, curvature = interp(gross * at + delta * (y - c), slopes=True)
-            marginal = c**-gam
-            return marginal - beta * slope, beta * delta * curvature - gam * marginal / c
-
-        g_hi, _ = foc(c_hi, a)
-        g_lo, _ = foc(c_lo, a)
+        g_hi, g_lo = (marginal - beta * interp(piece, slopes=True)[0] for piece, marginal in ends)
         c_star = np.where(g_hi >= 0.0, c_hi, c_lo)
         nodes = np.nonzero((g_hi < 0.0) & (g_lo > 0.0))[0]
         at, lo, hi, c = a[nodes], c_lo[nodes], c_hi[nodes], guess[nodes]
         c = np.where((lo < c) & (c < hi), c, 0.5 * (lo + hi))
         for _ in range(_FOC_STEPS):
-            g, dg = foc(c, at)
+            # g and g' at consumption c of the open nodes, with assets at
+            slope, curvature = interp(gross * at + delta * (y - c), slopes=True)
+            marginal = c**-gam
+            g, dg = marginal - beta * slope, beta * delta * curvature - gam * marginal / c
             lo = np.where(g > 0.0, c, lo)
             hi = np.where(g < 0.0, c, hi)
             with np.errstate(divide="ignore", invalid="ignore"):

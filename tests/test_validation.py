@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from ifpclosed.consumption import consumption_from_depletion_time, discrete_poli
 from ifpclosed.depletion_map import best_depletion_time, h_closed_r0, h_numeric, mu
 from ifpclosed.model_core import ModelParams, crra_utility, validate, value_upper_bound
 from ifpclosed.validation import (
-    _adaptive_simpson,
     _discounted_utility,
+    _gauss_kronrod,
     approximation_error_report,
     fd_gradient,
     fd_hessian,
@@ -75,11 +76,31 @@ RECURSION_CASES = [
 
 
 def integrate(f, a, b):
-    """``_adaptive_simpson`` on the one interval [a, b], for an integrand of the nodes alone."""
-    return float(_adaptive_simpson(lambda t, k: f(t), np.array([a]), np.array([b]))[0])
+    """``_gauss_kronrod`` on the one interval [a, b], for an integrand of the nodes alone."""
+    return float(_gauss_kronrod(lambda t, k: f(t), np.array([a]), np.array([b]))[0])
+
+
+def counted(f):
+    """f, recording the number of nodes of each call in ``.nodes``."""
+
+    def g(t):
+        g.nodes.append(t.size)
+        return f(t)
+
+    g.nodes = []
+    return g
+
+
+def step(x):
+    return np.where(x < 0.3, 1.0, 2.0)
 
 
 class TestAdaptiveSimpson:
+    """The adaptive quadrature behind ``pdv_utility``: Gauss–Kronrod G7–K15.
+
+    The class keeps the name it had when the rule was adaptive Simpson.
+    """
+
     def test_polynomial(self):
         assert integrate(lambda x: x * x, 0.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
@@ -87,37 +108,85 @@ class TestAdaptiveSimpson:
         assert integrate(np.sin, 0.0, math.pi) == pytest.approx(2.0, abs=1e-10)
 
     def test_empty_interval(self):
-        assert integrate(math.exp, 1.0, 1.0) == 0.0
+        # an interval with a == b is 0.0, and f never sees it
+        def f(t, k):
+            raise AssertionError("f called")
+
+        out = _gauss_kronrod(f, np.array([1.0, -0.5]), np.array([1.0, -0.5]))
+        assert out.tolist() == [0.0, 0.0]
 
     def test_oscillatory(self):
         val = integrate(lambda x: np.sin(20.0 * x), 0.0, 1.0)
         assert val == pytest.approx((1.0 - math.cos(20.0)) / 20.0, abs=1e-10)
 
+    def test_degree_22_is_exact_on_one_panel(self, monkeypatch):
+        # K15 integrates degree 3*7 + 1 = 22 exactly, and not degree 24
+        monkeypatch.setattr(validation, "_QUAD_MAX_DEPTH", 0)  # accept the first panel
+        coef = [(-1.0) ** j * (j + 1) / 7.0 for j in range(23)]
+        a, b = -0.5, 1.25
+        exact = sum(
+            Fraction(c) * (Fraction(b) ** (j + 1) - Fraction(a) ** (j + 1)) / (j + 1)
+            for j, c in enumerate(coef)
+        )
+        f = counted(lambda x: np.polyval(coef[::-1], x))
+        assert integrate(f, a, b) == pytest.approx(float(exact), rel=1e-14)
+        assert f.nodes == [15]
+        assert abs(integrate(lambda x: x**24, -1.0, 1.0) - 2.0 / 25.0) > 1e-9
+
+    def test_degree_13_is_accepted_on_one_panel(self, monkeypatch):
+        # G7 integrates degree 13 exactly too, so |K15 - G7| is rounding alone.
+        # At this scale a weight 1e-13 off fails the relative acceptance, and
+        # the low cap keeps such a weight from refining every panel 60 deep.
+        monkeypatch.setattr(validation, "_QUAD_MAX_DEPTH", 2)
+        f = counted(lambda x: 1e6 * (x**13 - 2.0 * x**6 + 1.0))
+        assert integrate(f, -1.0, 1.5) == pytest.approx(
+            1e6 * ((1.5**14 - 1.0) / 14.0 - 2.0 * (1.5**7 + 1.0) / 7.0 + 2.5), rel=1e-14
+        )
+        assert f.nodes == [15]
+
+    @pytest.mark.parametrize(
+        "f, a, b, exact",
+        [(np.sqrt, 0.0, 2.0, 2.0 / 3.0 * 2.0**1.5), (step, 0.0, 1.0, 1.7)],
+        ids=["sqrt", "step"],
+    )
+    def test_refines_and_converges(self, f, a, b, exact):
+        f = counted(f)
+        assert integrate(f, a, b) == pytest.approx(exact, abs=1e-10)
+        assert len(f.nodes) > 10
+
+    def test_depth_cap_stops_the_step(self, monkeypatch):
+        monkeypatch.setattr(validation, "_QUAD_MAX_DEPTH", 6)
+        f = counted(step)
+        val = integrate(f, 0.0, 1.0)
+        # one panel, then the two halves of the one panel that holds the jump
+        assert f.nodes == [15] + [30] * 6
+        assert 1e-10 < abs(val - 1.7) <= 2.0**-6
+
     @pytest.mark.parametrize("f, a, b, max_depth", RECURSION_CASES)
     def test_equals_the_recursion(self, f, a, b, max_depth, monkeypatch):
-        # classical depth-first adaptive Simpson, one node per call of f
-        def f1(x):
-            return float(f(np.array([x]))[0])
+        # depth-first adaptive G7-K15, one panel per call of f, with the same
+        # panel rule and acceptance test; it sums each split panel as left + right
+        nodes, accepted = [], []
 
-        def simpson(fl, fm, fr, h):
-            return h / 6.0 * (fl + 4.0 * fm + fr)
+        def recurse(lo, hi, eps, depth):
+            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            t = mid + half * validation._GK_NODES
+            nodes.append(t)
+            ft = f(t)
+            kronrod = half * np.sum(ft * validation._GK_K15)
+            err = abs(kronrod - half * np.sum(ft * validation._GK_G7))
+            if depth >= max_depth or err <= eps or err <= 1e-14 * abs(kronrod):
+                accepted.append(kronrod)
+                return kronrod
+            return recurse(lo, mid, 0.5 * eps, depth + 1) + recurse(mid, hi, 0.5 * eps, depth + 1)
 
-        def recurse(lo, hi, flo, fmid, fhi, whole, eps, depth):
-            mid = 0.5 * (lo + hi)
-            flm, frm = f1(0.5 * (lo + mid)), f1(0.5 * (mid + hi))
-            left = simpson(flo, flm, fmid, mid - lo)
-            right = simpson(fmid, frm, fhi, hi - mid)
-            err = (left + right - whole) / 15.0
-            if depth >= max_depth or abs(err) <= max(eps, 1e-14 * (abs(left) + abs(right))):
-                return left + right + err
-            return recurse(lo, mid, flo, flm, fmid, left, 0.5 * eps, depth + 1) + recurse(
-                mid, hi, fmid, frm, fhi, right, 0.5 * eps, depth + 1
-            )
-
-        fa, fm, fb = f1(a), f1(0.5 * (a + b)), f1(b)
-        expected = recurse(a, b, fa, fm, fb, simpson(fa, fm, fb, b - a), 1e-10, 0)
-        monkeypatch.setattr(validation, "_SIMPSON_MAX_DEPTH", max_depth)
-        assert integrate(f, a, b) == expected
+        expected = recurse(a, b, 1e-10, 0)
+        monkeypatch.setattr(validation, "_QUAD_MAX_DEPTH", max_depth)
+        seen = []
+        got = integrate(lambda t: seen.append(t.copy()) or f(t), a, b)
+        # the same panels, node for node; the sums differ only in their order
+        assert np.array_equal(np.sort(np.concatenate(seen)), np.sort(np.concatenate(nodes)))
+        assert abs(got - expected) <= len(accepted) * np.finfo(float).eps * np.sum(np.abs(accepted))
 
     def test_one_call_of_f_per_level(self, monkeypatch):
         nodes = []
@@ -127,9 +196,9 @@ class TestAdaptiveSimpson:
             nodes.append(x.size)
             return np.sqrt(x)
 
-        monkeypatch.setattr(validation, "_SIMPSON_MAX_DEPTH", 12)
+        monkeypatch.setattr(validation, "_QUAD_MAX_DEPTH", 12)
         integrate(f, 0.0, 2.0)
-        assert nodes[0] == 3 and len(nodes) <= 12 + 2
+        assert nodes[0] == 15 and len(nodes) <= 12 + 1
 
         # a batch: one call per level for all its intervals, as many as its deepest tree needs
         levels = []
@@ -139,8 +208,8 @@ class TestAdaptiveSimpson:
             levels.append(len(nodes))
         nodes.clear()
         a, b = np.array([0.0, 1.0, 0.0]), np.array([1.0, 2.0, 0.5])
-        _adaptive_simpson(lambda t, k: f(t), a, b)
-        assert nodes[0] == 9 and len(nodes) == max(levels)
+        _gauss_kronrod(lambda t, k: f(t), a, b)
+        assert nodes[0] == 45 and len(nodes) == max(levels)
 
     @pytest.mark.parametrize("max_depth", [60, 6])
     def test_a_batch_equals_calls_on_each_interval(self, max_depth, monkeypatch):
@@ -158,8 +227,8 @@ class TestAdaptiveSimpson:
             return out
 
         a, b = np.array([lo for _, lo, _ in cases]), np.array([hi for _, _, hi in cases])
-        monkeypatch.setattr(validation, "_SIMPSON_MAX_DEPTH", max_depth)
-        batch = _adaptive_simpson(f, a, b)
+        monkeypatch.setattr(validation, "_QUAD_MAX_DEPTH", max_depth)
+        batch = _gauss_kronrod(f, a, b)
         assert isinstance(batch, np.ndarray) and batch.shape == (len(cases),)
         single = [integrate(g, lo, hi) for g, lo, hi in cases]
         assert batch.tolist() == single
@@ -168,7 +237,8 @@ class TestAdaptiveSimpson:
     def test_criterion_6_integrals_match_the_recursion(self, monkeypatch):
         # the 20 head integrals of criterion 6 (the optimum at a0 = 3 and ten
         # perturbed plans, then the nine other pdv_utility calls of the
-        # bound), as the depth-first recursion with per-point calls returned them
+        # bound), as a depth-first adaptive Simpson recursion with per-point
+        # calls returned them
         expected = [
             11.318815994643757, 11.312484363926892, 11.317038517864633, 11.315848772595473,
             11.317054278257821, 11.3130396568399, 11.317044110664067, 11.314655742103747,
@@ -180,16 +250,28 @@ class TestAdaptiveSimpson:
         calls = []
 
         def recorded(*args, **kwargs):
-            calls.append(_adaptive_simpson(*args, **kwargs))
+            calls.append(_gauss_kronrod(*args, **kwargs))
             return calls[-1]
 
-        monkeypatch.setattr(validation, "_adaptive_simpson", recorded)
+        monkeypatch.setattr(validation, "_gauss_kronrod", recorded)
         CRITERIA[6][1]()
         # the optimum, the ten plans in one batch, and one batch per rate
         assert len(calls) == 4
         values = [v for batch in calls for v in batch.tolist()]
         assert len(values) == len(expected)
         assert np.all(np.abs(np.subtract(values, expected)) <= 1e-13 * np.abs(expected))
+
+    def test_criterion_6_integrand_calls_and_nodes(self, monkeypatch):
+        # counts repeat exactly, so a slide back into deep refinement shows
+        # here without any timing
+        nodes = []
+
+        def recorded(f, a, b):
+            return _gauss_kronrod(lambda t, k: nodes.append(t.size) or f(t, k), a, b)
+
+        monkeypatch.setattr(validation, "_gauss_kronrod", recorded)
+        CRITERIA[6][1]()
+        assert (len(nodes), sum(nodes)) == (8, 3900)
 
 
 class TestPdvUtility:
@@ -202,8 +284,11 @@ class TestPdvUtility:
     def test_matches_analytic_head(self):
         # gamma != 1, r = 0: the head integral has the closed form
         # u(y) e^{qT} (1 - e^{-(rho+q)T})/(rho+q), q = (1-gamma)*rho/gamma
-        p = FIG1_R0
-        for a0 in (0.5, 3.0, 20.0):
+        cases = [(FIG1_R0, a0) for a0 in (0.5, 3.0, 20.0)] + [
+            (ModelParams(0.05, 0.0, 5.0, 0.01), 1e6 * 0.01),
+            (ModelParams(0.06, 0.0, 2.0, 100.0), 1e6 * 100.0),
+        ]
+        for p, a0 in cases:
             T = h_closed_r0(p, a0).T
             q = (1.0 - p.gamma) * p.rho / p.gamma
             head = (
@@ -213,7 +298,7 @@ class TestPdvUtility:
                 / (p.rho + q)
             )
             tail = math.exp(-p.rho * T) * crra_utility(p.y, p.gamma) / p.rho
-            assert pdv_utility(p, a0) == pytest.approx(head + tail, rel=1e-9)
+            assert pdv_utility(p, a0) == pytest.approx(head + tail, rel=1e-12), (p, a0)
 
     @pytest.mark.parametrize("r", [0.0, 0.01])
     def test_a_sequence_equals_scalar_calls(self, r):
@@ -234,7 +319,7 @@ class TestPdvUtility:
 
     def test_stable_under_tighter_tolerance(self, monkeypatch):
         coarse = pdv_utility(FIG1_R0, 3.0)
-        monkeypatch.setattr(validation, "_SIMPSON_TOL", 1e-12)
+        monkeypatch.setattr(validation, "_QUAD_TOL", 1e-12)
         fine = pdv_utility(FIG1_R0, 3.0)
         assert abs(coarse - fine) <= 1e-9
 
@@ -335,6 +420,24 @@ class TestSimulateAssets:
             assert np.all(np.abs(path.c - cs) <= 2.0 * np.spacing(cs))  # vector exp: an ulp
             assert np.max(np.abs(path.a - as_)) <= 1e-14 * 3.0
 
+    @pytest.mark.parametrize("p", [FIG1_R0, ModelParams(0.05, 0.0, 5.0, 0.01)])
+    def test_zero_rate_path_is_the_step_loop_bit_for_bit(self, p):
+        # at r = 0 each RK4 step adds (h/6)*(k1 + 2*(k2 + k3) + k4), with
+        # k1 = y - c(t), k2 = k3 = y - c(t + h/2) and k4 = y - c(t + h)
+        a0 = 3.0 * p.y
+        T = best_depletion_time(p, a0).T
+        for dt in (T / 10_000.0, (T + 1.0) / 1024.0):
+            path = simulate_assets(p, a0, dt)
+            t, c = path.t, path.c
+            h = np.minimum(dt, (T + 1.0) - t[:-1])
+            c_mid = consumption_from_depletion_time(p, T, t[:-1] + 0.5 * h)
+            a, loop = a0, [a0]
+            for i in range(h.size):
+                k1, k23, k4 = p.y - c[i], p.y - c_mid[i], p.y - c[i + 1]
+                a += (h[i] / 6.0) * (k1 + 2.0 * (k23 + k23) + k4)
+                loop.append(a)
+            assert path.a.tobytes() == np.array(loop).tobytes()
+
     # a(t) of the step-by-step RK4 loop at the samples criterion 5 reads, and
     # at four early ones, from a0 = 3 with dt = T/10_000
     SAMPLES = [1, 10, 100, 1000] + [round(j * 10_000 / 11) for j in range(1, 11)]
@@ -408,7 +511,7 @@ class TestExactAnchor:
 
 class TestTimePathOracles:
     def test_criteria_5_and_6_evaluate_the_path_in_array_calls(self, monkeypatch):
-        # one call per time point would be about 61,000
+        # one call per time point would be 34,092
         original = consumption.consumption_from_depletion_time
         calls = []
 
