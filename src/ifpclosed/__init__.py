@@ -35,6 +35,6 @@ from .depletion_map import (
     mu_prime,
 )
 from .model_core import ModelParams, crra_utility, validate, value_upper_bound
-from .special_functions import lambert_wm1, wm1_neg_exp_offset
+from .special_functions import wm1_neg_exp_offset
 
 __version__ = "0.1.0"

@@ -13,6 +13,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .consumption import (
 )
 from .depletion_map import h_closed_r0, h_numeric, mu, mu_discrete
 from .model_core import ModelParams, value_upper_bound
-from .special_functions import lambert_wm1
+from .special_functions import wm1_neg_exp_offset
 from .validation import (
     _DP_TOL,
     _anchor_depletion_time,
@@ -78,17 +79,25 @@ def _positive(name: str, margin: float) -> CheckResult:
     return CheckResult(name, float(margin), 0.0, bool(margin > 0.0))
 
 
+def _wm1(x: np.ndarray) -> np.ndarray:
+    """W-1 of an ndarray x in [-1/e, 0): the kernel's branch offset at du = -log(-x) - 1, less 1.
+
+    x = -1/e, the double nearest -exp(-1), gives du = 0.0 exactly and so w = -1.0.
+    """
+    return wm1_neg_exp_offset(-np.log(-x) - 1.0) - 1.0
+
+
 def check_lambert_kernel() -> list[CheckResult]:
     """Criterion 1: kernel residuals, round trip and runtime; the array path on the same inputs."""
     xs = -np.geomspace(1.0 / math.e - 1e-12, 1e-12, 10_000)
     ws = np.linspace(-50.0, -1.0, 10_000)
     x_trips = ws * np.exp(ws)
-    arr_m1, arr_trips = lambert_wm1(xs), lambert_wm1(x_trips)
+    arr_m1, arr_trips = _wm1(xs), _wm1(x_trips)
     arr_res = float(np.max(np.abs(arr_m1 * np.exp(arr_m1) - xs) / -xs))
     t0 = time.perf_counter()
     # memoryviews hand the timed scalar calls Python floats, not numpy scalars
-    ws_m1 = np.array([lambert_wm1(x) for x in memoryview(xs)])
-    trips = np.array([lambert_wm1(x) for x in memoryview(x_trips)])
+    ws_m1 = np.array([wm1_neg_exp_offset(-math.log(-x) - 1.0) - 1.0 for x in memoryview(xs)])
+    trips = np.array([wm1_neg_exp_offset(-math.log(-x) - 1.0) - 1.0 for x in memoryview(x_trips)])
     elapsed = time.perf_counter() - t0
     res_m1 = float(np.max(np.abs(ws_m1 * np.exp(ws_m1) - xs) / -xs))
     agreement = max(
@@ -120,7 +129,7 @@ def check_closed_vs_numeric() -> list[CheckResult]:
     a = np.geomspace(1e-4, 2e3, 200) * p.y
     c_closed = consumption_path(p, a)
     f = -np.exp(-(1.0 + p.rho * a / (p.gamma * p.y)))
-    ident = float(np.max(np.abs(c_closed + p.y * lambert_wm1(f)) / c_closed))
+    ident = float(np.max(np.abs(c_closed + p.y * _wm1(f)) / c_closed))
     p = replace(_FIGURE1_PARAMS, r=_FIGURE1_PARAMS.rho / (1.0 + _FIGURE1_PARAMS.gamma))
     anchor_gap = 0.0
     for a in (10.0**k * p.y for k in range(-12, 13)):
@@ -133,25 +142,33 @@ def check_closed_vs_numeric() -> list[CheckResult]:
     ]
 
 
-def check_jacobian() -> list[CheckResult]:
-    """Criterion 3: Jacobian vs Richardson differences, signs, Euler identity, asymptote."""
+def _fd_rel_err(stencil: Callable, h_rel: float, names: tuple[str, ...]) -> float:
+    """Worst relative gap of a Richardson stencil to the closed-form entries ``names``.
+
+    Criteria 3 and 4 share it: 25 points a/y in 1e-3..1e3 at ``_FIGURE1_R0``,
+    each coordinate stepped by h_rel times itself.
+    """
     p = _FIGURE1_R0
     y = p.y
     at_income = functools.cache(lambda y_: replace(p, y=y_))
     fn = lambda a_, y_: consumption_path(at_income(y_), a_)
-    # fd_gradient's error is O(h^4) truncation plus O(eps/h) rounding: both
-    # are about eps^(4/5) at h = eps^(1/5) relative to each coordinate
-    h_rel = _EPS ** (1.0 / 5.0)
     fd_err = 0.0
     for ratio in np.geomspace(1e-3, 1e3, 25):
         a = ratio * y
-        g_fd = fd_gradient(fn, (a, y), (h_rel * a, h_rel * y))
+        fd = stencil(fn, (a, y), (h_rel * a, h_rel * y))
         d = consumption_derivatives(p, a)
-        fd_err = max(
-            fd_err,
-            abs(g_fd[0] - d.dc_da) / abs(d.dc_da),
-            abs(g_fd[1] - d.dc_dy) / abs(d.dc_dy),
-        )
+        exact = [getattr(d, name) for name in names]
+        fd_err = max(fd_err, *(abs(f - c) / abs(c) for f, c in zip(fd, exact)))
+    return fd_err
+
+
+def check_jacobian() -> list[CheckResult]:
+    """Criterion 3: Jacobian vs Richardson differences, signs, Euler identity, asymptote."""
+    p = _FIGURE1_R0
+    y = p.y
+    # fd_gradient's error is O(h^4) truncation plus O(eps/h) rounding: both
+    # are about eps^(4/5) at h = eps^(1/5) relative to each coordinate
+    fd_err = _fd_rel_err(fd_gradient, _EPS ** (1.0 / 5.0), ("dc_da", "dc_dy"))
     a = np.geomspace(1e-8, 1e8, 200) * y
     d = consumption_derivatives(p, a)
     sign_margin = float(min(d.dc_da.min(), d.dc_dy.min()))
@@ -169,18 +186,9 @@ def check_hessian() -> list[CheckResult]:
     """Criterion 4: Hessian vs FD, sign pattern, rank-1 determinant, supermodularity."""
     p = _FIGURE1_R0
     y = p.y
-    at_income = functools.cache(lambda y_: replace(p, y=y_))
-    fn = lambda a_, y_: consumption_path(at_income(y_), a_)
     # fd_hessian's error is O(h^4) truncation plus O(eps/h^2) rounding: both
     # are about eps^(2/3) at h = eps^(1/6) relative to each coordinate
-    h_rel = _EPS ** (1.0 / 6.0)
-    fd_err = 0.0
-    for ratio in np.geomspace(1e-3, 1e3, 25):
-        a = ratio * y
-        h_fd = fd_hessian(fn, (a, y), (h_rel * a, h_rel * y))
-        d = consumption_derivatives(p, a)
-        h_cl = (d.d2c_da2, d.d2c_dady, d.d2c_dy2)
-        fd_err = max(fd_err, max(abs(f - c) / abs(c) for f, c in zip(h_fd, h_cl)))
+    fd_err = _fd_rel_err(fd_hessian, _EPS ** (1.0 / 6.0), ("d2c_da2", "d2c_dady", "d2c_dy2"))
     d = consumption_derivatives(p, np.geomspace(1e-6, 1e6, 200) * y)
     h_aa, h_ay, h_yy = d.d2c_da2, d.d2c_dady, d.d2c_dy2
     sign_margin = float(min(-h_aa.max(), h_ay.min(), -h_yy.max()))

@@ -38,11 +38,11 @@ from dataclasses import dataclass, fields
 from .depletion_map import (
     _branch,
     _is_ndarray,
+    _step_growth,
     best_depletion_time,
     h_approx_small_r,
     h_numeric,
     mu_discrete,
-    step_growth_factor,
 )
 from .model_core import ModelParams
 
@@ -210,7 +210,7 @@ def discrete_policy(params: ModelParams, delta: float, a_max: float) -> Piecewis
     if not 0.0 < a_max < math.inf:
         raise ValueError(f"discrete_policy: need finite a_max > 0, got {a_max}")
     import numpy as np
-    growth = step_growth_factor(params, delta)
+    growth = _step_growth(params, delta)
     n = 1.1 * float(best_depletion_time(params, a_max).T) / delta + 16.0
     while n <= 2**24:
         knots = mu_discrete(params, delta, int(n))

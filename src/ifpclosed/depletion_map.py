@@ -36,7 +36,6 @@ __all__ = [
     "mu",
     "mu_discrete",
     "mu_prime",
-    "step_growth_factor",
 ]
 
 
@@ -225,9 +224,9 @@ def best_depletion_time(params: ModelParams, a: float) -> DepletionTime:
     return h_numeric(params, a)
 
 
-def step_growth_factor(params: ModelParams, delta: float) -> float:
+def _step_growth(params: ModelParams, delta: float) -> float:
     """Per-step consumption growth ((1+r*delta)/(1+rho*delta))^(-1/gamma) > 1."""
-    if not 0.0 < delta < math.inf:
+    if not 0.0 < delta < math.inf:  # delta comes from the CLI's --delta
         raise ValueError(f"step_growth_factor: need finite delta > 0, got {delta}")
     return ((1.0 + params.r * delta) / (1.0 + params.rho * delta)) ** (-1.0 / params.gamma)
 
@@ -242,7 +241,7 @@ def mu_discrete(params: ModelParams, delta: float, n_knots: int) -> np.ndarray:
     if n_knots < 1:
         raise ValueError(f"mu_discrete: need n_knots >= 1, got {n_knots}")
     import numpy as np
-    growth = step_growth_factor(params, delta)
+    growth = _step_growth(params, delta)
     dy = delta * params.y
     shrink = 1.0 + params.r * delta
     rhs = dy * growth ** np.arange(n_knots + 1)

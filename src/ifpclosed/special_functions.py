@@ -1,17 +1,17 @@
 """Real-branch Lambert W kernel.
 
 Evaluates the lower real branch W-1 of the Lambert W function, the inverse
-of w -> w*exp(w) on [-1/e, 0).  Every closed form in this package bottoms
-out here, so the target is near machine precision: residual
-|w*exp(w) - x| <= 1e-13*|x|.
-
-The closed forms use the exponent form: ``wm1_neg_exp_offset`` returns the
-branch offset 1 + W-1(-exp(-(1 + du))).  It stays accurate arbitrarily
-deep into the tail where -exp(-u) itself would underflow, and it sidesteps
-the catastrophic cancellation of forming 1 + e*x near the branch point.
-Near the branch point the residual is a series free of v + log1p(-v)'s
-cancellation; v is within 3.0e-16 relative of 50-digit mpmath on 2701
-log-spaced du in [1e-15, 1e12] on both paths (1.8 ulp at du ~ 0.1-1).
+of w -> w*exp(w) on [-1/e, 0), in the exponent form: ``wm1_neg_exp_offset``
+returns the branch offset v = 1 + W-1(-exp(-(1 + du))) for du >= 0.  Every
+closed form in this package bottoms out here, so the target is near machine
+precision.  The offset stays accurate arbitrarily deep into the tail where
+-exp(-u) itself would underflow, and it sidesteps the catastrophic
+cancellation of forming 1 + e*x near the branch point.  Near the branch point
+the residual is a series free of v + log1p(-v)'s cancellation; v is within
+3.0e-16 relative of 50-digit mpmath on 2701 log-spaced du in [1e-15, 1e12] on
+both paths (1.8 ulp at du ~ 0.1-1), and within 1.2e-16 on 600 log-spaced du
+in [5e-324, 1e-13], subnormals included, where v ~ -sqrt(2*du).  The only
+snap is the branch point itself: du = 0 gives v = 0.0.
 
 Algorithm: a start within 1.8e-6 relative of the root, then one step of
 Householder's method of degree 3 (order four) on the log form of the defining
@@ -27,11 +27,11 @@ reweighted by |relative error|^0.3 sixty times toward the minimax error
 
 Only an exact ``numpy.ndarray`` takes the array helpers; ints, floats, numpy
 scalars and ndarray subclasses take one scalar body, ``_offset``, straight-line
-code on ``math`` alone that both public entries run once their checks pass.  A
-float (an ``np.float64`` too) is settled by an inline ``isinstance``; anything
-else by ``_is_ndarray``, which reads ``sys.modules`` rather than importing
-numpy, since an ndarray exists only once numpy is loaded.  So numpy is imported
-on the first array, never by a scalar call.
+code on ``math`` alone that the entry runs once its check passes.  A float (an
+``np.float64`` too) is settled by an inline ``isinstance``; anything else by
+``_is_ndarray``, which reads ``sys.modules`` rather than importing numpy, since
+an ndarray exists only once numpy is loaded.  So numpy is imported on the
+first array, never by a scalar call.
 """
 
 from __future__ import annotations
@@ -39,20 +39,7 @@ from __future__ import annotations
 import math
 import sys
 
-__all__ = ["lambert_wm1", "wm1_neg_exp_offset"]
-
-# The branch point of W-1: W-1(-1/e) = -1.
-_X_BRANCH = -1.0 / math.e
-
-# Inputs within 4 ulp of -1/e are snapped onto the branch point: the double
-# nearest -1/e is itself ~1 ulp off the real number, so exact-arithmetic
-# callers (a = 0 downstream) must land inside this band.
-_BRANCH_EPS = 4.0 * math.ulp(1.0 / math.e)
-_X_BELOW, _X_SNAP = _X_BRANCH - _BRANCH_EPS, _X_BRANCH + _BRANCH_EPS  # the band's edges
-
-# Same snap radius expressed in the exponent variable u of -exp(-u);
-# |du/dx| = e at the branch point, so this matches _BRANCH_EPS to first order.
-_U_EPS = 4.0 * math.ulp(1.0)
+__all__ = ["wm1_neg_exp_offset"]
 
 _NEAR_BRANCH = -0.5  # above this v the residual is summed by _phi_near_branch
 _BLOCK = 2048
@@ -106,8 +93,8 @@ def _phi_near_branch(v, du):
 
 
 def _offset(du):
-    """The scalar kernel body for du >= -_U_EPS: snap, start, residual and one step."""
-    if du <= _U_EPS:
+    """The scalar kernel body for du >= 0: the branch point, else start, residual and one step."""
+    if du == 0.0:
         return 0.0
     # the start (regions in the module docstring): within 1.8e-6 relative of v for du > 0
     if du < _SERIES_TO:
@@ -148,9 +135,10 @@ def wm1_neg_exp_offset(du: float | np.ndarray) -> float | np.ndarray:
     known to an absolute ulp of 1; downstream formulas that divide by 1 + w
     need exactly this.  v solves phi(v) = v + log1p(-v) + du = 0 (the log form
     of w*exp(w) = -exp(-u)) by a three-region start and one fourth-order step,
-    with no loop; 0.0 for du within ``_U_EPS`` of the branch point.  Valid for
-    any finite du, far beyond du ~ 745 where -exp(-u) underflows to -0.0, with
-    no intermediate overflow; du = inf (an overflowed input) is a ValueError.
+    with no loop; 0.0 exactly at du = 0 (-0.0 too), the branch point.  Valid
+    for any finite du >= 0, subnormal ones and those far beyond du ~ 745 where
+    -exp(-u) underflows to -0.0, with no intermediate overflow; a negative or
+    NaN du is a ValueError, and so is du = inf (an overflowed input).
 
     An ndarray ``du`` takes the same start and step in numpy, one residual per
     block of ``_BLOCK`` elements.  On 4e5 du in 1e-14..1e12, 99.5% of values are
@@ -159,7 +147,7 @@ def wm1_neg_exp_offset(du: float | np.ndarray) -> float | np.ndarray:
     """
     if not isinstance(du, float) and _is_ndarray(du):
         return _wm1_offset_array(du)
-    if not -_U_EPS <= du < math.inf:
+    if not 0.0 <= du < math.inf:
         if du == math.inf:
             raise ValueError("wm1_neg_exp_offset: du overflowed to inf")
         raise ValueError(f"wm1_neg_exp_offset: need du >= 0, got du={du!r}")
@@ -169,10 +157,10 @@ def wm1_neg_exp_offset(du: float | np.ndarray) -> float | np.ndarray:
 def _wm1_offset_array(du: np.ndarray) -> np.ndarray:
     """``wm1_neg_exp_offset`` over an array, in blocks of ``_BLOCK`` to bound its temporaries."""
     import numpy as np
-    for bad in du[~((du >= -_U_EPS) & (du < math.inf))][:1]:
+    for bad in du[~((du >= 0.0) & (du < math.inf))][:1]:
         wm1_neg_exp_offset(float(bad))  # raises the scalar path's error
     out = np.zeros(du.shape)
-    flat, live = out.reshape(-1), np.flatnonzero(du > _U_EPS)
+    flat, live = out.reshape(-1), np.flatnonzero(du > 0.0)
     for start in range(0, live.size, _BLOCK):
         idx = live[start : start + _BLOCK]
         d = du.reshape(-1)[idx].astype(float)
@@ -182,32 +170,4 @@ def _wm1_offset_array(du: np.ndarray) -> np.ndarray:
         q = t / v
         flat[idx] = v + t * (1.0 - v) * (1.0 + 0.5 * q) / (1.0 + q + t * q / 3.0)
     return out
-
-
-def lambert_wm1(x: float | np.ndarray) -> float | np.ndarray:
-    """Lower real branch W-1 on [-1/e, 0): the solution w <= -1 of w*exp(w) = x.
-
-    Inputs within 4 ulp of 1/e of -1/e (including slightly below, where the
-    floating representation of -1/e may put exact-arithmetic callers) return
-    exactly -1.0.  An ndarray ``x`` is evaluated element-wise with one array
-    kernel call.
-
-    Raises
-    ------
-    ValueError
-        If x < -1/e - 4 ulp(1/e), x >= 0 (including -0.0) or x is NaN.
-    """
-    if not isinstance(x, float) and _is_ndarray(x):
-        import numpy as np
-        for bad in x[~((x >= _X_BELOW) & (x < 0.0))][:1]:
-            lambert_wm1(float(bad))  # raises the scalar path's error
-        du = np.where(x <= _X_SNAP, 0.0, -np.log(-x) - 1.0)
-        return wm1_neg_exp_offset(du) - 1.0
-    if not x < 0.0:  # NaN included
-        raise ValueError(f"lambert_wm1: need -1/e <= x < 0, got x={x!r}")
-    if x < _X_BELOW:
-        raise ValueError(f"lambert_wm1: x={x!r} below the branch point -1/e")
-    if x <= _X_SNAP:
-        return -1.0
-    return _offset(-math.log(-x) - 1.0) - 1.0
 

@@ -164,10 +164,12 @@ def _gauss_kronrod(f: Callable[..., np.ndarray], a: np.ndarray, b: np.ndarray) -
     panel is accepted with its K15 value once |K15 - G7| is at most
     ``_QUAD_TOL`` times its share of its interval or 1e-14 of |K15| (the
     rounding floor of large integrands), or at depth ``_QUAD_MAX_DEPTH``;
-    else it is halved.  Each panel's rule is a row-wise sum, and an interval
-    adds its accepted panels level by level in a fixed order, so its value
-    is bit for bit that of a batch of it alone.  An interval with a == b
-    gives 0.0, and f is not called on it.
+    else it is halved.  A NaN estimate is accepted as it is, so a NaN
+    integrand gives NaN after one call rather than 2^depth panels.  Each
+    panel's rule is a row-wise sum, and an interval adds its accepted panels
+    level by level in a fixed order, so its value is bit for bit that of a
+    batch of it alone.  An interval with a == b gives 0.0, and f is not
+    called on it.
     """
     total = np.zeros(a.size)
     k = np.flatnonzero(a != b)
@@ -181,7 +183,7 @@ def _gauss_kronrod(f: Callable[..., np.ndarray], a: np.ndarray, b: np.ndarray) -
         ft = f(t, np.repeat(k, _GK_NODES.size)).reshape(k.size, _GK_NODES.size)
         kronrod = half * np.sum(ft * _GK_K15, axis=1)
         err = np.abs(kronrod - half * np.sum(ft * _GK_G7, axis=1))
-        split = ~((err <= eps) | (err <= 1e-14 * np.abs(kronrod))) & (depth < _QUAD_MAX_DEPTH)
+        split = (err > eps) & (err > 1e-14 * np.abs(kronrod)) & (depth < _QUAD_MAX_DEPTH)
         np.add.at(total, k[~split], kronrod[~split])
         # the left and right half of each split panel, side by side
         lo, hi = (np.stack(pair, axis=1)[split].ravel() for pair in ((lo, mid), (mid, hi)))

@@ -12,7 +12,7 @@ import ifpclosed
 from ifpclosed import checks, consumption, depletion_map, special_functions
 from ifpclosed.cli import main, sweep_grid
 from ifpclosed.consumption import PiecewiseLinearPolicy, discrete_policy, figure_rows
-from ifpclosed.depletion_map import mu, step_growth_factor
+from ifpclosed.depletion_map import _step_growth, mu
 from ifpclosed.model_core import ModelParams, validate
 
 FIG1 = validate(ModelParams(rho=0.08, r=0.01, gamma=0.5, y=3.0))
@@ -75,6 +75,14 @@ class TestEval:
         assert vals["T_exact_r0"] == pytest.approx(3.2313503660228153, rel=1e-12)
         assert vals["dc_da"] == pytest.approx(0.3963311740927596, rel=1e-12)
         assert vals["d2c_dady"] > 0.0 > vals["d2c_da2"]
+
+    def test_near_the_constraint(self, capsys):
+        # a > 0 however small is off the branch point: the MPC is finite, and T is the oracle's
+        rc = main(["eval", "--r", "0", "--a", "1e-14"])
+        assert rc == 0
+        vals = parse_kv(capsys.readouterr().out)
+        assert vals["T_exact_r0"] == pytest.approx(vals["T_numeric"], rel=1e-14)
+        assert math.isfinite(vals["dc_da"]) and vals["dc_da"] > 0.0
 
     def test_values_round_trip_17_digits(self, capsys):
         main(["eval", "--r", "0", "--a", "3"])
@@ -282,7 +290,7 @@ class TestFigure:
         out = tmp_path / "fig1.csv"
         main(["figure", "--which", "1", "--n", "101", "--out", str(out)])
         _, rows = read_csv(out)
-        growth = step_growth_factor(FIG1, 1.0)
+        growth = _step_growth(FIG1, 1.0)
         pol = discrete_policy(FIG1, 1.0, 10.0 * FIG1.y)
         knot_rows = [r for r in rows if r[3] == "1"]
         assert len(knot_rows) >= 5

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import ifpclosed.consumption
+from ifpclosed.checks import _wm1
 from ifpclosed.consumption import (
     consumption_approx_small_r,
     consumption_derivatives,
@@ -17,15 +18,14 @@ from ifpclosed.consumption import (
     discrete_policy,
 )
 from ifpclosed.depletion_map import (
+    _step_growth,
     h_approx_small_r,
     h_closed_r0,
     h_numeric,
     mu,
     mu_discrete,
-    step_growth_factor,
 )
 from ifpclosed.model_core import ModelParams, validate
-from ifpclosed.special_functions import lambert_wm1
 from ifpclosed.validation import fd_gradient, fd_hessian
 
 FIG1 = validate(ModelParams(rho=0.08, r=0.01, gamma=0.5, y=3.0))
@@ -140,11 +140,10 @@ class TestConsumptionNowR0:
         assert consumption_path(FIG1_R0, 3.0) == pytest.approx(5.0310481756909513, rel=1e-13)
 
     def test_lambert_identity(self):
-        for ratio in np.geomspace(1e-4, 1e3, 50):
-            a = ratio * FIG1_R0.y
-            f = -math.exp(-(1.0 + FIG1_R0.rho * a / (FIG1_R0.gamma * FIG1_R0.y)))
-            c = consumption_path(FIG1_R0, a)
-            assert c == pytest.approx(-FIG1_R0.y * lambert_wm1(f), rel=1e-13)
+        a = np.geomspace(1e-4, 1e3, 50) * FIG1_R0.y
+        f = -np.exp(-(1.0 + FIG1_R0.rho * a / (FIG1_R0.gamma * FIG1_R0.y)))
+        c = [consumption_path(FIG1_R0, a_) for a_ in a.tolist()]
+        assert c == pytest.approx(-FIG1_R0.y * _wm1(f), rel=1e-13)
 
     def test_round_trip_through_mu(self):
         a = mu(FIG1_R0, 10.0)
@@ -393,7 +392,7 @@ class TestDiscretePolicy:
 
     def test_exact_at_knots(self):
         pol = discrete_policy(FIG1, 1.0, 10.0)
-        growth = step_growth_factor(FIG1, 1.0)
+        growth = _step_growth(FIG1, 1.0)
         for k, a_k in enumerate(pol.knot_assets):
             assert pol(float(a_k)) == pytest.approx(FIG1.y * growth**k, rel=1e-14)
 

@@ -12,6 +12,7 @@ import pytest
 
 from ifpclosed.consumption import consumption_derivatives, consumption_path
 from ifpclosed.depletion_map import (
+    _step_growth,
     best_depletion_time,
     h_approx_small_r,
     h_closed_r0,
@@ -19,7 +20,6 @@ from ifpclosed.depletion_map import (
     mu,
     mu_discrete,
     mu_prime,
-    step_growth_factor,
 )
 from ifpclosed.model_core import ModelParams, validate
 
@@ -257,6 +257,13 @@ class TestHClosedR0:
         a = 1e6 * FIG1_R0.y
         assert h_closed_r0(FIG1_R0, a).T == pytest.approx(h_numeric(FIG1_R0, a).T, rel=1e-9)
 
+    @pytest.mark.parametrize("path", ["scalar", "array"])
+    def test_near_the_constraint(self, path):
+        # du = rho*a/(gamma*y) = 1.6e-16 is on the branch, where v ~ -sqrt(2*du) != 0
+        a = 1e-15 * FIG1_R0.y
+        T = h_closed_r0(FIG1_R0, a if path == "scalar" else np.array([a])).T
+        assert T == pytest.approx(h_numeric(FIG1_R0, a).T, rel=1e-12)
+
     def test_rejects_positive_rate(self):
         with pytest.raises(ValueError, match="r = 0"):
             h_closed_r0(FIG1, 1.0)
@@ -274,6 +281,12 @@ class TestHApproxSmallR:
     @pytest.mark.parametrize("r", (0.005, 0.01, 0.02))
     def test_zero_assets(self, r):
         assert h_approx_small_r(with_r(r), 0.0).T == 0.0
+
+    def test_limit_near_the_constraint(self):
+        # as a -> 0+ the small-r T is the true T times sqrt(B/(rho - r)), B = r*(gamma-1) + rho
+        a = 1e-15 * FIG1.y
+        limit = math.sqrt((FIG1.r * (FIG1.gamma - 1.0) + FIG1.rho) / (FIG1.rho - FIG1.r))
+        assert h_approx_small_r(FIG1, a).T == pytest.approx(h_numeric(FIG1, a).T * limit, rel=1e-8)
 
     def test_figure_gap_is_order_r(self):
         # recorded gap vs the numeric oracle at a = 3, r = 0.01: ~9.4*r
@@ -344,7 +357,7 @@ class TestMuDiscrete:
         assert np.all(np.diff(knots) > 0.0)
 
     def test_growth_factor(self):
-        assert step_growth_factor(FIG1, 1.0) == pytest.approx((1.08 / 1.01) ** 2, rel=1e-14)
+        assert _step_growth(FIG1, 1.0) == pytest.approx((1.08 / 1.01) ** 2, rel=1e-14)
 
     def test_continuum_limit_at_two(self):
         knots = mu_discrete(FIG1, 1e-4, 20_000)
@@ -365,7 +378,7 @@ class TestMuDiscrete:
     @pytest.mark.parametrize("delta, n", [(1.0, 40), (0.02, 2000), (1e-3, 200_000)])
     def test_equals_the_knot_by_knot_recursion(self, params, delta, n):
         dy, shrink = delta * params.y, 1.0 + params.r * delta
-        rhs = dy * step_growth_factor(params, delta) ** np.arange(n + 1)
+        rhs = dy * _step_growth(params, delta) ** np.arange(n + 1)
         expected = np.zeros(n + 1)
         for k in range(1, n + 1):
             expected[k] = rhs[k] - (dy - expected[k - 1]) / shrink
@@ -382,4 +395,4 @@ class TestMuDiscrete:
         with pytest.raises(ValueError, match="finite delta"):
             mu_discrete(FIG1, delta, 5)
         with pytest.raises(ValueError, match="finite delta"):
-            step_growth_factor(FIG1, delta)
+            _step_growth(FIG1, delta)

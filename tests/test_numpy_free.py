@@ -57,7 +57,7 @@ import sys
 from ifpclosed import *
 from ifpclosed import cli
 p = ModelParams(0.08, {r}, 0.5, 3.0)
-lambert_wm1(-0.2), wm1_neg_exp_offset(0.3), mu(p, 2.0), mu_prime(p, 2.0)
+wm1_neg_exp_offset(0.3), mu(p, 2.0), mu_prime(p, 2.0)
 h_approx_small_r(p, 3.0), h_numeric(p, 3.0), best_depletion_time(p, 3.0)
 consumption_from_depletion_time(p, 2.0, 1.0), consumption_path(p, 3.0, 0.5)
 consumption_approx_small_r(p, 3.0)

@@ -15,7 +15,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from ifpclosed.checks import _ARRAY_AGREEMENT
+from ifpclosed.checks import _ARRAY_AGREEMENT, _wm1
 from ifpclosed.consumption import (
     consumption_approx_small_r,
     consumption_derivatives,
@@ -26,7 +26,7 @@ from ifpclosed.consumption import (
 )
 from ifpclosed.depletion_map import h_approx_small_r, h_closed_r0, h_numeric, mu
 from ifpclosed.model_core import ModelParams, validate
-from ifpclosed.special_functions import lambert_wm1, wm1_neg_exp_offset
+from ifpclosed.special_functions import wm1_neg_exp_offset
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -185,8 +185,8 @@ def test_array_matches_scalar_at_zero_rate(p, ratios):
     assert np.all(np.abs(wm1_neg_exp_offset(np.array(du)) - v) <= _ARRAY_AGREEMENT * (1.0 - v))
     x = -np.exp(-(1.0 + np.array(du)))
     x = x[x < 0.0]  # -e^(-(1 + du)) underflows to -0.0 past du ~ 744
-    w = [lambert_wm1(x_) for x_ in x]
-    assert np.all(np.abs(lambert_wm1(x) - w) <= _ARRAY_AGREEMENT * np.abs(w))
+    w = [wm1_neg_exp_offset(-math.log(-x_) - 1.0) - 1.0 for x_ in x.tolist()]  # criterion 1's
+    assert np.all(np.abs(_wm1(x) - w) <= _ARRAY_AGREEMENT * np.abs(w))
     T = [h_closed_r0(p, a_).T for a_ in a.tolist()]
     assert_agrees(h_closed_r0(p, a).T, T, v)
     assert_agrees(consumption_path(p, a), [consumption_path(p, a_) for a_ in a.tolist()], v)
@@ -221,7 +221,6 @@ def array_entry_points(p):
 
     return [
         ("wm1_neg_exp_offset", wm1_neg_exp_offset, (math.nan, -1.0, math.inf)),
-        ("lambert_wm1", lambert_wm1, (math.nan, 0.0, -1.0, -math.inf)),
         ("h_closed_r0", first(h_closed_r0), (math.nan, -1.0, math.inf)),
         ("h_approx_small_r", first(h_approx_small_r), (math.nan, -1.0, math.inf)),
         ("consumption_path", lambda a: consumption_path(p, a), (math.nan, -1.0, math.inf)),
@@ -236,9 +235,9 @@ def array_entry_points(p):
 @SETTINGS
 @given(params(ZERO_RATE), st.lists(log_uniform(1e-6, 1e-1), min_size=1, max_size=8), st.data())
 def test_array_input_rules_and_shapes(p, values, data):
-    # values in (0, 0.1] are valid for every entry point, lambert_wm1 takes their negatives
+    # values in (0, 0.1] are valid for every entry point
     for name, fn, invalid in array_entry_points(p):
-        flat = -np.array(values) if name == "lambert_wm1" else np.array(values)
+        flat = np.array(values)
         arg = flat.copy()
         arg[data.draw(st.integers(0, arg.size - 1))] = bad = data.draw(st.sampled_from(invalid))
         with pytest.raises(ValueError) as scalar_error:
@@ -267,7 +266,7 @@ def test_scalar_entry_points_return_python_floats(p, ratio):
     du = exponent_offsets(p, [a])[0]
     T = h_numeric(p, a).T
     values = [
-        wm1_neg_exp_offset(du), lambert_wm1(-math.exp(-(1.0 + min(du, 700.0)))), T,
+        wm1_neg_exp_offset(du), T,
         h_approx_small_r(p, a).T, consumption_path(p, a), consumption_approx_small_r(p, a),
         consumption_from_depletion_time(p, T),
     ]

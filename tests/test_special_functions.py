@@ -1,20 +1,23 @@
-"""Lambert W kernel tests against an independent bisection oracle and mpmath."""
+"""Lambert W kernel tests against an independent bisection oracle and mpmath.
+
+W-1 of x is the kernel's branch offset at du = -log(-x) - 1, less 1: ``wm1_scalar``
+is criterion 1's scalar form, and ``checks._wm1`` its array form.
+"""
 
 import math
-import re
 import warnings
 
 import numpy as np
 import pytest
 
 from ifpclosed import special_functions
-from ifpclosed.special_functions import (
-    _BRANCH_EPS,
-    _offset,
-    _wm1_offset_guess,
-    lambert_wm1,
-    wm1_neg_exp_offset,
-)
+from ifpclosed.checks import _wm1
+from ifpclosed.special_functions import _offset, _wm1_offset_guess, wm1_neg_exp_offset
+
+
+def wm1_scalar(x):
+    """W-1(x) as criterion 1's timed loop computes it, one Python float at a time."""
+    return wm1_neg_exp_offset(-math.log(-x) - 1.0) - 1.0
 
 
 def wm1_bisect(x, lo=-800.0, hi=-1.0, iters=200):
@@ -34,61 +37,75 @@ def wm1_bisect(x, lo=-800.0, hi=-1.0, iters=200):
     return 0.5 * (lo + hi)
 
 
+# The four doubles 1 to 4 ulp of 1/e above -1/e, inside the x-form's old 4-ulp snap band
+_OLD_BAND = [-1.0 / math.e + k * math.ulp(1.0 / math.e) for k in range(1, 5)]
+
+
 class TestBranchPoint:
     def test_both_branches_meet_at_minus_one(self):
         # w = -1 is the double root of w e^w = -1/e, where W0 and W-1 join;
         # the direct route and the log-form route both land on it exactly
         assert -1.0 * math.exp(-1.0) == -1.0 / math.e
-        assert lambert_wm1(-1.0 / math.e) == -1.0
+        assert wm1_scalar(-1.0 / math.e) == -1.0
         assert wm1_neg_exp_offset(0.0) - 1.0 == -1.0
 
     def test_snap_band(self):
-        assert lambert_wm1(-1.0 / math.e - 0.5 * _BRANCH_EPS) == -1.0
-        assert lambert_wm1(-math.exp(-1.0)) == -1.0
+        # the band is the one point du = 0: criterion 1's one input at the branch point, the
+        # round trip of w = -1, lands on it exactly under both logs; the doubles 1 to 4 ulp
+        # above -1/e, once snapped to -1 too, have du > 0 and so w < -1
+        x = -1.0 * math.exp(-1.0)
+        assert -math.log(-x) - 1.0 == 0.0 and -np.log(-x) - 1.0 == 0.0
+        assert wm1_scalar(x) == -1.0
+        assert _wm1(np.array([x, x])).tolist() == [-1.0, -1.0]
+        assert all(wm1_scalar(x_) < -1.0 for x_ in _OLD_BAND)
+        assert np.all(_wm1(np.array(_OLD_BAND)) < -1.0)
 
 
 class TestWm1:
     def test_frozen_point(self):
         # independent bisection confirmed this value before it was frozen
-        assert lambert_wm1(-0.1) == pytest.approx(-3.577152063957297, rel=1e-14)
-        assert lambert_wm1(-0.1) == pytest.approx(wm1_bisect(-0.1), rel=1e-13)
+        for w in (wm1_scalar(-0.1), _wm1(np.array([-0.1]))[0]):
+            assert w == pytest.approx(-3.577152063957297, rel=1e-14)
+            assert w == pytest.approx(wm1_bisect(-0.1), rel=1e-13)
 
     def test_figure_point(self):
         # f(a; y) at a = y = 3 with rho = 0.08, gamma = 0.5
         x = -math.exp(-1.16)
-        assert lambert_wm1(x) == pytest.approx(-1.677, abs=5e-4)
-        assert lambert_wm1(x) == pytest.approx(wm1_bisect(x), rel=1e-13)
+        for w in (wm1_scalar(x), _wm1(np.array([x]))[0]):
+            assert w == pytest.approx(-1.677, abs=5e-4)
+            assert w == pytest.approx(wm1_bisect(x), rel=1e-13)
 
     @pytest.mark.parametrize("x", [-0.35, -0.2, -0.05, -1e-3, -1e-6, -1e-9])
     def test_against_bisection(self, x):
-        assert lambert_wm1(x) == pytest.approx(wm1_bisect(x), rel=1e-13)
+        assert wm1_scalar(x) == pytest.approx(wm1_bisect(x), rel=1e-13)
+        assert _wm1(np.array([x]))[0] == pytest.approx(wm1_bisect(x), rel=1e-13)
 
     def test_residual_grid(self):
         xs = -np.geomspace(1.0 / math.e - 1e-12, 1e-12, 10_000)
-        worst = 0.0
-        for x in xs:
-            w = lambert_wm1(x)
-            worst = max(worst, abs(w * math.exp(w) - x) / abs(x))
-        assert worst <= 1e-13
+        for ws in ([wm1_scalar(x) for x in xs.tolist()], _wm1(xs)):
+            ws = np.array(ws)
+            assert np.max(np.abs(ws * np.exp(ws) - xs) / -xs) <= 1e-13
 
     def test_branch_ordering(self):
-        for x in -np.geomspace(0.367, 1e-8, 50):
-            assert lambert_wm1(x) <= -1.0
+        xs = -np.geomspace(0.367, 1e-8, 50)
+        assert all(wm1_scalar(x) <= -1.0 for x in xs.tolist())
+        assert np.all(_wm1(xs) <= -1.0)
 
     def test_strictly_decreasing(self):
         xs = -np.geomspace(1.0 / math.e - 1e-12, 1e-12, 2_000)
-        ws = np.array([lambert_wm1(x) for x in xs])
-        assert np.all(np.diff(ws) < 0.0)  # xs increase toward 0-, W-1 falls
+        for ws in ([wm1_scalar(x) for x in xs.tolist()], _wm1(xs)):
+            assert np.all(np.diff(ws) < 0.0)  # xs increase toward 0-, W-1 falls
 
     def test_round_trip(self):
         ws = np.linspace(-50.0, -1.0, 10_000)
-        worst = max(abs(lambert_wm1(w * math.exp(w)) - w) for w in ws)
-        assert worst <= 1e-12
+        xs = ws * np.exp(ws)
+        assert max(abs(wm1_scalar(x) - w) for x, w in zip(xs.tolist(), ws)) <= 1e-12
+        assert np.max(np.abs(_wm1(xs) - ws)) <= 1e-12
 
     @pytest.mark.parametrize("x", [-0.5, 0.0, -0.0, 0.1, float("nan")])
     def test_domain_errors(self, x):
         with pytest.raises(ValueError):
-            lambert_wm1(x)
+            wm1_scalar(x)
 
 
 @pytest.fixture
@@ -145,9 +162,11 @@ class TestInitialGuess:
             assert scalar_start(du) < 0.0
             assert wm1_neg_exp_offset(du) < 0.0
 
-    def test_domain(self):
-        # the guess is consulted only beyond the snap band around du = 0
-        assert wm1_neg_exp_offset(2.0 * math.ulp(1.0)) == 0.0
+    def test_domain(self, scalar_start):
+        # the start is consulted at every du > 0: only the branch point du = 0 is snapped
+        assert wm1_neg_exp_offset(0.0) == wm1_neg_exp_offset(-0.0) == 0.0
+        assert scalar_start(2.0 * math.ulp(1.0)) < 0.0
+        assert wm1_neg_exp_offset(2.0 * math.ulp(1.0)) < 0.0
         with pytest.raises(ValueError):
             wm1_neg_exp_offset(float("nan"))
 
@@ -158,7 +177,7 @@ class TestNegExpForm:
     @pytest.mark.parametrize("u", [1.5, 2.0, 5.0, 50.0, 700.0])
     def test_matches_direct_route(self, u):
         x = -math.exp(-u)
-        assert wm1_neg_exp_offset(u - 1.0) - 1.0 == pytest.approx(lambert_wm1(x), rel=1e-13)
+        assert wm1_neg_exp_offset(u - 1.0) - 1.0 == pytest.approx(wm1_bisect(x), rel=1e-13)
 
     @pytest.mark.parametrize("u", [1.0 + 1e-10, 2.0, 746.0, 1e4, 1e8])
     def test_log_form_residual(self, u):
@@ -178,10 +197,12 @@ class TestNegExpForm:
             assert abs(v + p * (1.0 + p / 3.0)) <= 0.2 * p**3 + 1e-15 * p
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            wm1_neg_exp_offset(0.5 - 1.0)
-        with pytest.raises(ValueError):
-            wm1_neg_exp_offset(-1e-3)
+        # every negative du is refused, the smallest too: there is no band below the branch point
+        for du in (0.5 - 1.0, -1e-3, -1e-17, -5e-324, -math.inf, math.nan):
+            with pytest.raises(ValueError, match=r"^wm1_neg_exp_offset: need du >= 0"):
+                wm1_neg_exp_offset(du)
+            with pytest.raises(ValueError, match=r"^wm1_neg_exp_offset: need du >= 0"):
+                wm1_neg_exp_offset(np.array([1.0, du]))
 
     @pytest.mark.parametrize("du", [math.inf, np.array([1.0, math.inf])])
     def test_overflowed_offset_rejected(self, du):
@@ -211,6 +232,18 @@ class TestAgainstMpmath:
         v = wm1_neg_exp_offset(du) if path == "array" else [wm1_neg_exp_offset(float(x)) for x in du]
         worst = max(rel_err(v_x, branch_offset_ref(x)) for x, v_x in zip(du, v))
         assert worst <= 1e-15
+
+    @pytest.mark.parametrize("path", ["scalar", "array"])
+    def test_full_relative_precision_down_to_zero(self, path):
+        from mp_reference import branch_offset_ref, rel_err
+
+        # |v| ~ sqrt(2*du) is far above du here, so no du > 0 may round v to 0;
+        # 31 of these du are subnormal, the first the smallest double
+        du = np.geomspace(5e-324, 1e-13, 600)
+        assert du[0] == 5e-324 and np.sum(du < np.finfo(float).tiny) == 31
+        v = wm1_neg_exp_offset(du) if path == "array" else [wm1_neg_exp_offset(float(x)) for x in du]
+        worst = max(rel_err(v_x, branch_offset_ref(x)) for x, v_x in zip(du, v))
+        assert worst <= 2e-16
 
 
 def count_calls(monkeypatch, name):
@@ -249,47 +282,30 @@ class TestOneStep:
 
     @pytest.mark.parametrize("grid", list(CRITERION_1_GRIDS))
     def test_scalar_call_evaluates_the_residual_once(self, grid, monkeypatch):
-        # the scalar body evaluates the residual once, in straight-line code; so one body call
-        # per call off the snap band (w = -1 at x = -1/e is snapped before the kernel)
+        # the scalar body evaluates the residual once, in straight-line code; so one body
+        # call per x, the branch point's too (du = 0 returns before the start)
         xs = CRITERION_1_GRIDS[grid].tolist()
         sizes = count_calls(monkeypatch, "_offset")
         for x in xs:
-            lambert_wm1(x)
-        assert sizes == [1] * sum(x > -1.0 / math.e + _BRANCH_EPS for x in xs)
+            wm1_scalar(x)
+        assert sizes == [1] * len(xs)
 
     @pytest.mark.parametrize("grid", list(CRITERION_1_GRIDS))
     def test_array_evaluates_the_residual_once_per_block(self, grid, monkeypatch):
         # up to 10k elements off the branch point are five blocks of _BLOCK
         xs = CRITERION_1_GRIDS[grid]
         sizes = count_calls(monkeypatch, "_phi")
-        lambert_wm1(xs)
+        _wm1(xs)
         block = special_functions._BLOCK
-        assert sizes == [block] * 4 + [np.sum(xs > -1.0 / math.e + _BRANCH_EPS) - 4 * block]
-
-
-# The snap band's two edges, -1/e -+ 4 ulp of 1/e, and the first x past each
-_SNAP_EDGES = [-1.0 / math.e - _BRANCH_EPS, -1.0 / math.e + _BRANCH_EPS]
-_PAST_EDGES = [math.nextafter(_SNAP_EDGES[0], -1.0), math.nextafter(_SNAP_EDGES[1], 0.0)]
+        assert sizes == [block] * 4 + [np.sum(-np.log(-xs) - 1.0 > 0.0) - 4 * block]
 
 
 class TestSharedBody:
-    """The x-form is the exponent form at du = -log(-x) - 1: both entries run one scalar body."""
+    """Criterion 1's x-form is the exponent form at du = -log(-x) - 1, with no snap band."""
 
     @pytest.mark.parametrize("grid", list(CRITERION_1_GRIDS))
     def test_x_form_is_the_exponent_form_bit_for_bit(self, grid):
-        xs = CRITERION_1_GRIDS[grid].tolist() + _SNAP_EDGES + _PAST_EDGES[1:]
-        w = [lambert_wm1(x) for x in xs]
-        assert w == [wm1_neg_exp_offset(-math.log(-x) - 1.0) - 1.0 for x in xs]
-        assert [lambert_wm1(x) for x in _SNAP_EDGES] == [-1.0, -1.0]
-
-    @pytest.mark.parametrize(("x", "message"), [
-        (math.nan, "need -1/e <= x < 0, got x=nan"),
-        (math.inf, "need -1/e <= x < 0, got x=inf"),
-        (-math.inf, "x=-inf below the branch point -1/e"),
-        (0.0, "need -1/e <= x < 0, got x=0.0"),
-        (-0.0, "need -1/e <= x < 0, got x=-0.0"),
-        (_PAST_EDGES[0], f"x={_PAST_EDGES[0]!r} below the branch point -1/e"),
-    ])
-    def test_domain_messages(self, x, message):
-        with pytest.raises(ValueError, match=f"^{re.escape('lambert_wm1: ' + message)}$"):
-            lambert_wm1(x)
+        xs = np.concatenate((CRITERION_1_GRIDS[grid], _OLD_BAND))
+        assert np.array_equal(_wm1(xs), wm1_neg_exp_offset(-np.log(-xs) - 1.0) - 1.0)
+        w = [wm1_scalar(x) for x in xs.tolist()]
+        assert w == [wm1_neg_exp_offset(-math.log(-x) - 1.0) - 1.0 for x in xs.tolist()]

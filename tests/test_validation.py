@@ -162,6 +162,14 @@ class TestAdaptiveSimpson:
         assert f.nodes == [15] + [30] * 6
         assert 1e-10 < abs(val - 1.7) <= 2.0**-6
 
+    def test_a_nan_estimate_stops_refining(self, monkeypatch):
+        # a NaN panel is accepted as it is, so a NaN integrand takes one call of f,
+        # where halving it to the depth cap would open 2^depth panels
+        monkeypatch.setattr(validation, "_QUAD_MAX_DEPTH", 8)
+        f = counted(lambda x: np.full(x.size, math.nan))
+        assert math.isnan(integrate(f, 0.0, 1.0))
+        assert f.nodes == [15]
+
     @pytest.mark.parametrize("f, a, b, max_depth", RECURSION_CASES)
     def test_equals_the_recursion(self, f, a, b, max_depth, monkeypatch):
         # depth-first adaptive G7-K15, one panel per call of f, with the same
