@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from typing import Callable
 
 import numpy as np
@@ -45,7 +45,7 @@ from .validation import (
 __all__ = ["CheckResult", "CRITERIA", "run_level"]
 
 _FIGURE1_PARAMS = ModelParams(rho=0.08, r=0.01, gamma=0.5, y=3.0)
-_FIGURE1_R0 = replace(_FIGURE1_PARAMS, r=0.0)
+_FIGURE1_R0 = _FIGURE1_PARAMS._replace(r=0.0)
 
 _EPS = float(np.finfo(float).eps)
 
@@ -58,12 +58,8 @@ _ARRAY_AGREEMENT = 3e-15
 _RESIDUAL_TOL = 1e-13
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    measured: float
-    tolerance: float
-    passed: bool
+class CheckResult(namedtuple("CheckResult", "name measured tolerance passed")):
+    __slots__ = ()
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -130,7 +126,7 @@ def check_closed_vs_numeric() -> list[CheckResult]:
     c_closed = consumption_path(p, a)
     f = -np.exp(-(1.0 + p.rho * a / (p.gamma * p.y)))
     ident = float(np.max(np.abs(c_closed + p.y * _wm1(f)) / c_closed))
-    p = replace(_FIGURE1_PARAMS, r=_FIGURE1_PARAMS.rho / (1.0 + _FIGURE1_PARAMS.gamma))
+    p = _FIGURE1_PARAMS._replace(r=_FIGURE1_PARAMS.rho / (1.0 + _FIGURE1_PARAMS.gamma))
     anchor_gap = 0.0
     for a in (10.0**k * p.y for k in range(-12, 13)):
         T = _anchor_depletion_time(p, a)
@@ -150,7 +146,7 @@ def _fd_rel_err(stencil: Callable, h_rel: float, names: tuple[str, ...]) -> floa
     """
     p = _FIGURE1_R0
     y = p.y
-    at_income = functools.cache(lambda y_: replace(p, y=y_))
+    at_income = functools.cache(lambda y_: p._replace(y=y_))
     fn = lambda a_, y_: consumption_path(at_income(y_), a_)
     fd_err = 0.0
     for ratio in np.geomspace(1e-3, 1e3, 25):
@@ -199,8 +195,8 @@ def check_hessian() -> list[CheckResult]:
     for y_j in np.geomspace(1.0, 10.0, 50):
         # one call per side: a in the first half, a + ha in the second
         a = np.concatenate((a_cross, a_cross + 1e-3 * np.maximum(a_cross, y_j)))
-        c_lo = consumption_path(replace(p, y=y_j), a)
-        c_hi = consumption_path(replace(p, y=y_j + 1e-3 * y_j), a)
+        c_lo = consumption_path(p._replace(y=y_j), a)
+        c_hi = consumption_path(p._replace(y=y_j + 1e-3 * y_j), a)
         cross = c_hi[n:] - c_lo[n:] - c_hi[:n] + c_lo[:n]
         cross_margin = min(cross_margin, float(cross.min()))
     return [
@@ -239,7 +235,7 @@ def check_value_bound() -> list[CheckResult]:
     v_star, perturbed = perturbed_path_values(_FIGURE1_R0, 3.0)
     margins = [value_upper_bound(_FIGURE1_R0, 3.0) - v_star]
     for r in (0.0, _FIGURE1_PARAMS.r):
-        p = replace(_FIGURE1_PARAMS, r=r)
+        p = _FIGURE1_PARAMS._replace(r=r)
         a0s = [mult * p.y for mult in (0.1, 1.0, 3.0, 10.0, 100.0)]
         # v_star is already the optimum at (r = 0, a0 = 3)
         a0s = [a0 for a0 in a0s if (p, a0) != (_FIGURE1_R0, 3.0)]
@@ -261,7 +257,7 @@ def check_small_r() -> list[CheckResult]:
     # gap at a = 0 for every r: first grid point is exactly 0
     gap_at_zero = 0.0
     for r in (0.02, 0.01, 0.005):
-        p = replace(base, r=r)
+        p = base._replace(r=r)
         c_ref = consumption_path(p, 0.0)
         gap_at_zero = max(gap_at_zero, abs(consumption_approx_small_r(p, 0.0) - c_ref))
     ratio_hi = by_r[0.02] / by_r[0.01]

@@ -15,6 +15,7 @@ import sys
 import tempfile
 
 from .consumption import (
+    ConsumptionDerivatives,
     consumption_derivatives,
     consumption_from_depletion_time,
     figure_rows,
@@ -99,7 +100,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     lines.append(("T_approx_small_r", T_approx))
     lines.append(("c", consumption_from_depletion_time(params, T, t)))
     if d is not None:
-        lines.extend((key, getattr(d, key)) for key in _COLUMNS["jacobian"] + _COLUMNS["hessian"])
+        lines.extend(zip(d._fields[2:], d[2:]))  # the Jacobian and Hessian entries
     print("\n".join(f"{key}={_fmt(value)}" for key, value in lines))
     return 0
 
@@ -109,6 +110,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     params = _params_from(args)
     grid = sweep_grid(args.a_min, args.a_max, args.n, args.spacing)
     columns = [col for out in args.outputs for col in _COLUMNS[out]]
+    pick = [ConsumptionDerivatives._fields.index(col) for col in columns]
     needs_derivs = "jacobian" in args.outputs or "hessian" in args.outputs
     rows = []  # built whole, so an error on any row (e.g. derivatives at r > 0) writes nothing
     # every overflow that matters raises a ValueError; numpy-scalar rows
@@ -116,11 +118,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with np.errstate(over="ignore"):
         for a in grid:
             if needs_derivs:
-                point = vars(consumption_derivatives(params, a))
-            else:
+                point = consumption_derivatives(params, a)
+            else:  # the record's first two fields, T and c
                 T = best_depletion_time(params, a).T
-                point = {"T": T, "c": consumption_from_depletion_time(params, T)}
-            rows.append((a, *(point[col] for col in columns)))
+                point = (T, consumption_from_depletion_time(params, T))
+            rows.append((a, *(point[i] for i in pick)))
     _write_csv(args.out, ["a", *columns], rows)
     return 0
 

@@ -12,11 +12,12 @@ factors q = (v-1)/v > 1 and s = du/v in (-1, 0):
 
     dc/da    = b*q
     dc/dy    = q*log1p(-v)            (v + du = -log1p(-v))
-    d2c/da2  = -b^2/y * q/v^2
-    d2c/dady = b/y * s*q/v
+    d2c/da2  = -(b/v) * (b/v/y) * q   (-b^2/y * q/v^2)
+    d2c/dady = b/y * (s*q) / v       (s*q in [-1, -1/2])
     d2c/dy2  = -s^2*q/y
 
-so no entry forms (a/y)^2 or v^3 and dc/dy does not cancel.  An entry past
+so no entry forms (a/y)^2 or v^3, dc/dy does not cancel, and no product of b
+underflows before its division (b*b does at gamma = 1e300).  An entry past
 the double range (d2c/da2 at a = 1e-312, y = 1e-300) is a ValueError, never
 inf; d2c/da2 and d2c/dady, ~1/v^2, underflow from a/y ~ 1e155.  Each inherits
 v's error, which is at the rounding level on the whole branch: dc/da is off by
@@ -33,7 +34,7 @@ discrete-time figure overlay, and the rows of the two figure CSVs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 from .depletion_map import (
     _branch,
@@ -59,21 +60,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ConsumptionDerivatives:
+class ConsumptionDerivatives(
+    namedtuple("ConsumptionDerivatives", "T c dc_da dc_dy d2c_da2 d2c_dady d2c_dy2")
+):
     """Depletion time, level, Jacobian pair, and distinct Hessian entries at r = 0."""
 
-    T: float
-    c: float
-    dc_da: float
-    dc_dy: float
-    d2c_da2: float
-    d2c_dady: float
-    d2c_dy2: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearPolicy:
+class PiecewiseLinearPolicy(namedtuple("PiecewiseLinearPolicy", "knot_assets knot_consumption")):
     """Discrete-time consumption function: linear between depletion knots.
 
     Knot k sits at assets mu(k*delta) with consumption y * G^k (G the
@@ -82,8 +77,7 @@ class PiecewiseLinearPolicy:
     [0, last knot].
     """
 
-    knot_assets: np.ndarray
-    knot_consumption: np.ndarray
+    __slots__ = ()
 
     def __call__(self, a):
         import numpy as np
@@ -183,19 +177,20 @@ def consumption_derivatives(params: ModelParams, a: float) -> ConsumptionDerivat
         finite = all(map(math.isfinite, entries))
     if not finite:
         import numpy as np
-        for f, x in zip(fields(ConsumptionDerivatives)[2:], entries):
+        for name, x in zip(ConsumptionDerivatives._fields[2:], entries):
             bad = ~np.isfinite(x)
             if bad.any():
                 at = np.asarray(a).flat[int(np.argmax(bad))]
-                raise ValueError(f"consumption_derivatives: {f.name} overflows a double at a={at}")
+                raise ValueError(f"consumption_derivatives: {name} overflows a double at a={at}")
     return ConsumptionDerivatives(T, consumption_from_depletion_time(params, T), *entries)
 
 
 def _derivative_entries(params: ModelParams, du, v, log1p_neg_v) -> tuple:
     # the five forms of the module docstring, in the order of the fields after c
-    y, b = params.y, params.rho / params.gamma
+    rho, _, gam, y = params
+    b = rho / gam
     q, s = (v - 1.0) / v, du / v
-    return (b - b / v, q * log1p_neg_v, -b * b / y * q / v / v, b / y * s * q / v, -s * s * q / y)
+    return (b - b / v, q * log1p_neg_v, -(b / v) * (b / v / y) * q, b / y * (s * q) / v, -s * s * q / y)
 
 
 def discrete_policy(params: ModelParams, delta: float, a_max: float) -> PiecewiseLinearPolicy:

@@ -21,7 +21,7 @@ recursion on a time grid of step delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 
 from .model_core import ModelParams
@@ -39,12 +39,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DepletionTime:
-    """Time T >= 0 to run initial assets down to zero, with its provenance."""
+class DepletionTime(namedtuple("DepletionTime", "T method")):
+    """Time T >= 0 to run initial assets down to zero, with its provenance.
 
-    T: float
-    method: str  # "exact_r0" | "approx_small_r" | "numeric"
+    method: "exact_r0" | "approx_small_r" | "numeric"
+    """
+
+    __slots__ = ()
 
 
 def mu(params: ModelParams, T: float) -> float:
@@ -63,7 +64,7 @@ def mu(params: ModelParams, T: float) -> float:
         raise ValueError(f"mu: need T >= 0, got T={T}")
     if T == math.inf:
         return math.inf
-    rho, r, gam, y = params.rho, params.r, params.gamma, params.y
+    rho, r, gam, y = params
     x, z = (rho - r) * T / gam, -r * T
     scale = gam * y / (r * (gam - 1.0) + rho)
     if x - z < 1e-3:
@@ -88,7 +89,7 @@ def mu_prime(params: ModelParams, T: float) -> float:
         raise ValueError(f"mu_prime: need T >= 0, got T={T}")
     if T == math.inf:
         return math.inf
-    rho, r, gam, y = params.rho, params.r, params.gamma, params.y
+    rho, r, gam, y = params
     try:
         big_b = r * (gam - 1.0) + rho
         return y * (rho - r) / big_b * (math.expm1((rho - r) * T / gam) - math.expm1(-r * T))
@@ -227,7 +228,7 @@ def best_depletion_time(params: ModelParams, a: float) -> DepletionTime:
 def _step_growth(params: ModelParams, delta: float) -> float:
     """Per-step consumption growth ((1+r*delta)/(1+rho*delta))^(-1/gamma) > 1."""
     if not 0.0 < delta < math.inf:  # delta comes from the CLI's --delta
-        raise ValueError(f"step_growth_factor: need finite delta > 0, got {delta}")
+        raise ValueError(f"need finite delta > 0, got delta={delta}")
     return ((1.0 + params.r * delta) / (1.0 + params.rho * delta)) ** (-1.0 / params.gamma)
 
 

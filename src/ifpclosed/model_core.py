@@ -8,31 +8,33 @@ y is a flow of consumption units per unit time.  rho is treated as a rate
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = ["ModelParams", "crra_utility", "validate", "value_upper_bound"]
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Primitives of the consumption-savings problem.
+class ModelParams(namedtuple("ModelParams", "rho r gamma y")):
+    """Primitives of the consumption-savings problem, an immutable named tuple.
 
     rho:   subjective discount rate (> r)
     r:     net interest rate (>= 0)
     gamma: relative risk aversion (> 0); gamma = 1 means log utility
     y:     permanent income flow (> 0)
 
-    Construction (``dataclasses.replace`` too) runs :func:`validate`, so every
-    instance satisfies the invariants the closed forms need.
+    Construction runs :func:`validate`, and so do ``_replace``, ``_make``,
+    ``copy`` and unpickling, so every instance satisfies the invariants the
+    closed forms need.
     """
 
-    rho: float
-    r: float
-    gamma: float
-    y: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        validate(self)
+    def __new__(cls, rho: float, r: float, gamma: float, y: float) -> ModelParams:
+        return validate(super().__new__(cls, rho, r, gamma, y))
+
+    @classmethod
+    def _make(cls, iterable) -> ModelParams:
+        # namedtuple's own _make, which _replace calls, builds by tuple.__new__
+        return cls(*iterable)
 
 
 def validate(params: ModelParams) -> ModelParams:
@@ -42,17 +44,15 @@ def validate(params: ModelParams) -> ModelParams:
     (rho > r), gamma > 0, or y > 0; each parameter must also be finite
     (NaN fails every comparison).
     """
-    if not 0.0 <= params.r < math.inf:
-        raise ValueError(f"interest rate must be finite and nonnegative: r={params.r}")
-    if not params.r < params.rho < math.inf:
-        raise ValueError(
-            "impatience condition violated: need finite rho > r, "
-            f"got rho={params.rho}, r={params.r}"
-        )
-    if not 0.0 < params.gamma < math.inf:
-        raise ValueError(f"risk aversion must be finite and positive: gamma={params.gamma}")
-    if not 0.0 < params.y < math.inf:
-        raise ValueError(f"permanent income must be finite and positive: y={params.y}")
+    rho, r, gamma, y = params
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"interest rate must be finite and nonnegative: r={r}")
+    if not r < rho < math.inf:
+        raise ValueError(f"impatience condition violated: need finite rho > r, got rho={rho}, r={r}")
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"risk aversion must be finite and positive: gamma={gamma}")
+    if not 0.0 < y < math.inf:
+        raise ValueError(f"permanent income must be finite and positive: y={y}")
     return params
 
 

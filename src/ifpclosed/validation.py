@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from array import array
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,8 +36,7 @@ __all__ = [
     "simulate_assets",
 ]
 
-@dataclass(frozen=True)
-class AssetPath:
+class AssetPath(namedtuple("AssetPath", "t a c depletion_time_observed")):
     """RK4 trajectory of the budget equation under the closed-form policy.
 
     Samples are the triplets (t[i], a[i], c[i]); ``depletion_time_observed``
@@ -45,20 +44,13 @@ class AssetPath:
     detection level described in ``simulate_assets``).
     """
 
-    t: np.ndarray
-    a: np.ndarray
-    c: np.ndarray
-    depletion_time_observed: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DpSolution:
+class DpSolution(namedtuple("DpSolution", "policy value iterations sup_norm_residual")):
     """Converged value-iteration solve of the discrete model on an asset grid."""
 
-    policy: np.ndarray
-    value: np.ndarray
-    iterations: int
-    sup_norm_residual: float
+    __slots__ = ()
 
 
 def simulate_assets(params: ModelParams, a0: float, dt: float) -> AssetPath:
@@ -539,7 +531,7 @@ def approximation_error_report(
     a_grid = np.asarray(a_grid, dtype=float)
     gaps_by_r = {}
     for r in r_list:
-        p = replace(params_base, r=r)
+        p = params_base._replace(r=r)
         if p.r == 0.0:
             c_ref = consumption_path(p, a_grid)
         else:  # the numeric inversion takes one point at a time

@@ -65,6 +65,23 @@ def test_parameters_validated_only_by_their_type():
     assert calls == []
 
 
+def test_no_module_imports_dataclasses():
+    # the records are named tuples: dataclasses would load inspect, ast, dis and tokenize
+    package = Path(ifpclosed.__file__).parent
+    imports = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                imports.append(f"{path.name}:{node.lineno}")
+    assert imports == []
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_imports_only_earlier_layers(name):
     # every relative import, function-level ones such as cli's ``from . import checks`` too

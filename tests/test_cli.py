@@ -378,6 +378,12 @@ class TestFigure:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "finite delta" in captured.err
 
+    @pytest.mark.parametrize("delta,shown", [("0", "0.0"), ("nan", "nan")])
+    def test_figure1_bad_delta_names_the_option(self, delta, shown, capsys):
+        rc = main(["figure", "--which", "1", "--r", "0.01", "--delta", delta])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: need finite delta > 0, got delta={shown}\n"
+
     def test_figure2_structure(self, tmp_path):
         out = tmp_path / "fig2.csv"
         rc = main(["figure", "--which", "2", "--n", "41", "--out", str(out)])

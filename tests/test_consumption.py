@@ -2,7 +2,6 @@
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -164,7 +163,7 @@ class TestConsumptionNowR0:
     def test_monotone_and_concave_in_income(self):
         a = 3.0
         ys = np.geomspace(0.5, 50.0, 200)
-        cs = np.array([consumption_path(replace(FIG1_R0, y=y), a) for y in ys])
+        cs = np.array([consumption_path(FIG1_R0._replace(y=y), a) for y in ys])
         assert np.all(np.diff(cs) > 0.0)
         slopes = np.diff(cs) / np.diff(ys)
         assert np.all(np.diff(slopes) < 0.0)
@@ -172,7 +171,7 @@ class TestConsumptionNowR0:
     @pytest.mark.parametrize("lam", [0.1, 2.0, 10.0])
     def test_homogeneous_of_degree_one(self, lam):
         for a in (0.3, 3.0, 30.0):
-            scaled = consumption_path(replace(FIG1_R0, y=lam * FIG1_R0.y), lam * a)
+            scaled = consumption_path(FIG1_R0._replace(y=lam * FIG1_R0.y), lam * a)
             assert scaled == pytest.approx(lam * consumption_path(FIG1_R0, a), rel=1e-12)
 
 
@@ -197,7 +196,7 @@ class TestConsumptionApproxSmallR:
     def test_positive_rate_signs_by_finite_differences(self):
         # no closed-form derivatives exist at r > 0; the shape claims are
         # checked numerically on the small-r approximation instead
-        fn = lambda a_, y_: consumption_approx_small_r(replace(FIG1, y=y_), a_)
+        fn = lambda a_, y_: consumption_approx_small_r(FIG1._replace(y=y_), a_)
         for ratio in np.geomspace(1e-2, 1e2, 9):
             a = ratio * FIG1.y
             step = (EPS ** (1 / 3) * max(a, FIG1.y), EPS ** (1 / 3) * FIG1.y)
@@ -220,7 +219,7 @@ class TestJacobianClosed:
             assert dc_da > 0.0 and dc_dy > 0.0
 
     def test_matches_finite_differences(self):
-        fn = lambda a_, y_: consumption_path(replace(FIG1_R0, y=y_), a_)
+        fn = lambda a_, y_: consumption_path(FIG1_R0._replace(y=y_), a_)
         for ratio in np.geomspace(1e-3, 1e3, 15):
             a = ratio * FIG1_R0.y
             step = (EPS ** (1 / 3) * max(a, FIG1_R0.y), EPS ** (1 / 3) * FIG1_R0.y)
@@ -305,7 +304,7 @@ class TestHessianClosed:
             assert abs(h_aa * h_yy - h_ay * h_ay) <= 1e-12 * abs(h_aa * h_yy)
 
     def test_matches_finite_differences(self):
-        fn = lambda a_, y_: consumption_path(replace(FIG1_R0, y=y_), a_)
+        fn = lambda a_, y_: consumption_path(FIG1_R0._replace(y=y_), a_)
         for ratio in np.geomspace(1e-3, 1e3, 15):
             a = ratio * FIG1_R0.y
             step = (EPS**0.25 * max(a, FIG1_R0.y), EPS**0.25 * FIG1_R0.y)
@@ -315,7 +314,7 @@ class TestHessianClosed:
                 assert f == pytest.approx(c, rel=1e-4)
 
     def test_supermodularity_cross_difference(self):
-        fn = lambda a_, y_: consumption_path(replace(FIG1_R0, y=y_), a_)
+        fn = lambda a_, y_: consumption_path(FIG1_R0._replace(y=y_), a_)
         for a in np.geomspace(0.03, 300.0, 20):
             for y in np.geomspace(1.0, 10.0, 10):
                 h, k = 1e-3 * max(a, y), 1e-3 * y
@@ -335,6 +334,19 @@ class TestHessianClosed:
             h_aa, h_ay, h_yy = hessian(FIG1_R0, ratio * FIG1_R0.y)
             assert h_aa <= 0.0 <= h_ay and h_yy < 0.0, ratio
             assert ratio > 1e150 or (h_aa < 0.0 < h_ay), ratio
+
+    def test_asset_curvatures_at_tiny_rho_over_gamma(self):
+        # b = rho/gamma = 8e-302, where b*b underflows: the entries read -0 and 0 when formed first
+        from mp_reference import branch_offset_ref, mpmath, rel_err
+
+        p = validate(ModelParams(rho=0.08, r=0.0, gamma=1e300, y=3.0))
+        with mpmath.workdps(50):
+            b = mpmath.mpf(p.rho) / p.gamma
+            v = branch_offset_ref(b * 3.0 / p.y)
+            b2_k_over_y = b * b / p.y * (v - 1) / v**3  # k = w/(1 + w)^3 with w = v - 1
+        h_aa, h_ay, _ = hessian(p, 3.0)
+        assert rel_err(h_aa, -b2_k_over_y) <= 1e-15
+        assert rel_err(h_ay, 3.0 / p.y * b2_k_over_y) <= 1e-15
 
     @pytest.mark.parametrize("ratio", [1e104, 1e154, 1e300])
     def test_income_curvature_matches_mpmath_at_huge_assets(self, ratio):
@@ -356,6 +368,10 @@ class TestConsumptionDerivatives:
                 assert d.T == h_closed_r0(p, a).T == h_approx_small_r(p, a).T
                 assert d.c == consumption_path(p, a) == consumption_approx_small_r(p, a)
 
+    def test_unpacks_in_field_order(self):
+        d = consumption_derivatives(FIG1_R0, 3.0)
+        assert tuple(d) == (d.T, d.c, d.dc_da, d.dc_dy, d.d2c_da2, d.d2c_dady, d.d2c_dy2)
+
     @pytest.mark.parametrize("a", [math.nan, math.inf])
     def test_rejects_non_finite_assets(self, a):
         with pytest.raises(ValueError, match="finite a"):
@@ -371,7 +387,7 @@ class TestConsumptionDerivatives:
     def test_zero_d_array_gives_zero_d_array_fields(self):
         d = consumption_derivatives(FIG1_R0, np.array(3.0))
         point = consumption_derivatives(FIG1_R0, 3.0)
-        for name, value in vars(d).items():
+        for name, value in d._asdict().items():
             assert type(value) is np.ndarray and value.shape == (), name
             assert value == getattr(point, name), name
 
@@ -382,7 +398,7 @@ class TestConsumptionDerivatives:
             with pytest.raises(ValueError, match=r"d2c_da2 overflows a double at a=1e-312$"):
                 consumption_derivatives(self.TINY_INCOME, a)
             d = consumption_derivatives(self.TINY_INCOME, a[:2])
-        assert all(np.isfinite(getattr(d, f)).all() for f in vars(d))
+        assert all(np.isfinite(getattr(d, f)).all() for f in d._asdict())
 
 
 class TestDiscretePolicy:

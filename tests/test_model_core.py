@@ -1,8 +1,9 @@
 """Parameter validation, CRRA utility, and the analytic value bound."""
 
+import copy
 import math
+import pickle
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,27 +68,41 @@ class TestValidate:
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_parameter_rejected(self, field, value):
         with pytest.raises(ValueError, match="finite"):
-            validate(replace(FIG1_R0, **{field: value}))
+            validate(FIG1_R0._replace(**{field: value}))
 
 
 class TestValidByConstruction:
     @pytest.mark.parametrize("fields,message", VIOLATIONS)
     def test_construction_raises(self, fields, message):
         with pytest.raises(ValueError) as exc:
-            ModelParams(**{**vars(FIG1_R0), **fields})
+            ModelParams(**{**FIG1_R0._asdict(), **fields})
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("fields,message", VIOLATIONS)
     def test_replace_raises(self, fields, message):
         with pytest.raises(ValueError) as exc:
-            replace(FIG1_R0, **fields)
+            FIG1_R0._replace(**fields)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "copy_of", [lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy], ids=["pickle", "deepcopy"]
+    )
+    def test_copies_are_equal_and_validated(self, copy_of):
+        copied = copy_of(FIG1_R0)
+        assert type(copied) is ModelParams and copied == FIG1_R0
+        # a record built past the type (tuple.__new__ skips validate) is refused when copied
+        unchecked = tuple.__new__(ModelParams, (0.08, 0.09, 0.5, 3.0))
+        with pytest.raises(ValueError) as exc:
+            copy_of(unchecked)
+        assert str(exc.value) == (
+            "impatience condition violated: need finite rho > r, got rho=0.08, r=0.09"
+        )
 
     @pytest.mark.parametrize("field", ["rho", "r", "gamma", "y"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_construction_raises(self, field, value):
         with pytest.raises(ValueError, match="finite"):
-            ModelParams(**{**vars(FIG1_R0), field: value})
+            ModelParams(**{**FIG1_R0._asdict(), field: value})
 
     def test_impatience_violation_never_reaches_a_formula(self):
         # unchecked, the small-r closed form returned T = -3.23 here

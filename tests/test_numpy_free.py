@@ -44,6 +44,13 @@ def test_import_loads_no_numpy():
     assert run_fresh("import sys, ifpclosed\nprint('numpy' in sys.modules)").stdout == "False\n"
 
 
+def test_import_loads_no_dataclasses_or_inspect():
+    # the records are named tuples; dataclasses would bring inspect and its compiler modules
+    heavy = "{'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}"
+    out = run_fresh(f"import sys, ifpclosed\nprint(sorted({heavy} & set(sys.modules)))")
+    assert out.stdout == "[]\n"
+
+
 def test_import_time_has_no_numpy_line():
     lines = run_fresh("import ifpclosed", "-X", "importtime").stderr.splitlines()
     assert any(line.rstrip().endswith("| ifpclosed") for line in lines)
@@ -115,7 +122,7 @@ ENTRIES = {
     "wm1_neg_exp_offset": lambda a: (wm1_neg_exp_offset(a),),
     "h_closed_r0": lambda a: (h_closed_r0(P0, a).T,),
     "consumption_path": lambda a: (consumption_path(P0, a),),
-    "consumption_derivatives": lambda a: tuple(vars(consumption_derivatives(P0, a)).values()),
+    "consumption_derivatives": lambda a: tuple(consumption_derivatives(P0, a)),
     "h_numeric": lambda a: (h_numeric(P1, a).T,),
 }
 

@@ -10,7 +10,6 @@ installed.
 """
 
 import math
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -197,8 +196,8 @@ def test_array_matches_scalar_at_zero_rate(p, ratios):
         assert_agrees(consumption_from_depletion_time(p, np.array(T), t), c, v)
     inside = a > 0.0
     if inside.any():
-        bundle = astuple(consumption_derivatives(p, a[inside]))
-        scalar = [astuple(consumption_derivatives(p, a_)) for a_ in a[inside].tolist()]
+        bundle = tuple(consumption_derivatives(p, a[inside]))
+        scalar = [tuple(consumption_derivatives(p, a_)) for a_ in a[inside].tolist()]
         for array, column in zip(bundle, zip(*scalar)):
             assert_agrees(array, column, v[inside])
 
@@ -217,7 +216,7 @@ def array_entry_points(p):
     """(name, function of one array argument, that argument's invalid values) of the array path."""
 
     def first(f):  # the T of a DepletionTime or of the bundle
-        return lambda a: astuple(f(p, a))[0]
+        return lambda a: tuple(f(p, a))[0]
 
     return [
         ("wm1_neg_exp_offset", wm1_neg_exp_offset, (math.nan, -1.0, math.inf)),
@@ -271,7 +270,7 @@ def test_scalar_entry_points_return_python_floats(p, ratio):
         consumption_from_depletion_time(p, T),
     ]
     if p.r == 0.0:
-        values += [h_closed_r0(p, a).T, *astuple(consumption_derivatives(p, a))]
+        values += [h_closed_r0(p, a).T, *tuple(consumption_derivatives(p, a))]
     assert all(type(value) is float for value in values)
 
 

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -310,7 +309,7 @@ class TestPdvUtility:
 
     @pytest.mark.parametrize("r", [0.0, 0.01])
     def test_a_sequence_equals_scalar_calls(self, r):
-        p = replace(FIG1, r=r)
+        p = FIG1._replace(r=r)
         a0s = [0.0, 0.3, 3.0, 9.0, 300.0]
         values = pdv_utility(p, a0s)
         assert values.tolist() == [pdv_utility(p, a0) for a0 in a0s]
@@ -318,7 +317,7 @@ class TestPdvUtility:
 
     @pytest.mark.parametrize("r", [0.0, 0.01])
     def test_a_negative_a0_in_a_sequence_raises(self, r):
-        p = replace(FIG1, r=r)
+        p = FIG1._replace(r=r)
         with pytest.raises(ValueError) as scalar:
             pdv_utility(p, -1.0)
         with pytest.raises(ValueError) as batch:
@@ -334,7 +333,7 @@ class TestPdvUtility:
     @pytest.mark.parametrize("mult", [0.1, 1.0, 3.0, 10.0, 100.0])
     @pytest.mark.parametrize("r", [0.0, 0.01])
     def test_below_value_bound(self, mult, r):
-        p = validate(replace(FIG1, r=r))
+        p = validate(FIG1._replace(r=r))
         a0 = mult * p.y
         assert pdv_utility(p, a0) < value_upper_bound(p, a0)
 
@@ -466,7 +465,7 @@ class TestSimulateAssets:
 
     @pytest.mark.parametrize("r", [0.0, 0.01])
     def test_matches_the_step_by_step_loop(self, r):
-        p = validate(replace(FIG1, r=r))
+        p = validate(FIG1._replace(r=r))
         T = best_depletion_time(p, 3.0).T
         a = simulate_assets(p, 3.0, T / 10_000.0).a
         expected = np.array(self.LOOP_PATHS[r])
