@@ -10,19 +10,17 @@ grid value-iteration solve of the discrete-time model.
 
 The closed forms run on ``math`` alone: importing the package, or calling it
 on floats, loads no numpy.  numpy loads on the first array, and with the
-oracles, which live in ``ifpclosed.validation`` alone and are imported from
-there (``from ifpclosed.validation import grid_dp``).
+oracles and the figures, which live in ``ifpclosed.validation`` and
+``ifpclosed.figures`` alone and are imported from there
+(``from ifpclosed.validation import grid_dp``).
 """
 
 from .consumption import (
     ConsumptionDerivatives,
-    PiecewiseLinearPolicy,
     consumption_approx_small_r,
     consumption_derivatives,
     consumption_from_depletion_time,
     consumption_path,
-    consumption_unconstrained,
-    discrete_policy,
 )
 from .depletion_map import (
     DepletionTime,
@@ -31,7 +29,6 @@ from .depletion_map import (
     h_closed_r0,
     h_numeric,
     mu,
-    mu_discrete,
     mu_prime,
 )
 from .model_core import ModelParams, crra_utility, validate, value_upper_bound

@@ -22,11 +22,9 @@ from .consumption import (
     consumption_derivatives,
     consumption_from_depletion_time,
     consumption_path,
-    consumption_unconstrained,
-    discrete_policy,
-    figure_rows,
 )
-from .depletion_map import h_closed_r0, h_numeric, mu, mu_discrete
+from .depletion_map import h_closed_r0, h_numeric, mu
+from .figures import _consumption_unconstrained, _mu_discrete, discrete_policy, figure_rows
 from .model_core import ModelParams, value_upper_bound
 from .special_functions import wm1_neg_exp_offset
 from .validation import (
@@ -273,7 +271,7 @@ def check_small_r() -> list[CheckResult]:
 def check_discrete_model() -> list[CheckResult]:
     """Criterion 8: discrete knots, DP agreement, and the continuum limit."""
     p = _FIGURE1_PARAMS
-    knots = mu_discrete(p, 1.0, 40)
+    knots = _mu_discrete(p, 1.0, 40)
     knot_margin = float(np.min(np.diff(knots)))
     p0 = _FIGURE1_R0
     t0 = time.perf_counter()
@@ -307,7 +305,7 @@ def check_figures() -> list[CheckResult]:
     grid = np.linspace(0.0, 10.0 * p.y, 201)
     _, rows1 = figure_rows(p, 1, grid, delta=1.0)
     constrained_at_zero = rows1[0][1] * p.y
-    unconstrained_at_zero = consumption_unconstrained(p, 0.0)
+    unconstrained_at_zero = _consumption_unconstrained(p, 0.0)
     gap_over_y = (unconstrained_at_zero - constrained_at_zero) / p.y
     _, rows2 = figure_rows(p, 2, grid, delta=1.0)
     fig2_gap = max(abs(r[1] - r[2]) / r[2] for r in rows2)

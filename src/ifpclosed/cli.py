@@ -18,7 +18,6 @@ from .consumption import (
     ConsumptionDerivatives,
     consumption_derivatives,
     consumption_from_depletion_time,
-    figure_rows,
 )
 from .depletion_map import best_depletion_time, h_approx_small_r, h_numeric
 from .model_core import ModelParams
@@ -128,6 +127,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
+    from .figures import figure_rows
+
     params = _params_from(args)
     a_max = args.a_max if args.a_max is not None else 10.0 * params.y
     grid = sweep_grid(args.a_min, a_max, args.n, args.spacing)

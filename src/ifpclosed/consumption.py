@@ -25,10 +25,6 @@ v's error, which is at the rounding level on the whole branch: dc/da is off by
 Both MPCs are strictly positive, the Hessian diagonal is strictly negative
 and the cross-derivative strictly positive (supermodularity), all because
 w < -1 on the relevant domain.
-
-Also here: the discrete-time piecewise-linear policy built on the knot
-sequence mu(k*delta), the unconstrained linear benchmark used for the
-discrete-time figure overlay, and the rows of the two figure CSVs.
 """
 
 from __future__ import annotations
@@ -36,27 +32,15 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .depletion_map import (
-    _branch,
-    _is_ndarray,
-    _step_growth,
-    best_depletion_time,
-    h_approx_small_r,
-    h_numeric,
-    mu_discrete,
-)
+from .depletion_map import _branch, _is_ndarray, best_depletion_time, h_approx_small_r
 from .model_core import ModelParams
 
 __all__ = [
     "ConsumptionDerivatives",
-    "PiecewiseLinearPolicy",
     "consumption_approx_small_r",
     "consumption_derivatives",
     "consumption_from_depletion_time",
     "consumption_path",
-    "consumption_unconstrained",
-    "discrete_policy",
-    "figure_rows",
 ]
 
 
@@ -66,26 +50,6 @@ class ConsumptionDerivatives(
     """Depletion time, level, Jacobian pair, and distinct Hessian entries at r = 0."""
 
     __slots__ = ()
-
-
-class PiecewiseLinearPolicy(namedtuple("PiecewiseLinearPolicy", "knot_assets knot_consumption")):
-    """Discrete-time consumption function: linear between depletion knots.
-
-    Knot k sits at assets mu(k*delta) with consumption y * G^k (G the
-    per-step growth factor), so the policy is continuous, increasing, and
-    piecewise linear with non-increasing slopes.  Evaluation is defined on
-    [0, last knot].
-    """
-
-    __slots__ = ()
-
-    def __call__(self, a):
-        import numpy as np
-        arr = np.asarray(a, dtype=float)
-        if not np.all((arr >= 0.0) & (arr <= self.knot_assets[-1])):
-            raise ValueError(f"policy evaluation outside [0, {float(self.knot_assets[-1])!r}]")
-        out = np.interp(arr, self.knot_assets, self.knot_consumption)
-        return float(out) if np.isscalar(a) else out
 
 
 def consumption_from_depletion_time(params: ModelParams, T: float, t: float = 0.0) -> float:
@@ -192,100 +156,3 @@ def _derivative_entries(params: ModelParams, du, v, log1p_neg_v) -> tuple:
     q, s = (v - 1.0) / v, du / v
     return (b - b / v, q * log1p_neg_v, -(b / v) * (b / v / y) * q, b / y * (s * q) / v, -s * s * q / y)
 
-
-def discrete_policy(params: ModelParams, delta: float, a_max: float) -> PiecewiseLinearPolicy:
-    """Piecewise-linear discrete-time consumption function covering [0, a_max].
-
-    Knots come from ``mu_discrete``, up to the first that reaches a_max;
-    knot consumption is y * G^k; interior assets interpolate linearly
-    between adjacent knot values.  Knot k lies within a few percent of
-    mu(k*delta), so T(a_max)/delta sizes the sequence before any knot is
-    built, and a_max needing more than 2**24 knots is a ValueError.
-    """
-    if not 0.0 < a_max < math.inf:
-        raise ValueError(f"discrete_policy: need finite a_max > 0, got {a_max}")
-    import numpy as np
-    growth = _step_growth(params, delta)
-    n = 1.1 * float(best_depletion_time(params, a_max).T) / delta + 16.0
-    while n <= 2**24:
-        knots = mu_discrete(params, delta, int(n))
-        if knots[-1] >= a_max:
-            assets = knots[: int(np.searchsorted(knots, a_max, side="left")) + 1]
-            cons = params.y * growth ** np.arange(assets.size)
-            return PiecewiseLinearPolicy(knot_assets=assets, knot_consumption=cons)
-        n *= 2.0
-    raise ValueError(f"discrete_policy: a_max={a_max} takes over 2**24 knots at delta={delta}")
-
-
-def consumption_unconstrained(params: ModelParams, a):
-    """Unconstrained linear benchmark kappa*(a + y/r), kappa = (rho + r*(gamma-1))/gamma.
-
-    The standard deterministic CRRA policy when borrowing against the
-    income stream y/r is allowed; requires r > 0.  ``a`` is a scalar or an
-    array, and the result has its shape.
-    """
-    if params.r <= 0.0:
-        raise ValueError("consumption_unconstrained: requires r > 0 (y/r undefined at r = 0)")
-    kappa = (params.rho + params.r * (params.gamma - 1.0)) / params.gamma
-    return kappa * (a + params.y / params.r)
-
-
-def figure_rows(
-    params: ModelParams, which: int, grid: np.ndarray, delta: float
-) -> tuple[list[str], list[tuple]]:
-    """Rows for the two figure CSVs over the asset grid (consumption normalized by income).
-
-    Figure 1 (requires r > 0): discrete piecewise-linear policy at step
-    ``delta`` against the unconstrained linear benchmark, over a copy of the
-    strictly increasing ``grid``.  Every knot in [grid[0], grid[-1]] nominates
-    its nearest grid point (the lower one on a tie); each nominated point
-    moves onto the nearest knot that nominated it (the lower knot on a tie)
-    and is flagged.  The rule reads only the original grid, so rows stay
-    strictly increasing, each within half a neighbouring step of its point.
-    A point's nearest nominating knot is one of the two knots around it, so
-    the rule runs on those alone, in memory of the grid's size.
-    Figure 2: small-r closed-form approximation against the numerically
-    inverted solution.  A value past the double range (a/y at y < 1, say)
-    is a ``ValueError`` naming its column and the first such a, with no numpy
-    overflow warning before it.
-    """
-    import numpy as np
-    y = params.y
-    if which == 1:
-        grid = np.array(grid, dtype=float)  # a copy: the knots go into it
-        # an overflow on the way (the knots' growth, grid / y) ends in the ValueError below
-        with np.errstate(over="ignore"):
-            policy = discrete_policy(params, delta, grid[-1])
-            knots = policy.knot_assets
-            # the knots around each grid point, unsorted and repeating: a tie can only be between
-            # the two around one point, and the lower of them comes first, as the rule needs
-            around = np.searchsorted(knots, grid)
-            knots = knots[np.clip(np.concatenate((around - 1, around)), 0, knots.size - 1)]
-            knots = knots[(knots >= grid[0]) & (knots <= grid[-1])]
-            upper = np.searchsorted(grid, knots)
-            lower = np.maximum(upper - 1, 0)
-            nominee = np.where(knots - grid[lower] <= grid[upper] - knots, lower, upper)
-            closest = np.lexsort((np.abs(grid[nominee] - knots), nominee))
-            moved, first = np.unique(nominee[closest], return_index=True)
-            grid[moved] = knots[closest[first]]
-            flags = np.bincount(moved, minlength=grid.size)
-            header = ["a_over_y", "c_discrete_over_y", "c_unconstrained_over_y", "knot_flag"]
-            columns = (grid / y, policy(grid) / y, consumption_unconstrained(params, grid) / y, flags)
-            rows = list(zip(*(col.tolist() for col in columns)))
-    elif which == 2:
-        header = ["a_over_y", "c_closed_approx_over_y", "c_numeric_over_y"]
-        rows = [
-            (
-                a / y,
-                consumption_approx_small_r(params, a) / y,
-                consumption_from_depletion_time(params, h_numeric(params, a).T) / y,
-            )
-            for a in grid.tolist()
-        ]
-    else:
-        raise ValueError(f"unknown figure {which!r}; expected 1 or 2")
-    infinite = ~np.isfinite(np.array(rows, dtype=float))
-    if infinite.any():
-        column, i = np.argwhere(infinite.T)[0]  # the first column, then its first row
-        raise ValueError(f"figure {which}: {header[column]} overflows a double at a={grid[i]}")
-    return header, rows

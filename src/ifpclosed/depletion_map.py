@@ -13,16 +13,12 @@ h is computed three ways:
 * ``h_approx_small_r`` -- closed-form approximation valid for r ~ 0
 * ``h_numeric``       -- safeguarded Newton inversion of mu, any r >= 0;
                          the oracle the closed forms are checked against
-
-plus the discrete-time counterpart ``mu_discrete`` built from the implicit
-recursion on a time grid of step delta.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import accumulate
 
 from .model_core import ModelParams
 from .special_functions import _is_ndarray, wm1_neg_exp_offset
@@ -34,7 +30,6 @@ __all__ = [
     "h_closed_r0",
     "h_numeric",
     "mu",
-    "mu_discrete",
     "mu_prime",
 ]
 
@@ -224,29 +219,3 @@ def best_depletion_time(params: ModelParams, a: float) -> DepletionTime:
         return h_closed_r0(params, a)
     return h_numeric(params, a)
 
-
-def _step_growth(params: ModelParams, delta: float) -> float:
-    """Per-step consumption growth ((1+r*delta)/(1+rho*delta))^(-1/gamma) > 1."""
-    if not 0.0 < delta < math.inf:  # delta comes from the CLI's --delta
-        raise ValueError(f"need finite delta > 0, got delta={delta}")
-    return ((1.0 + params.r * delta) / (1.0 + params.rho * delta)) ** (-1.0 / params.gamma)
-
-
-def mu_discrete(params: ModelParams, delta: float, n_knots: int) -> np.ndarray:
-    """Discrete-time depletion thresholds mu(k*delta), k = 0..n_knots, from the implicit recursion.
-
-    Solves mu(k*delta) + (delta*y - mu((k-1)*delta))/(1 + r*delta)
-    = G^k * delta*y forward from mu(0) = 0, where G is the per-step
-    consumption growth factor.  The sequence is strictly increasing.
-    """
-    if n_knots < 1:
-        raise ValueError(f"mu_discrete: need n_knots >= 1, got {n_knots}")
-    import numpy as np
-    growth = _step_growth(params, delta)
-    dy = delta * params.y
-    shrink = 1.0 + params.r * delta
-    rhs = dy * growth ** np.arange(n_knots + 1)
-    # a memoryview hands the recursion Python floats one at a time, where a
-    # list of them would hold ~32 bytes a knot (2**24 knots: ~0.5 GB)
-    knots = accumulate(memoryview(rhs)[1:], lambda m, g: g - (dy - m) / shrink, initial=0.0)
-    return np.fromiter(knots, float, n_knots + 1)

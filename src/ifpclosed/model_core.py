@@ -41,8 +41,8 @@ def validate(params: ModelParams) -> ModelParams:
     """Return ``params`` unchanged if all invariants hold, else raise.
 
     Raises ValueError naming the violated invariant: r >= 0, impatience
-    (rho > r), gamma > 0, or y > 0; each parameter must also be finite
-    (NaN fails every comparison).
+    (rho > r), gamma > 0, y > 0, or gamma*y > 0 in doubles (the scale of mu and
+    of du); each parameter must also be finite (NaN fails every comparison).
     """
     rho, r, gamma, y = params
     if not 0.0 <= r < math.inf:
@@ -53,6 +53,8 @@ def validate(params: ModelParams) -> ModelParams:
         raise ValueError(f"risk aversion must be finite and positive: gamma={gamma}")
     if not 0.0 < y < math.inf:
         raise ValueError(f"permanent income must be finite and positive: y={y}")
+    if gamma * y == 0.0:
+        raise ValueError(f"gamma*y must be positive, but it underflows to 0: gamma={gamma}, y={y}")
     return params
 
 

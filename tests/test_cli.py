@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import ifpclosed
-from ifpclosed import checks, consumption, depletion_map, special_functions
+from ifpclosed import checks, depletion_map, figures, special_functions
 from ifpclosed.cli import main, sweep_grid
-from ifpclosed.consumption import PiecewiseLinearPolicy, discrete_policy, figure_rows
-from ifpclosed.depletion_map import _step_growth, mu
+from ifpclosed.depletion_map import mu
+from ifpclosed.figures import PiecewiseLinearPolicy, _step_growth, discrete_policy, figure_rows
 from ifpclosed.model_core import ModelParams, validate
 
 FIG1 = validate(ModelParams(rho=0.08, r=0.01, gamma=0.5, y=3.0))
@@ -353,7 +353,7 @@ class TestFigure:
         p = validate(ModelParams(rho=0.08, r=0.01, gamma=0.5, y=1.0))  # rows are a exactly
         rng = np.random.default_rng(7)
         knots = None
-        monkeypatch.setattr(consumption, "discrete_policy",
+        monkeypatch.setattr(figures, "discrete_policy",
                             lambda params, delta, a_max: PiecewiseLinearPolicy(knots, knots + 1.0))
         for trial in range(600):
             draw = rng.integers if trial % 2 else rng.uniform
@@ -528,10 +528,13 @@ class TestRuleCheckedOnce:
      ["sweep", "c", "T", "--r", "0", "--y", "0.001", "--a-min", "1e305", "--a-max", "1.7e308",
       "--n", "3"],
      ["figure", "--which", "2", "--y", "0.001", "--a-min", "1e305", "--a-max", "1.7e308",
-      "--n", "3"]],
+      "--n", "3"],
+     # gamma*y underflows to 0: a ValueError from the parameters, before any row
+     ["sweep", "c", "T", "--r", "0", "--gamma", "1e-200", "--y", "1e-200", "--n", "3",
+      "--a-max", "1"]],
 )
 def test_exit_2_writes_only_the_error_line(argv):
-    # these rows overflow numpy-scalar intermediates before the explicit ValueError
+    # each of these rows could print a numpy warning before its ValueError
     out = run_fresh(argv)
     assert out.returncode == 2 and out.stdout == ""
     lines = out.stderr.splitlines()

@@ -6,24 +6,16 @@ import warnings
 import numpy as np
 import pytest
 
-import ifpclosed.consumption
+import ifpclosed.figures
 from ifpclosed.checks import _wm1
 from ifpclosed.consumption import (
     consumption_approx_small_r,
     consumption_derivatives,
     consumption_from_depletion_time,
     consumption_path,
-    consumption_unconstrained,
-    discrete_policy,
 )
-from ifpclosed.depletion_map import (
-    _step_growth,
-    h_approx_small_r,
-    h_closed_r0,
-    h_numeric,
-    mu,
-    mu_discrete,
-)
+from ifpclosed.depletion_map import h_approx_small_r, h_closed_r0, h_numeric, mu
+from ifpclosed.figures import _consumption_unconstrained, _mu_discrete, _step_growth, discrete_policy
 from ifpclosed.model_core import ModelParams, validate
 from ifpclosed.validation import fd_gradient, fd_hessian
 
@@ -482,13 +474,13 @@ class TestDiscretePolicy:
     def test_knots_are_a_prefix_of_the_recursion(self, p, delta, a_max):
         knots = discrete_policy(p, delta, a_max).knot_assets
         assert knots[-1] >= a_max > knots[-2]
-        assert np.array_equal(knots, mu_discrete(p, delta, knots.size + 100)[: knots.size])
+        assert np.array_equal(knots, _mu_discrete(p, delta, knots.size + 100)[: knots.size])
 
     def test_too_many_knots_raise_before_any_is_built(self, monkeypatch):
         def no_knots(*args):
             pytest.fail("mu_discrete called")
 
-        monkeypatch.setattr(ifpclosed.consumption, "mu_discrete", no_knots)
+        monkeypatch.setattr(ifpclosed.figures, "_mu_discrete", no_knots)
         with pytest.raises(ValueError, match=r"over 2\*\*24 knots"):
             discrete_policy(FIG1, 1e-7, 30.0)
 
@@ -496,26 +488,26 @@ class TestDiscretePolicy:
 class TestConsumptionUnconstrained:
     def test_frozen_intercept(self):
         # kappa*(y/r) = 0.15 * 300
-        assert consumption_unconstrained(FIG1, 0.0) == pytest.approx(45.0, rel=1e-14)
+        assert _consumption_unconstrained(FIG1, 0.0) == pytest.approx(45.0, rel=1e-14)
 
     def test_linear_with_constant_slope(self):
         kappa = (FIG1.rho + FIG1.r * (FIG1.gamma - 1.0)) / FIG1.gamma
         for a1, a2 in ((0.0, 1.0), (5.0, 9.0), (50.0, 100.0)):
             slope = (
-                consumption_unconstrained(FIG1, a2) - consumption_unconstrained(FIG1, a1)
+                _consumption_unconstrained(FIG1, a2) - _consumption_unconstrained(FIG1, a1)
             ) / (a2 - a1)
             assert slope == pytest.approx(kappa, rel=1e-12)
 
     def test_takes_arrays(self):
         a = np.array([0.0, 5.0, 9.0])
-        assert consumption_unconstrained(FIG1, a).tolist() == [
-            consumption_unconstrained(FIG1, float(x)) for x in a
+        assert _consumption_unconstrained(FIG1, a).tolist() == [
+            _consumption_unconstrained(FIG1, float(x)) for x in a
         ]
 
     def test_exceeds_constrained_at_zero_assets(self):
         pol = discrete_policy(FIG1, 1.0, 5.0)
-        assert consumption_unconstrained(FIG1, 0.0) > pol(0.0)
+        assert _consumption_unconstrained(FIG1, 0.0) > pol(0.0)
 
     def test_rejects_zero_rate(self):
         with pytest.raises(ValueError):
-            consumption_unconstrained(FIG1_R0, 1.0)
+            _consumption_unconstrained(FIG1_R0, 1.0)

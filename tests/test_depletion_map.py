@@ -12,15 +12,14 @@ import pytest
 
 from ifpclosed.consumption import consumption_derivatives, consumption_path
 from ifpclosed.depletion_map import (
-    _step_growth,
     best_depletion_time,
     h_approx_small_r,
     h_closed_r0,
     h_numeric,
     mu,
-    mu_discrete,
     mu_prime,
 )
+from ifpclosed.figures import _mu_discrete, _step_growth
 from ifpclosed.model_core import ModelParams, validate
 
 FIG1 = validate(ModelParams(rho=0.08, r=0.01, gamma=0.5, y=3.0))
@@ -345,22 +344,22 @@ class TestBestDepletionTime:
 
 class TestMuDiscrete:
     def test_initial_condition(self):
-        assert mu_discrete(FIG1, 1.0, 5)[0] == 0.0
+        assert _mu_discrete(FIG1, 1.0, 5)[0] == 0.0
 
     def test_frozen_first_knot(self):
         # 3*(1.08/1.01)^2 - 3/1.01
-        knots = mu_discrete(FIG1, 1.0, 1)
+        knots = _mu_discrete(FIG1, 1.0, 1)
         assert knots[1] == pytest.approx(0.45995490638172728, rel=1e-13)
 
     def test_strictly_increasing(self):
-        knots = mu_discrete(FIG1, 1.0, 40)
+        knots = _mu_discrete(FIG1, 1.0, 40)
         assert np.all(np.diff(knots) > 0.0)
 
     def test_growth_factor(self):
         assert _step_growth(FIG1, 1.0) == pytest.approx((1.08 / 1.01) ** 2, rel=1e-14)
 
     def test_continuum_limit_at_two(self):
-        knots = mu_discrete(FIG1, 1e-4, 20_000)
+        knots = _mu_discrete(FIG1, 1e-4, 20_000)
         assert knots[-1] == pytest.approx(mu(FIG1, 2.0), rel=1e-3)
 
     def test_interpolated_knots_converge_to_mu(self):
@@ -368,7 +367,7 @@ class TestMuDiscrete:
         exact = np.array([mu(FIG1, t) for t in ts])
         sups = []
         for delta in (0.5, 0.1, 0.02):
-            knots = mu_discrete(FIG1, delta, int(10.0 / delta) + 2)
+            knots = _mu_discrete(FIG1, delta, int(10.0 / delta) + 2)
             times = delta * np.arange(knots.size)
             sups.append(np.max(np.abs(np.interp(ts, times, knots) - exact)))
         assert sups[0] > sups[1] > sups[2]
@@ -382,17 +381,17 @@ class TestMuDiscrete:
         expected = np.zeros(n + 1)
         for k in range(1, n + 1):
             expected[k] = rhs[k] - (dy - expected[k - 1]) / shrink
-        assert mu_discrete(params, delta, n).tobytes() == expected.tobytes()
+        assert _mu_discrete(params, delta, n).tobytes() == expected.tobytes()
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            mu_discrete(FIG1, 0.0, 5)
+            _mu_discrete(FIG1, 0.0, 5)
         with pytest.raises(ValueError):
-            mu_discrete(FIG1, 1.0, 0)
+            _mu_discrete(FIG1, 1.0, 0)
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf])
     def test_rejects_non_finite_delta(self, delta):
         with pytest.raises(ValueError, match="finite delta"):
-            mu_discrete(FIG1, delta, 5)
+            _mu_discrete(FIG1, delta, 5)
         with pytest.raises(ValueError, match="finite delta"):
             _step_growth(FIG1, delta)

@@ -58,6 +58,7 @@ class TestValidate:
             ((0.08, -0.01, 0.5, 3.0), "nonnegative"),
             ((0.08, 0.0, 0.0, 3.0), "risk aversion"),
             ((0.08, 0.0, 0.5, 0.0), "income"),
+            ((0.08, 0.0, 1e-200, 1e-200), r"gamma\*y must be positive"),
         ],
     )
     def test_each_invariant_named(self, bad, match):

@@ -57,6 +57,27 @@ def test_import_time_has_no_numpy_line():
     assert [line for line in lines if "numpy" in line] == []
 
 
+@pytest.mark.parametrize(
+    "argv,loaded",
+    [([], False),
+     (["eval", "--r", "0", "--a", "3"], False),
+     (["sweep", "c", "T", "--r", "0.01", "--n", "3"], False),
+     (["figure", "--which", "2", "--n", "3"], True),
+     (["check"], True)],
+    ids=["import", "eval", "sweep", "figure", "check"],
+)
+def test_only_figure_and_check_load_the_figures(argv, loaded):
+    # the discrete model and the figure rows are no part of the closed forms
+    code = f"""
+import contextlib, io, sys
+from ifpclosed import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert {argv!r} == [] or cli.main({argv!r}) == 0
+print("ifpclosed.figures" in sys.modules)
+"""
+    assert run_fresh(code).stdout == f"{loaded}\n"
+
+
 @pytest.mark.parametrize("r", [0.0, 0.01])
 def test_scalar_calls_load_no_numpy(r):
     code = f"""

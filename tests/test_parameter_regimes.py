@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ifpclosed.consumption import consumption_derivatives, consumption_path, discrete_policy
+from ifpclosed.consumption import consumption_derivatives, consumption_path
 from ifpclosed.depletion_map import best_depletion_time, h_approx_small_r, h_closed_r0, h_numeric, mu
+from ifpclosed.figures import discrete_policy
 from ifpclosed.model_core import ModelParams, crra_utility, validate, value_upper_bound
 from ifpclosed.validation import (
     _pchip,

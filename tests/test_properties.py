@@ -20,10 +20,9 @@ from ifpclosed.consumption import (
     consumption_derivatives,
     consumption_from_depletion_time,
     consumption_path,
-    discrete_policy,
-    figure_rows,
 )
 from ifpclosed.depletion_map import h_approx_small_r, h_closed_r0, h_numeric, mu
+from ifpclosed.figures import discrete_policy, figure_rows
 from ifpclosed.model_core import ModelParams, validate
 from ifpclosed.special_functions import wm1_neg_exp_offset
 

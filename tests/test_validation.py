@@ -12,8 +12,9 @@ import pytest
 import ifpclosed
 from ifpclosed import checks, consumption, validation
 from ifpclosed.checks import CRITERIA
-from ifpclosed.consumption import consumption_from_depletion_time, discrete_policy
+from ifpclosed.consumption import consumption_from_depletion_time
 from ifpclosed.depletion_map import best_depletion_time, h_closed_r0, h_numeric, mu
+from ifpclosed.figures import discrete_policy
 from ifpclosed.model_core import ModelParams, crra_utility, validate, value_upper_bound
 from ifpclosed.validation import (
     _discounted_utility,
