@@ -8,9 +8,10 @@ Everything is cross-checked against solver-grade oracles: safeguarded Newton
 inversion, RK4 budget integration, quadrature, finite differences, and a
 grid value-iteration solve of the discrete-time model.
 
-The closed forms run on ``math`` alone: importing the package, or calling it
-on floats, loads no numpy.  numpy loads on the first array, and with the
-oracles and the figures, which live in ``ifpclosed.validation`` and
+The closed forms run on ``math`` alone: importing the package, or calling any
+function it exports on floats, loads no numpy.  numpy loads on the first
+array, and with the oracles (the CRRA utility and the value bound among them)
+and the figures, which live in ``ifpclosed.validation`` and
 ``ifpclosed.figures`` alone and are imported from there
 (``from ifpclosed.validation import grid_dp``).
 """
@@ -31,7 +32,7 @@ from .depletion_map import (
     mu,
     mu_prime,
 )
-from .model_core import ModelParams, crra_utility, validate, value_upper_bound
+from .model_core import ModelParams, validate
 from .special_functions import wm1_neg_exp_offset
 
 __version__ = "0.1.0"

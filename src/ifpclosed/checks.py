@@ -24,13 +24,12 @@ from .consumption import (
     consumption_path,
 )
 from .depletion_map import h_closed_r0, h_numeric, mu
-from .figures import _consumption_unconstrained, _mu_discrete, discrete_policy, figure_rows
-from .model_core import ModelParams, value_upper_bound
+from .figures import _mu_discrete, discrete_policy, figure_rows
+from .model_core import ModelParams
 from .special_functions import wm1_neg_exp_offset
 from .validation import (
     _DP_TOL,
     _anchor_depletion_time,
-    approximation_error_report,
     fd_gradient,
     fd_hessian,
     grid_dp,
@@ -38,6 +37,7 @@ from .validation import (
     pdv_utility,
     perturbed_path_values,
     simulate_assets,
+    value_upper_bound,
 )
 
 __all__ = ["CheckResult", "CRITERIA", "run_level"]
@@ -247,22 +247,25 @@ def check_value_bound() -> list[CheckResult]:
     ]
 
 
+def _small_r_gaps(p: ModelParams, grid: np.ndarray) -> list[float]:
+    """Relative gap of the small-r closed form to the numeric inversion, per figure 2 row."""
+    return [abs(r[1] - r[2]) / r[2] for r in figure_rows(p, 2, grid, delta=1.0)[1]]
+
+
 def check_small_r() -> list[CheckResult]:
     """Criterion 7: O(r) behavior of the small-r approximation."""
     base = _FIGURE1_PARAMS
     a_grid = np.linspace(0.0, 100.0, 81) * base.y
-    by_r = approximation_error_report(base, [0.0, 0.02, 0.01, 0.005], a_grid)
-    # gap at a = 0 for every r: first grid point is exactly 0
-    gap_at_zero = 0.0
-    for r in (0.02, 0.01, 0.005):
-        p = base._replace(r=r)
-        c_ref = consumption_path(p, 0.0)
-        gap_at_zero = max(gap_at_zero, abs(consumption_approx_small_r(p, 0.0) - c_ref))
-    ratio_hi = by_r[0.02] / by_r[0.01]
-    ratio_lo = by_r[0.01] / by_r[0.005]
+    p0 = _FIGURE1_R0  # where the two routes are one closed form
+    c_ref = consumption_path(p0, a_grid)
+    zero_rate = float(np.max(np.abs(consumption_approx_small_r(p0, a_grid) - c_ref) / c_ref))
+    gaps = {r: _small_r_gaps(base._replace(r=r), a_grid) for r in (0.02, 0.01, 0.005)}
+    gap_at_zero = max(g[0] for g in gaps.values())  # the grid starts at a = 0
+    ratio_hi = max(gaps[0.02]) / max(gaps[0.01])
+    ratio_lo = max(gaps[0.01]) / max(gaps[0.005])
     in_band = (1.5 <= ratio_hi <= 3.0) and (1.5 <= ratio_lo <= 3.0)
     return [
-        _bounded("small_r.zero_rate_row", by_r[0.0], 0.0),
+        _bounded("small_r.zero_rate_row", zero_rate, 0.0),
         _bounded("small_r.gap_at_zero_assets", gap_at_zero, 0.0),
         CheckResult("small_r.halving_ratio_band", min(ratio_hi, ratio_lo), 3.0, in_band),
     ]
@@ -304,12 +307,9 @@ def check_figures() -> list[CheckResult]:
     p = _FIGURE1_PARAMS
     grid = np.linspace(0.0, 10.0 * p.y, 201)
     _, rows1 = figure_rows(p, 1, grid, delta=1.0)
-    constrained_at_zero = rows1[0][1] * p.y
-    unconstrained_at_zero = _consumption_unconstrained(p, 0.0)
-    gap_over_y = (unconstrained_at_zero - constrained_at_zero) / p.y
-    _, rows2 = figure_rows(p, 2, grid, delta=1.0)
-    fig2_gap = max(abs(r[1] - r[2]) / r[2] for r in rows2)
-    report_gap = approximation_error_report(p, [p.r], np.linspace(0.0, 100.0, 81) * p.y)[p.r]
+    gap_over_y = rows1[0][2] - rows1[0][1]  # the first row is at a = 0
+    fig2_gap = max(_small_r_gaps(p, grid))
+    report_gap = max(_small_r_gaps(p, np.linspace(0.0, 100.0, 81) * p.y))
     return [
         CheckResult("figures.constrained_gap_over_y", gap_over_y, 0.1, gap_over_y >= 0.1),
         _bounded("figures.fig2_vs_report", fig2_gap, report_gap),

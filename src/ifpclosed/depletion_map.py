@@ -130,8 +130,9 @@ def h_numeric(params: ModelParams, a: float) -> DepletionTime:
         else:
             break
         d = mu_prime(params, T)
-        T_new = T - g / d if d > 0.0 and math.isfinite(d) else math.nan
-        if not math.isfinite(T_new) or not lo < T_new < hi:
+        # d = inf comes with g = inf once mu overflows, and inf/inf warns on a numpy-scalar a
+        T_new = T - g / d if 0.0 < d < math.inf else math.nan
+        if not lo < T_new < hi:
             T_new = 0.5 * (lo + hi)
         if abs(T_new - T) <= 4e-15 * T_new and (-tol <= g <= tol or T_new == T):
             T_prev, T = T, T_new

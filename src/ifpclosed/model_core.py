@@ -1,4 +1,4 @@
-"""Economic primitives: parameters, CRRA utility, and the analytic value bound.
+"""Economic primitives: the model parameters and the invariants they must satisfy.
 
 Single, consistent time unit throughout: rho and r are per-unit-time rates,
 y is a flow of consumption units per unit time.  rho is treated as a rate
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-__all__ = ["ModelParams", "crra_utility", "validate", "value_upper_bound"]
+__all__ = ["ModelParams", "validate"]
 
 
 class ModelParams(namedtuple("ModelParams", "rho r gamma y")):
@@ -41,8 +41,10 @@ def validate(params: ModelParams) -> ModelParams:
     """Return ``params`` unchanged if all invariants hold, else raise.
 
     Raises ValueError naming the violated invariant: r >= 0, impatience
-    (rho > r), gamma > 0, y > 0, or gamma*y > 0 in doubles (the scale of mu and
-    of du); each parameter must also be finite (NaN fails every comparison).
+    (rho > r), gamma > 0, y > 0, gamma*y > 0 in doubles (the scale of du), and
+    gamma*y/B (the scale of mu) and gamma/B (the depletion time's) finite, with
+    B = r*(gamma - 1) + rho; each parameter must also be finite (NaN fails
+    every comparison).
     """
     rho, r, gamma, y = params
     if not 0.0 <= r < math.inf:
@@ -55,39 +57,9 @@ def validate(params: ModelParams) -> ModelParams:
         raise ValueError(f"permanent income must be finite and positive: y={y}")
     if gamma * y == 0.0:
         raise ValueError(f"gamma*y must be positive, but it underflows to 0: gamma={gamma}, y={y}")
+    big_b = r * (gamma - 1.0) + rho
+    if not gamma * y / big_b < math.inf:
+        raise ValueError(f"mu's scale gamma*y/B overflows a double: gamma={gamma}, y={y}, B={big_b}")
+    if not gamma / big_b < math.inf:
+        raise ValueError(f"the depletion time's gamma/B overflows a double: gamma={gamma}, B={big_b}")
     return params
-
-
-def crra_utility(c: float | np.ndarray, gamma: float) -> float | np.ndarray:
-    """CRRA utility c^(1-gamma)/(1-gamma); log(c) at gamma = 1 (continuous limit).
-
-    ``c`` may be an ndarray; every element must be positive, like a scalar c.
-    A scalar is evaluated as a 0-d array, so an array's elements are
-    bit-equal to per-element calls (numpy's vector log and power can differ
-    from ``math``'s by an ulp).  A utility past the double range is a
-    ``ValueError``, not inf.
-    """
-    import numpy as np
-    arr = np.asarray(c, dtype=float)
-    positive = arr > 0.0
-    if not positive.all():
-        raise ValueError(f"crra_utility: consumption must be positive, got c={arr[~positive][0]}")
-    with np.errstate(over="ignore"):
-        u = np.log(arr) if gamma == 1.0 else arr ** (1.0 - gamma) / (1.0 - gamma)
-    infinite = np.isinf(u)
-    if infinite.any():
-        raise ValueError(
-            f"crra_utility: utility overflows a double at c={arr[infinite][0]}, gamma={gamma}"
-        )
-    return u if type(c) is np.ndarray else float(u)
-
-
-def value_upper_bound(params: ModelParams, a: float) -> float:
-    """Upper bound u(rho*a + y)/rho on lifetime utility from initial assets a >= 0.
-
-    Any feasible plan's discounted utility lies strictly below this unless
-    consumption is constant at rho*a + y forever.
-    """
-    if a < 0.0:
-        raise ValueError(f"value_upper_bound: need a >= 0, got a={a}")
-    return crra_utility(params.rho * a + params.y, params.gamma) / params.rho

@@ -1,13 +1,14 @@
 """Independent numerical oracles used to falsify the closed forms.
 
-Nothing here trusts the Lambert-W algebra beyond the depletion time itself:
-feasibility is checked by integrating the budget equation with RK4,
-optimality by discounted-utility quadrature against perturbed feasible
-plans and by a grid value-iteration solve of the discrete model, the
-derivative formulas by Richardson-extrapolated finite differences, and the
-numeric inversion at r > 0 by the exact depletion time at
-r = rho/(1 + gamma).  All closed-form-vs-oracle comparisons elsewhere route
-through this module.
+Nothing here trusts the Lambert-W algebra beyond the depletion time itself
+and the time path it sets: feasibility is checked by integrating the budget
+equation with RK4, optimality by discounted CRRA utility (quadrature against
+perturbed feasible plans, and the analytic bound u(rho*a + y)/rho) and by a
+grid value-iteration solve of the discrete model, the derivative formulas by
+Richardson-extrapolated finite differences, and the numeric inversion at
+r > 0 by the exact depletion time at r = rho/(1 + gamma).  The small-r
+approximation is graded by the numeric inversion in figure 2's rows
+(``ifpclosed.figures``).
 """
 
 from __future__ import annotations
@@ -19,14 +20,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .consumption import consumption_approx_small_r, consumption_from_depletion_time, consumption_path
-from .depletion_map import best_depletion_time, mu
-from .model_core import ModelParams, crra_utility
+from .consumption import consumption_from_depletion_time
+from .depletion_map import best_depletion_time
+from .model_core import ModelParams
 
 __all__ = [
     "AssetPath",
     "DpSolution",
-    "approximation_error_report",
+    "crra_utility",
     "fd_gradient",
     "fd_hessian",
     "grid_dp",
@@ -34,6 +35,7 @@ __all__ = [
     "pdv_utility",
     "perturbed_path_values",
     "simulate_assets",
+    "value_upper_bound",
 ]
 
 class AssetPath(namedtuple("AssetPath", "t a c depletion_time_observed")):
@@ -51,6 +53,40 @@ class DpSolution(namedtuple("DpSolution", "policy value iterations sup_norm_resi
     """Converged value-iteration solve of the discrete model on an asset grid."""
 
     __slots__ = ()
+
+
+def crra_utility(c: float | np.ndarray, gamma: float) -> float | np.ndarray:
+    """CRRA utility c^(1-gamma)/(1-gamma); log(c) at gamma = 1 (continuous limit).
+
+    ``c`` may be an ndarray; every element must be positive, like a scalar c.
+    A scalar is evaluated as a 0-d array, so an array's elements are
+    bit-equal to per-element calls (numpy's vector log and power can differ
+    from ``math``'s by an ulp).  A utility past the double range is a
+    ``ValueError``, not inf.
+    """
+    arr = np.asarray(c, dtype=float)
+    positive = arr > 0.0
+    if not positive.all():
+        raise ValueError(f"crra_utility: consumption must be positive, got c={arr[~positive][0]}")
+    with np.errstate(over="ignore"):
+        u = np.log(arr) if gamma == 1.0 else arr ** (1.0 - gamma) / (1.0 - gamma)
+    infinite = np.isinf(u)
+    if infinite.any():
+        raise ValueError(
+            f"crra_utility: utility overflows a double at c={arr[infinite][0]}, gamma={gamma}"
+        )
+    return u if type(c) is np.ndarray else float(u)
+
+
+def value_upper_bound(params: ModelParams, a: float) -> float:
+    """Upper bound u(rho*a + y)/rho on lifetime utility from initial assets a >= 0.
+
+    Any feasible plan's discounted utility lies strictly below this unless
+    consumption is constant at rho*a + y forever.
+    """
+    if a < 0.0:
+        raise ValueError(f"value_upper_bound: need a >= 0, got a={a}")
+    return crra_utility(params.rho * a + params.y, params.gamma) / params.rho
 
 
 def simulate_assets(params: ModelParams, a0: float, dt: float) -> AssetPath:
@@ -515,27 +551,3 @@ def grid_dp(params: ModelParams, delta: float, a_grid: np.ndarray) -> DpSolution
         if diff <= _DP_TOL * (1.0 + float(np.max(np.abs(v)))):
             return DpSolution(policy=policy, value=v, iterations=it, sup_norm_residual=diff)
     raise RuntimeError(f"grid_dp: no convergence after {_DP_MAX_SWEEPS} iterations")
-
-
-def approximation_error_report(
-    params_base: ModelParams, r_list: Sequence[float], a_grid: Sequence[float]
-) -> dict[float, float]:
-    """Max relative gap of the small-r consumption approximation, keyed by each r in ``r_list``.
-
-    For each r, compares the approximation against consumption evaluated
-    with the best available depletion time (exact closed form at r = 0,
-    numeric inversion otherwise) over ``a_grid``.  The r = 0 gap is
-    identically zero because the two routes coincide there: both columns
-    are one array evaluation of the same closed form.
-    """
-    a_grid = np.asarray(a_grid, dtype=float)
-    gaps_by_r = {}
-    for r in r_list:
-        p = params_base._replace(r=r)
-        if p.r == 0.0:
-            c_ref = consumption_path(p, a_grid)
-        else:  # the numeric inversion takes one point at a time
-            c_ref = np.array([consumption_path(p, a) for a in a_grid.tolist()])
-        gaps = np.abs(consumption_approx_small_r(p, a_grid) - c_ref) / c_ref
-        gaps_by_r[r] = float(np.max(gaps))
-    return gaps_by_r

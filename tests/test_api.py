@@ -29,7 +29,7 @@ def test_all_names_resolve(name):
 
 def test_public_surface_does_not_grow():
     # the module ``__all__`` total is a tracked number that should only go down
-    assert sum(len(importlib.import_module(f"ifpclosed.{m}").__all__) for m in MODULES) <= 35
+    assert sum(len(importlib.import_module(f"ifpclosed.{m}").__all__) for m in MODULES) <= 34
 
 
 def test_package_reexports_are_listed():
@@ -44,13 +44,18 @@ def test_package_reexports_are_listed():
 
 
 def test_lazy_reexports_import_and_fail_like_attributes():
-    # the oracles have one home, ``ifpclosed.validation``, and the discrete model and figure
-    # rows one, ``ifpclosed.figures``; the package re-exports none of them
+    # the oracles, the CRRA utility and the value bound among them, have one home,
+    # ``ifpclosed.validation``, and the discrete model and figure rows one,
+    # ``ifpclosed.figures``; the package re-exports none of them
     assert "__getattr__" not in vars(ifpclosed)
     with pytest.raises(ImportError):
         from ifpclosed import grid_dp  # noqa: F401
     with pytest.raises(ImportError):
         from ifpclosed import discrete_policy  # noqa: F401
+    with pytest.raises(ImportError):
+        from ifpclosed import crra_utility  # noqa: F401
+    with pytest.raises(ImportError):
+        from ifpclosed import value_upper_bound  # noqa: F401
     with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
         ifpclosed.not_a_name
     with pytest.raises(ImportError):

@@ -531,7 +531,13 @@ class TestRuleCheckedOnce:
       "--n", "3"],
      # gamma*y underflows to 0: a ValueError from the parameters, before any row
      ["sweep", "c", "T", "--r", "0", "--gamma", "1e-200", "--y", "1e-200", "--n", "3",
-      "--a-max", "1"]],
+      "--a-max", "1"],
+     # mu's scale gamma*y/B overflows though gamma*y = 1e308 does not (unchecked, T read 2.6e-169)
+     ["sweep", "c", "T", "--r", "1e-300", "--gamma", "1e154", "--y", "1e154",
+      "--a-min", "1", "--a-max", "3", "--n", "2"],
+     ["eval", "--r", "0", "--gamma", "1e154", "--y", "1e154", "--a", "3"],
+     # gamma/B overflows (unchecked, the closed-form T read inf)
+     ["eval", "--rho", "1e-300", "--r", "0", "--gamma", "1e10", "--y", "1e-10", "--a", "3"]],
 )
 def test_exit_2_writes_only_the_error_line(argv):
     # each of these rows could print a numpy warning before its ValueError

@@ -10,12 +10,8 @@ import pytest
 
 from ifpclosed.consumption import consumption_path
 from ifpclosed.depletion_map import h_approx_small_r, h_numeric
-from ifpclosed.model_core import (
-    ModelParams,
-    crra_utility,
-    validate,
-    value_upper_bound,
-)
+from ifpclosed.model_core import ModelParams, validate
+from ifpclosed.validation import crra_utility, value_upper_bound
 
 FIG1_R0 = ModelParams(rho=0.08, r=0.0, gamma=0.5, y=3.0)
 
@@ -59,6 +55,10 @@ class TestValidate:
             ((0.08, 0.0, 0.0, 3.0), "risk aversion"),
             ((0.08, 0.0, 0.5, 0.0), "income"),
             ((0.08, 0.0, 1e-200, 1e-200), r"gamma\*y must be positive"),
+            ((0.08, 0.0, 1e300, 1e300), r"mu's scale gamma\*y/B overflows"),
+            ((0.08, 1e-300, 1e154, 1e154), r"mu's scale gamma\*y/B overflows"),
+            ((0.08, 0.0, 1e154, 1e154), r"mu's scale gamma\*y/B overflows"),
+            ((1e-300, 0.0, 1e10, 1e-10), r"the depletion time's gamma/B overflows"),
         ],
     )
     def test_each_invariant_named(self, bad, match):

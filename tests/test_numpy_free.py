@@ -9,6 +9,7 @@ only an exact ``numpy.ndarray`` takes the array path.
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -78,23 +79,34 @@ print("ifpclosed.figures" in sys.modules)
     assert run_fresh(code).stdout == f"{loaded}\n"
 
 
+# the two closed forms that take r = 0 alone
+ZERO_RATE_ONLY = ("h_closed_r0", "consumption_derivatives")
+
+
 @pytest.mark.parametrize("r", [0.0, 0.01])
 def test_scalar_calls_load_no_numpy(r):
+    # every function the package exports, on floats: the parameters, and 2.0 for each other
+    # argument (a, T, t or du); the first function after which numpy is loaded, if any, is named
+    exported = sorted(n for n, f in vars(ifpclosed).items() if isinstance(f, types.FunctionType))
     code = f"""
-import sys
-from ifpclosed import *
-from ifpclosed import cli
+import sys, types
+import ifpclosed
+from ifpclosed import ModelParams, cli
 p = ModelParams(0.08, {r}, 0.5, 3.0)
-wm1_neg_exp_offset(0.3), mu(p, 2.0), mu_prime(p, 2.0)
-h_approx_small_r(p, 3.0), h_numeric(p, 3.0), best_depletion_time(p, 3.0)
-consumption_from_depletion_time(p, 2.0, 1.0), consumption_path(p, 3.0, 0.5)
-consumption_approx_small_r(p, 3.0)
-if p.r == 0.0:
-    h_closed_r0(p, 3.0), consumption_derivatives(p, 3.0)
+called, loaded_by = [], None
+for name, f in sorted(vars(ifpclosed).items()):
+    if isinstance(f, types.FunctionType):
+        params = p._replace(r=0.0) if name in {ZERO_RATE_ONLY!r} else p
+        args = f.__code__.co_varnames[:f.__code__.co_argcount]
+        f(*(params if arg == "params" else 2.0 for arg in args))
+        called.append(name)
+        if loaded_by is None and "numpy" in sys.modules:
+            loaded_by = name
 assert cli.main(["eval", "--r", "{r}", "--a", "3"]) == 0
-print("numpy" in sys.modules)
+print(called, "numpy" in sys.modules, loaded_by)
 """
-    assert run_fresh(code).stdout.splitlines()[-1] == "False"
+    assert run_fresh(code).stdout.splitlines()[-1] == f"{exported} False None"
+    assert "h_numeric" in exported and "wm1_neg_exp_offset" in exported
 
 
 def test_the_acceptance_suite_loads_no_numpy_random():

@@ -8,15 +8,17 @@ import pytest
 from ifpclosed.consumption import consumption_derivatives, consumption_path
 from ifpclosed.depletion_map import best_depletion_time, h_approx_small_r, h_closed_r0, h_numeric, mu
 from ifpclosed.figures import discrete_policy
-from ifpclosed.model_core import ModelParams, crra_utility, validate, value_upper_bound
+from ifpclosed.model_core import ModelParams, validate
 from ifpclosed.validation import (
     _pchip,
+    crra_utility,
     fd_gradient,
     fd_hessian,
     grid_dp,
     make_asset_grid,
     pdv_utility,
     simulate_assets,
+    value_upper_bound,
 )
 
 EPS = float(np.finfo(float).eps)

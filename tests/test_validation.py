@@ -15,11 +15,11 @@ from ifpclosed.checks import CRITERIA
 from ifpclosed.consumption import consumption_from_depletion_time
 from ifpclosed.depletion_map import best_depletion_time, h_closed_r0, h_numeric, mu
 from ifpclosed.figures import discrete_policy
-from ifpclosed.model_core import ModelParams, crra_utility, validate, value_upper_bound
+from ifpclosed.model_core import ModelParams, validate
 from ifpclosed.validation import (
     _discounted_utility,
     _gauss_kronrod,
-    approximation_error_report,
+    crra_utility,
     fd_gradient,
     fd_hessian,
     grid_dp,
@@ -27,6 +27,7 @@ from ifpclosed.validation import (
     pdv_utility,
     perturbed_path_values,
     simulate_assets,
+    value_upper_bound,
     _pchip,
 )
 
@@ -691,23 +692,3 @@ class TestPchip:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "[]"
-
-
-class TestApproximationErrorReport:
-    def test_zero_rate_row_identically_zero(self):
-        a_grid = np.linspace(0.0, 100.0, 41) * 3.0
-        assert approximation_error_report(FIG1, [0.0], a_grid) == {0.0: 0.0}
-
-    def test_gap_vanishes_at_constraint(self):
-        for r in (0.02, 0.01, 0.005):
-            assert approximation_error_report(FIG1, [r], np.array([0.0])) == {r: 0.0}
-
-    def test_order_r_halving(self):
-        a_grid = np.linspace(0.0, 100.0, 41) * 3.0
-        by_r = approximation_error_report(FIG1, [0.02, 0.01, 0.005], a_grid)
-        assert 1.5 <= by_r[0.02] / by_r[0.01] <= 3.0
-        assert 1.5 <= by_r[0.01] / by_r[0.005] <= 3.0
-
-    def test_rejects_rate_at_or_above_rho(self):
-        with pytest.raises(ValueError):
-            approximation_error_report(FIG1, [0.08], np.array([1.0]))
