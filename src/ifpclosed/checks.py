@@ -48,7 +48,7 @@ _FIGURE1_R0 = _FIGURE1_PARAMS._replace(r=0.0)
 _EPS = float(np.finfo(float).eps)
 
 # Relative agreement in W-1 of the array and the scalar kernel on the same
-# inputs: about 8x the worst seen on criterion 1's grids (3.8e-16).  Outputs
+# inputs: about 10x the worst seen on criterion 1's grids (2.8e-16).  Outputs
 # that divide by the branch offset v = 1 + W inherit it amplified by about 1/|v|.
 _ARRAY_AGREEMENT = 3e-15
 
@@ -74,25 +74,23 @@ def _positive(name: str, margin: float) -> CheckResult:
 
 
 def _wm1(x: np.ndarray) -> np.ndarray:
-    """W-1 of an ndarray x in [-1/e, 0): the kernel's branch offset at du = -log(-x) - 1, less 1.
-
-    x = -1/e, the double nearest -exp(-1), gives du = 0.0 exactly and so w = -1.0.
-    """
+    """W-1 of ndarray x in [-1/e, 0): v - 1 at du = -log(-x) - 1, which is 0.0 at x = -1/e."""
     return wm1_neg_exp_offset(-np.log(-x) - 1.0) - 1.0
 
 
 def check_lambert_kernel() -> list[CheckResult]:
-    """Criterion 1: kernel residuals, round trip and runtime; the array path on the same inputs."""
+    """Criterion 1: kernel residuals, round trip and runtime; the array path on the same du."""
     xs = -np.geomspace(1.0 / math.e - 1e-12, 1e-12, 10_000)
     ws = np.linspace(-50.0, -1.0, 10_000)
     x_trips = ws * np.exp(ws)
-    arr_m1, arr_trips = _wm1(xs), _wm1(x_trips)
+    dus = [-np.log(-x) - 1.0 for x in (xs, x_trips)]  # W-1(x) = v - 1 at du = -log(-x) - 1
+    arr_m1, arr_trips = (wm1_neg_exp_offset(du) - 1.0 for du in dus)
     arr_res = float(np.max(np.abs(arr_m1 * np.exp(arr_m1) - xs) / -xs))
     t0 = time.perf_counter()
-    # memoryviews hand the timed scalar calls Python floats, not numpy scalars
-    ws_m1 = np.array([wm1_neg_exp_offset(-math.log(-x) - 1.0) - 1.0 for x in memoryview(xs)])
-    trips = np.array([wm1_neg_exp_offset(-math.log(-x) - 1.0) - 1.0 for x in memoryview(x_trips)])
+    # memoryviews hand the timed scalar calls Python floats, with no list of them held
+    ws_m1, trips = (np.fromiter(map(wm1_neg_exp_offset, memoryview(d)), float, d.size) for d in dus)
     elapsed = time.perf_counter() - t0
+    ws_m1, trips = ws_m1 - 1.0, trips - 1.0
     res_m1 = float(np.max(np.abs(ws_m1 * np.exp(ws_m1) - xs) / -xs))
     agreement = max(
         float(np.max(np.abs(arr_m1 - ws_m1) / -arr_m1)),

@@ -65,8 +65,9 @@ def consumption_from_depletion_time(params: ModelParams, T: float, t: float = 0.
     if not (isinstance(T, float) and isinstance(t, float)) and (_is_ndarray(T) or _is_ndarray(t)):
         import numpy as np
         with np.errstate(over="ignore"):
-            c = params.y * np.exp((params.rho - params.r) * (T - t) / params.gamma)
-        c = np.where(t > T, params.y, c)
+            c = np.asarray(params.y * np.exp((params.rho - params.r) * (T - t) / params.gamma))
+        if type(t) is not float or t != 0.0:  # t = 0.0 > T only at a T < 0, refused below
+            c = np.where(t > T, params.y, c)
         bad = ~((T >= 0.0) & (t >= 0.0)) | (c == math.inf)
         if bad.any():
             i = int(np.argmax(bad))

@@ -21,7 +21,7 @@ import math
 from collections import namedtuple
 
 from .model_core import ModelParams
-from .special_functions import _is_ndarray, wm1_neg_exp_offset
+from .special_functions import _is_ndarray, _wm1_offset_array, wm1_neg_exp_offset
 
 __all__ = [
     "DepletionTime",
@@ -173,7 +173,7 @@ def _branch(params: ModelParams, a: float | np.ndarray) -> tuple:
             du = big_b * a / (params.gamma * params.y)
         for bad in a[~((a >= 0.0) & (du < math.inf))][:1]:
             _branch(params, float(bad))  # raises the scalar path's error
-        v = wm1_neg_exp_offset(du)
+        v = _wm1_offset_array(du)  # du is checked: finite and >= 0
         log1p_neg_v = np.log1p(-v)
     else:
         if not 0.0 <= a < math.inf:

@@ -42,8 +42,8 @@ def validate(params: ModelParams) -> ModelParams:
 
     Raises ValueError naming the violated invariant: r >= 0, impatience
     (rho > r), gamma > 0, y > 0, gamma*y > 0 in doubles (the scale of du), and
-    gamma*y/B (the scale of mu) and gamma/B (the depletion time's) finite, with
-    B = r*(gamma - 1) + rho; each parameter must also be finite (NaN fails
+    B = r*(gamma - 1) + rho, gamma*y/B (the scale of mu) and gamma/B (the
+    depletion time's) finite; each parameter must also be finite (NaN fails
     every comparison).
     """
     rho, r, gamma, y = params
@@ -58,6 +58,8 @@ def validate(params: ModelParams) -> ModelParams:
     if gamma * y == 0.0:
         raise ValueError(f"gamma*y must be positive, but it underflows to 0: gamma={gamma}, y={y}")
     big_b = r * (gamma - 1.0) + rho
+    if not big_b < math.inf:
+        raise ValueError(f"B = r*(gamma - 1) + rho overflows a double: rho={rho}, r={r}, gamma={gamma}")
     if not gamma * y / big_b < math.inf:
         raise ValueError(f"mu's scale gamma*y/B overflows a double: gamma={gamma}, y={y}, B={big_b}")
     if not gamma / big_b < math.inf:

@@ -25,19 +25,20 @@ at 400 Chebyshev nodes of sqrt(du) on [sqrt(0.02), 5] against 40-digit mpmath,
 reweighted by |relative error|^0.3 sixty times toward the minimax error
 (1.0e-6), then converted to monomials.
 
-Only an exact ``numpy.ndarray`` takes the array helpers; ints, floats, numpy
-scalars and ndarray subclasses take one scalar body, ``_offset``, straight-line
-code on ``math`` alone that the entry runs once its check passes.  A float (an
+Only an exact ``numpy.ndarray`` takes the array body; ints, floats, numpy
+scalars and ndarray subclasses take the scalar body, straight-line ``math`` in
+the entry itself: one frame plus its start region's helper.  A float (an
 ``np.float64`` too) is settled by an inline ``isinstance``; anything else by
 ``_is_ndarray``, which reads ``sys.modules`` rather than importing numpy, since
 an ndarray exists only once numpy is loaded.  So numpy is imported on the
-first array, never by a scalar call.
+first array, never by a scalar call.  An array is checked once, by the entry or
+by ``depletion_map._branch``, which calls ``_wm1_offset_array`` directly.
 """
 
 from __future__ import annotations
 
-import math
 import sys
+from math import expm1, inf, log1p, sqrt
 
 __all__ = ["wm1_neg_exp_offset"]
 
@@ -72,7 +73,7 @@ def _asymptotic(log_u, du):
 
 
 def _wm1_offset_guess(du):
-    # ``_offset``'s start over ndarrays: the polynomial, clamped to stay finite, then the rest
+    # the scalar start over ndarrays: the polynomial, clamped to stay finite, then the rest
     import numpy as np
     v = _sqrt_du_poly(np.sqrt(np.minimum(du, _ASYMPTOTIC_FROM)))
     near, far = du < _SERIES_TO, du >= _ASYMPTOTIC_FROM
@@ -92,33 +93,8 @@ def _phi_near_branch(v, du):
     return (du - half_v2) - s * (half_v2 + 2.0 * s2 * tail)
 
 
-def _offset(du):
-    """The scalar kernel body for du >= 0: the branch point, else start, residual and one step."""
-    if du == 0.0:
-        return 0.0
-    # the start (regions in the module docstring): within 1.8e-6 relative of v for du > 0
-    if du < _SERIES_TO:
-        v = _branch_series(math.sqrt(-2.0 * math.expm1(-du)))
-    elif du < _ASYMPTOTIC_FROM:
-        v = _sqrt_du_poly(math.sqrt(du))
-    else:
-        v = _asymptotic(math.log1p(du), du)
-    # phi(v) = v + log1p(-v) + du with each regime's leading cancellation exact: the series has
-    # none; then v cancels log1p(-v)'s linear part; far out v + du cancels within Sterbenz range
-    if v > _NEAR_BRANCH:
-        phi = _phi_near_branch(v, du)
-    elif v > -2.5:
-        phi = (v + math.log1p(-v)) + du
-    else:
-        phi = (v + du) + math.log1p(-v)
-    # Householder on phi' = -v/(1-v), phi'' = -1/(1-v)^2, phi''' = -2/(1-v)^3; t, q never overflow
-    t = phi / v
-    q = t / v
-    return v + t * (1.0 - v) * (1.0 + 0.5 * q) / (1.0 + q + t * q / 3.0)
-
-
 def _phi(v, du):
-    # ``_offset``'s residual over ndarrays, with the same three groupings
+    # the scalar residual over ndarrays, with the same three groupings
     import numpy as np
     log1p_neg_v = np.log1p(-v)
     phi = np.where(v > -2.5, (v + log1p_neg_v) + du, (v + du) + log1p_neg_v)
@@ -146,28 +122,48 @@ def wm1_neg_exp_offset(du: float | np.ndarray) -> float | np.ndarray:
     log1p rounds apart from libm's (du ~ 1e-3..10), v differs by up to 5.1e-16.
     """
     if not isinstance(du, float) and _is_ndarray(du):
+        for bad in du[~((du >= 0.0) & (du < inf))][:1]:
+            wm1_neg_exp_offset(float(bad))  # raises the scalar path's error
         return _wm1_offset_array(du)
-    if not 0.0 <= du < math.inf:
-        if du == math.inf:
+    if not 0.0 <= du < inf:
+        if du == inf:
             raise ValueError("wm1_neg_exp_offset: du overflowed to inf")
         raise ValueError(f"wm1_neg_exp_offset: need du >= 0, got du={du!r}")
-    return _offset(du)
+    if du == 0.0:
+        return 0.0
+    # the start (regions in the module docstring): within 1.8e-6 relative of v for du > 0
+    if du < _SERIES_TO:
+        v = _branch_series(sqrt(-2.0 * expm1(-du)))
+    elif du < _ASYMPTOTIC_FROM:
+        v = _sqrt_du_poly(sqrt(du))
+    else:
+        v = _asymptotic(log1p(du), du)
+    # phi(v) = v + log1p(-v) + du with each regime's leading cancellation exact: the series has
+    # none; then v cancels log1p(-v)'s linear part; far out v + du cancels within Sterbenz range
+    if v > _NEAR_BRANCH:
+        phi = _phi_near_branch(v, du)
+    elif v > -2.5:
+        phi = (v + log1p(-v)) + du
+    else:
+        phi = (v + du) + log1p(-v)
+    # Householder on phi' = -v/(1-v), phi'' = -1/(1-v)^2, phi''' = -2/(1-v)^3; t, q never overflow
+    t = phi / v
+    q = t / v
+    return v + t * (1.0 - v) * (1.0 + 0.5 * q) / (1.0 + q + t * q / 3.0)
 
 
 def _wm1_offset_array(du: np.ndarray) -> np.ndarray:
-    """``wm1_neg_exp_offset`` over an array, in blocks of ``_BLOCK`` to bound its temporaries."""
+    """``wm1_neg_exp_offset`` on a checked ndarray, in blocks of ``_BLOCK`` to bound temporaries."""
     import numpy as np
-    for bad in du[~((du >= 0.0) & (du < math.inf))][:1]:
-        wm1_neg_exp_offset(float(bad))  # raises the scalar path's error
-    out = np.zeros(du.shape)
-    flat, live = out.reshape(-1), np.flatnonzero(du > 0.0)
-    for start in range(0, live.size, _BLOCK):
-        idx = live[start : start + _BLOCK]
-        d = du.reshape(-1)[idx].astype(float)
+    flat = du.reshape(-1).astype(float, copy=False)
+    out = np.zeros(flat.size)
+    for start in range(0, flat.size, _BLOCK):
+        idx = slice(start, start + _BLOCK)
+        if not flat[idx].all():  # du = 0 keeps v = 0.0; a block free of it needs no gather
+            idx = start + np.flatnonzero(flat[idx])
+        d = flat[idx]
         v = _wm1_offset_guess(d)
-        # ``_offset``'s Householder step
-        t = _phi(v, d) / v
+        t = _phi(v, d) / v  # the scalar body's Householder step
         q = t / v
-        flat[idx] = v + t * (1.0 - v) * (1.0 + 0.5 * q) / (1.0 + q + t * q / 3.0)
-    return out
-
+        out[idx] = v + t * (1.0 - v) * (1.0 + 0.5 * q) / (1.0 + q + t * q / 3.0)
+    return out.reshape(du.shape)

@@ -160,9 +160,10 @@ def simulate_assets(params: ModelParams, a0: float, dt: float) -> AssetPath:
     return AssetPath(t=ts, a=as_, c=cs, depletion_time_observed=t_obs)
 
 
-# _gauss_kronrod's absolute tolerance on each integral, and its depth cap
+# _gauss_kronrod's absolute tolerance on each integral, its depth cap and its open-panel cap
 _QUAD_TOL = 1e-10
 _QUAD_MAX_DEPTH = 60
+_QUAD_MAX_PANELS = 1024
 
 # QUADPACK's QK15 rule on [-1, 1] as doubles: per node x <= 0, ascending, x, its
 # Kronrod K15 weight and its Gauss G7 weight (0 off the G7 nodes); x > 0 mirror.
@@ -192,8 +193,9 @@ def _gauss_kronrod(f: Callable[..., np.ndarray], a: np.ndarray, b: np.ndarray) -
     panel is accepted with its K15 value once |K15 - G7| is at most
     ``_QUAD_TOL`` times its share of its interval or 1e-14 of |K15| (the
     rounding floor of large integrands), or at depth ``_QUAD_MAX_DEPTH``;
-    else it is halved.  A NaN estimate is accepted as it is, so a NaN
-    integrand gives NaN after one call rather than 2^depth panels.  Each
+    else it is halved, unless its interval would then hold over ``_QUAD_MAX_PANELS``
+    open panels: then all are accepted, so f noisier than the tolerance stops after
+    11 calls.  A NaN estimate is accepted as it is: NaN after one call.  Each
     panel's rule is a row-wise sum, and an interval adds its accepted panels
     level by level in a fixed order, so its value is bit for bit that of a
     batch of it alone.  An interval with a == b gives 0.0, and f is not
@@ -212,6 +214,7 @@ def _gauss_kronrod(f: Callable[..., np.ndarray], a: np.ndarray, b: np.ndarray) -
         kronrod = half * np.sum(ft * _GK_K15, axis=1)
         err = np.abs(kronrod - half * np.sum(ft * _GK_G7, axis=1))
         split = (err > eps) & (err > 1e-14 * np.abs(kronrod)) & (depth < _QUAD_MAX_DEPTH)
+        split &= (np.bincount(k, split, a.size) <= _QUAD_MAX_PANELS // 2)[k]
         np.add.at(total, k[~split], kronrod[~split])
         # the left and right half of each split panel, side by side
         lo, hi = (np.stack(pair, axis=1)[split].ravel() for pair in ((lo, mid), (mid, hi)))

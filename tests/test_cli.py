@@ -537,7 +537,11 @@ class TestRuleCheckedOnce:
       "--a-min", "1", "--a-max", "3", "--n", "2"],
      ["eval", "--r", "0", "--gamma", "1e154", "--y", "1e154", "--a", "3"],
      # gamma/B overflows (unchecked, the closed-form T read inf)
-     ["eval", "--rho", "1e-300", "--r", "0", "--gamma", "1e10", "--y", "1e-10", "--a", "3"]],
+     ["eval", "--rho", "1e-300", "--r", "0", "--gamma", "1e10", "--y", "1e-10", "--a", "3"],
+     # B = r*(gamma - 1) + rho overflows (unchecked, h_numeric read a = 3 as past mu's range)
+     ["eval", "--rho", "1e301", "--r", "1e300", "--gamma", "1e10", "--y", "1", "--a", "3"],
+     ["sweep", "c", "T", "--rho", "1e301", "--r", "1e300", "--gamma", "1e10", "--y", "1",
+      "--a-min", "1", "--a-max", "3", "--n", "2"]],
 )
 def test_exit_2_writes_only_the_error_line(argv):
     # each of these rows could print a numpy warning before its ValueError

@@ -336,6 +336,28 @@ class TestOverflowingExponentOffset:
                 fn(p, np.array([3.0, 1.7e308]))
 
 
+# The kernel's bad inputs as assets: each reaches the caller as a ``depletion time`` message,
+# at y = 1e-3 where B*a/(gamma*y) overflows from a = 1.7e308
+DEPLETION_TIME_ERRORS = {
+    -1.0: "depletion time: need finite a >= 0, got a=-1.0",
+    math.nan: "depletion time: need finite a >= 0, got a=nan",
+    math.inf: "depletion time: need finite a >= 0, got a=inf",
+    1.7e308: "depletion time: B*a/(gamma*y) overflows a double at a=1.7e+308",
+}
+
+
+@pytest.mark.parametrize("a", list(DEPLETION_TIME_ERRORS))
+@pytest.mark.parametrize("array", [False, True], ids=["float", "array"])
+@pytest.mark.parametrize("fn", [h_closed_r0, consumption_path])
+def test_bad_assets_raise_the_depletion_time_message(fn, array, a):
+    p = validate(ModelParams(rho=0.08, r=0.0, gamma=0.5, y=1e-3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            fn(p, np.array([0.0, 3.0, a]) if array else a)
+    assert str(exc.value) == DEPLETION_TIME_ERRORS[a]
+
+
 class TestBestDepletionTime:
     def test_routes_by_rate(self):
         assert best_depletion_time(FIG1_R0, 2.0).method == "exact_r0"

@@ -29,6 +29,9 @@ VIOLATIONS = [
                  id="gamma<0"),
     pytest.param({"y": 0.0}, "permanent income must be finite and positive: y=0.0", id="y=0"),
     pytest.param({"y": -3.0}, "permanent income must be finite and positive: y=-3.0", id="y<0"),
+    pytest.param({"rho": 1e301, "r": 1e300, "gamma": 1e10, "y": 1.0},
+                 "B = r*(gamma - 1) + rho overflows a double: rho=1e+301, r=1e+300, "
+                 "gamma=10000000000.0", id="B=inf"),
 ]
 
 
@@ -59,6 +62,8 @@ class TestValidate:
             ((0.08, 1e-300, 1e154, 1e154), r"mu's scale gamma\*y/B overflows"),
             ((0.08, 0.0, 1e154, 1e154), r"mu's scale gamma\*y/B overflows"),
             ((1e-300, 0.0, 1e10, 1e-10), r"the depletion time's gamma/B overflows"),
+            ((1e301, 1e300, 1e10, 1.0), r"B = r\*\(gamma - 1\) \+ rho overflows"),
+            ((10.0, 5.0, 1e308, 1.0), r"B = r\*\(gamma - 1\) \+ rho overflows"),
         ],
     )
     def test_each_invariant_named(self, bad, match):
@@ -114,6 +119,12 @@ class TestValidByConstruction:
         # unchecked, the numeric inversion returned T = 0.5 here
         with pytest.raises(ValueError, match="impatience"):
             h_numeric(ModelParams(rho=math.nan, r=0.01, gamma=0.5, y=3.0), 3.0)
+
+    def test_overflowed_b_never_reaches_a_formula(self):
+        # unchecked, B = inf made gamma*y/B and gamma/B 0, and h_numeric read a = 3 as past
+        # the range of mu, "which ends near 0"
+        with pytest.raises(ValueError, match=r"^B = r\*\(gamma - 1\) \+ rho overflows"):
+            h_numeric(ModelParams(rho=1e301, r=1e300, gamma=1e10, y=1.0), 3.0)
 
     def test_zero_risk_aversion_is_a_value_error(self):
         # unchecked, every formula divided by gamma = 0

@@ -133,14 +133,20 @@ print(consumption_path(ModelParams(0.08, 0.0, 0.5, 3.0), np.array([3.0])).tolist
 
 @pytest.fixture
 def array_kernel_calls(monkeypatch):
-    """Inputs reaching the array kernel, which only an exact ndarray takes."""
+    """Inputs reaching the array kernel, which only an exact ndarray takes.
+
+    The kernel entry and ``depletion_map._branch`` each call the array body by
+    their own binding of it, so every ``ifpclosed`` binding is recorded.
+    """
     original, calls = special_functions._wm1_offset_array, []
 
     def recorded(du):
         calls.append(du)
         return original(du)
 
-    monkeypatch.setattr(special_functions, "_wm1_offset_array", recorded)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ifpclosed") and getattr(module, "_wm1_offset_array", None) is original:
+            monkeypatch.setattr(module, "_wm1_offset_array", recorded)
     return calls
 
 

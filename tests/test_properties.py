@@ -183,7 +183,7 @@ def test_array_matches_scalar_at_zero_rate(p, ratios):
     assert np.all(np.abs(wm1_neg_exp_offset(np.array(du)) - v) <= _ARRAY_AGREEMENT * (1.0 - v))
     x = -np.exp(-(1.0 + np.array(du)))
     x = x[x < 0.0]  # -e^(-(1 + du)) underflows to -0.0 past du ~ 744
-    w = [wm1_neg_exp_offset(-math.log(-x_) - 1.0) - 1.0 for x_ in x.tolist()]  # criterion 1's
+    w = [wm1_neg_exp_offset(-math.log(-x_) - 1.0) - 1.0 for x_ in x.tolist()]  # the scalar x-form
     assert np.all(np.abs(_wm1(x) - w) <= _ARRAY_AGREEMENT * np.abs(w))
     T = [h_closed_r0(p, a_).T for a_ in a.tolist()]
     assert_agrees(h_closed_r0(p, a).T, T, v)

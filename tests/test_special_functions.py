@@ -1,10 +1,11 @@
 """Lambert W kernel tests against an independent bisection oracle and mpmath.
 
 W-1 of x is the kernel's branch offset at du = -log(-x) - 1, less 1: ``wm1_scalar``
-is criterion 1's scalar form, and ``checks._wm1`` its array form.
+is its scalar form, and ``checks._wm1`` its array form.
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -12,11 +13,11 @@ import pytest
 
 from ifpclosed import special_functions
 from ifpclosed.checks import _wm1
-from ifpclosed.special_functions import _offset, _wm1_offset_guess, wm1_neg_exp_offset
+from ifpclosed.special_functions import _wm1_offset_guess, wm1_neg_exp_offset
 
 
 def wm1_scalar(x):
-    """W-1(x) as criterion 1's timed loop computes it, one Python float at a time."""
+    """W-1(x) through the scalar kernel, one Python float at a time, du formed by ``math.log``."""
     return wm1_neg_exp_offset(-math.log(-x) - 1.0) - 1.0
 
 
@@ -110,9 +111,9 @@ class TestWm1:
 
 @pytest.fixture
 def scalar_start(monkeypatch):
-    """``du -> v0``: the start of the scalar body ``_offset``, recorded as it runs.
+    """``du -> v0``: the start of the scalar body, recorded as it runs.
 
-    The start is inline in ``_offset``: each region returns one of three formula helpers,
+    The start is inline in the entry: each region returns one of three formula helpers,
     and nothing else calls them on a float.  So the value the one called helper returns is
     the start, before the step.
     """
@@ -127,7 +128,7 @@ def scalar_start(monkeypatch):
 
     def start(du):
         starts.clear()
-        _offset(du)
+        wm1_neg_exp_offset(du)
         (v0,) = starts
         return v0
 
@@ -246,6 +247,23 @@ class TestAgainstMpmath:
         assert worst <= 2e-16
 
 
+def body_frames(x):
+    """Frames one scalar W-1 call at x runs in the kernel module, its formula helpers aside."""
+    helpers = {"_branch_series", "_sqrt_du_poly", "_asymptotic", "_phi_near_branch"}
+    names = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == special_functions.__file__:
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        wm1_scalar(x)
+    finally:
+        sys.setprofile(None)
+    return [name for name in names if name not in helpers]
+
+
 def count_calls(monkeypatch, name):
     """Record the size of the first argument of every call of the kernel helper ``name``."""
     sizes, helper = [], getattr(special_functions, name)
@@ -281,14 +299,13 @@ class TestOneStep:
         assert worst <= 1e-5
 
     @pytest.mark.parametrize("grid", list(CRITERION_1_GRIDS))
-    def test_scalar_call_evaluates_the_residual_once(self, grid, monkeypatch):
-        # the scalar body evaluates the residual once, in straight-line code; so one body
-        # call per x, the branch point's too (du = 0 returns before the start)
+    def test_scalar_call_evaluates_the_residual_once(self, grid):
+        # the scalar body, inside the entry, evaluates the residual once in straight-line
+        # code; so one frame per x besides the formula helpers, the branch point's too
+        # (du = 0 returns before the start)
         xs = CRITERION_1_GRIDS[grid].tolist()
-        sizes = count_calls(monkeypatch, "_offset")
-        for x in xs:
-            wm1_scalar(x)
-        assert sizes == [1] * len(xs)
+        frames = [body_frames(x) for x in xs]
+        assert frames == [["wm1_neg_exp_offset"]] * len(xs)
 
     @pytest.mark.parametrize("grid", list(CRITERION_1_GRIDS))
     def test_array_evaluates_the_residual_once_per_block(self, grid, monkeypatch):
@@ -309,3 +326,56 @@ class TestSharedBody:
         assert np.array_equal(_wm1(xs), wm1_neg_exp_offset(-np.log(-xs) - 1.0) - 1.0)
         w = [wm1_scalar(x) for x in xs.tolist()]
         assert w == [wm1_neg_exp_offset(-math.log(-x) - 1.0) - 1.0 for x in xs.tolist()]
+
+
+# The scalar kernel's v at the ends of the double range and on each side of the start's two
+# region edges, as reprs, so a change to the scalar body that moves any bit of them shows here
+PINNED_OFFSETS = {
+    5e-324: "-3.1434555694052576e-162",
+    1e-300: "-1.4142135623730952e-150",
+    1e-10: "-1.4142202290476184e-05",
+    math.nextafter(0.02, 0.0): "-0.2135497071517296",
+    0.02: "-0.2135497071517296",
+    0.16: "-0.6770160585636504",
+    math.nextafter(25.0, 0.0): "-28.380325240828373",
+    25.0: "-28.380325240828377",
+    1e3: "-1006.9156397544092",
+    1e300: "-1e+300",
+}
+
+PINNED_ERRORS = {
+    -1.0: "wm1_neg_exp_offset: need du >= 0, got du=-1.0",
+    math.nan: "wm1_neg_exp_offset: need du >= 0, got du=nan",
+    math.inf: "wm1_neg_exp_offset: du overflowed to inf",
+}
+
+
+class TestPinnedBits:
+    @pytest.mark.parametrize("du", list(PINNED_OFFSETS))
+    def test_scalar_value(self, du):
+        assert repr(wm1_neg_exp_offset(du)) == PINNED_OFFSETS[du]
+
+    @pytest.mark.parametrize("du", list(PINNED_ERRORS))
+    def test_scalar_error(self, du):
+        with pytest.raises(ValueError) as exc:
+            wm1_neg_exp_offset(du)
+        assert str(exc.value) == PINNED_ERRORS[du]
+
+    def test_an_array_call_leaves_du_unchanged(self):
+        # the body reads a block free of du = 0 as a view of du; the second block holds a 0
+        du = np.array(list(PINNED_OFFSETS) * 300)
+        du[2500] = 0.0
+        before = du.copy()
+        v = wm1_neg_exp_offset(du)
+        assert np.array_equal(du, before) and v[2500] == 0.0 and np.all(np.delete(v, 2500) < 0.0)
+
+    @pytest.mark.parametrize("du", list(PINNED_ERRORS))
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)])
+    def test_a_bad_element_raises_the_scalar_error(self, du, shape):
+        # one bad element among good ones, the branch point's du = 0 among them too
+        arr = np.array([0.0, 0.16, du, 25.0, 1.0, 2.0][: math.prod(shape)]).reshape(shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                wm1_neg_exp_offset(arr)
+        assert str(exc.value) == PINNED_ERRORS[du]

@@ -243,6 +243,22 @@ class TestAdaptiveSimpson:
         assert batch.tolist() == single
         assert batch[-1] == 0.0 and len(cases) - 1 not in seen
 
+    def test_a_noisy_integrand_stops_at_the_panel_cap(self):
+        # noise of 1e-3 down to scales of 1e-12 beats the tolerance on every panel, so
+        # without the cap each level would halve every panel, toward 2^60 of them
+        noisy = lambda x: 1.0 + 1e-3 * np.sin(1e12 * x)
+        f = counted(noisy)
+        value = integrate(f, 0.0, 1.0)
+        cap = validation._QUAD_MAX_PANELS
+        assert math.isfinite(value) and abs(value - 1.0) <= 1e-3
+        assert len(f.nodes) <= cap.bit_length() and sum(f.nodes) <= 15 * (2 * cap - 1)
+        assert max(f.nodes) == 15 * cap
+        # the cap is per interval: in a batch, the noisy one stops as it does alone, and a
+        # smooth one refines as it does alone
+        both = _gauss_kronrod(lambda t, k: np.where(k == 0, noisy(t), np.sin(20.0 * t)),
+                              np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+        assert both.tolist() == [value, integrate(lambda x: np.sin(20.0 * x), 0.0, 1.0)]
+
     def test_criterion_6_integrals_match_the_recursion(self, monkeypatch):
         # the 20 head integrals of criterion 6 (the optimum at a0 = 3 and ten
         # perturbed plans, then the nine other pdv_utility calls of the
