@@ -30,14 +30,14 @@ from .special_functions import wm1_neg_exp_offset
 from .validation import (
     _DP_TOL,
     _anchor_depletion_time,
+    _make_asset_grid,
+    _value_upper_bound,
     fd_gradient,
     fd_hessian,
     grid_dp,
-    make_asset_grid,
     pdv_utility,
     perturbed_path_values,
     simulate_assets,
-    value_upper_bound,
 )
 
 __all__ = ["CheckResult", "CRITERIA", "run_level"]
@@ -229,14 +229,14 @@ def check_feasibility_rk4() -> list[CheckResult]:
 def check_value_bound() -> list[CheckResult]:
     """Criterion 6: Lemma-style value bound and dominance over perturbed plans."""
     v_star, perturbed = perturbed_path_values(_FIGURE1_R0, 3.0)
-    margins = [value_upper_bound(_FIGURE1_R0, 3.0) - v_star]
+    margins = [_value_upper_bound(_FIGURE1_R0, 3.0) - v_star]
     for r in (0.0, _FIGURE1_PARAMS.r):
         p = _FIGURE1_PARAMS._replace(r=r)
         a0s = [mult * p.y for mult in (0.1, 1.0, 3.0, 10.0, 100.0)]
         # v_star is already the optimum at (r = 0, a0 = 3)
         a0s = [a0 for a0 in a0s if (p, a0) != (_FIGURE1_R0, 3.0)]
         values = pdv_utility(p, a0s).tolist()
-        margins += [value_upper_bound(p, a0) - v for a0, v in zip(a0s, values)]
+        margins += [_value_upper_bound(p, a0) - v for a0, v in zip(a0s, values)]
     bound_margin = min(margins)
     dominance = min(v_star - v for v in perturbed)
     return [
@@ -276,7 +276,7 @@ def check_discrete_model() -> list[CheckResult]:
     knot_margin = float(np.min(np.diff(knots)))
     p0 = _FIGURE1_R0
     t0 = time.perf_counter()
-    grid = make_asset_grid(30.0, 2000, p0.y)
+    grid = _make_asset_grid(30.0, 2000, p0.y)
     sol = grid_dp(p0, 1.0, grid)
     pol = discrete_policy(p0, 1.0, 30.0)
     dp_gap = float(np.max(np.abs(sol.policy - pol(grid)))) / p0.y

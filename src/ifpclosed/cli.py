@@ -22,7 +22,7 @@ from .consumption import (
 from .depletion_map import best_depletion_time, h_approx_small_r, h_numeric
 from .model_core import ModelParams
 
-__all__ = ["main", "sweep_grid"]
+__all__ = ["main"]
 
 # Output name -> its CSV columns, each a field of ``ConsumptionDerivatives``.
 _COLUMNS = {
@@ -33,7 +33,7 @@ _COLUMNS = {
 }
 
 
-def sweep_grid(a_min: float, a_max: float, n: int, spacing: str = "linear") -> np.ndarray:
+def _sweep_grid(a_min: float, a_max: float, n: int, spacing: str = "linear") -> np.ndarray:
     """n asset points on [a_min, a_max], linear or log spaced; raises ValueError on a bad request."""
     if not (math.isfinite(a_min) and math.isfinite(a_max)):
         raise ValueError(f"sweep: need finite bounds, got [{a_min}, {a_max}]")
@@ -107,7 +107,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     import numpy as np
     params = _params_from(args)
-    grid = sweep_grid(args.a_min, args.a_max, args.n, args.spacing)
+    grid = _sweep_grid(args.a_min, args.a_max, args.n, args.spacing)
     columns = [col for out in args.outputs for col in _COLUMNS[out]]
     pick = [ConsumptionDerivatives._fields.index(col) for col in columns]
     needs_derivs = "jacobian" in args.outputs or "hessian" in args.outputs
@@ -131,7 +131,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
     params = _params_from(args)
     a_max = args.a_max if args.a_max is not None else 10.0 * params.y
-    grid = sweep_grid(args.a_min, a_max, args.n, args.spacing)
+    grid = _sweep_grid(args.a_min, a_max, args.n, args.spacing)
     header, rows = figure_rows(params, args.which, grid, args.delta)
     _write_csv(args.out, header, rows)
     return 0

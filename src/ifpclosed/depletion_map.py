@@ -115,7 +115,10 @@ def h_numeric(params: ModelParams, a: float) -> DepletionTime:
     while mu(params, hi) < a:  # ends: mu(inf) = inf
         lo = hi
         hi *= 2.0
-    T = math.sqrt(2.0 * a * params.gamma / ((params.rho - params.r) * params.y))
+    # a float seed, since a numpy-scalar a would warn past the double range; where
+    # (rho - r)*y underflows to 0 there is none, and the bracket's midpoint serves
+    scale = (params.rho - params.r) * params.y
+    T = math.sqrt(2.0 * float(a) * params.gamma / scale) if scale else math.inf
     if not lo < T < hi:
         T = 0.5 * (lo + hi)
     tol = 1e-12 * max(a, params.y)

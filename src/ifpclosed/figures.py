@@ -18,10 +18,10 @@ from .consumption import consumption_approx_small_r, consumption_from_depletion_
 from .depletion_map import best_depletion_time, h_numeric
 from .model_core import ModelParams
 
-__all__ = ["PiecewiseLinearPolicy", "discrete_policy", "figure_rows"]
+__all__ = ["discrete_policy", "figure_rows"]
 
 
-class PiecewiseLinearPolicy(namedtuple("PiecewiseLinearPolicy", "knot_assets knot_consumption")):
+class _PiecewiseLinearPolicy(namedtuple("_PiecewiseLinearPolicy", "knot_assets knot_consumption")):
     """Discrete-time consumption function: linear between depletion knots.
 
     Knot k sits at assets mu(k*delta) with consumption y * G^k (G the
@@ -69,7 +69,7 @@ def _mu_discrete(params: ModelParams, delta: float, n_knots: int) -> np.ndarray:
     return np.fromiter(knots, float, n_knots + 1)
 
 
-def discrete_policy(params: ModelParams, delta: float, a_max: float) -> PiecewiseLinearPolicy:
+def discrete_policy(params: ModelParams, delta: float, a_max: float) -> _PiecewiseLinearPolicy:
     """Piecewise-linear discrete-time consumption function covering [0, a_max].
 
     Knots come from ``_mu_discrete``, up to the first that reaches a_max;
@@ -87,7 +87,7 @@ def discrete_policy(params: ModelParams, delta: float, a_max: float) -> Piecewis
         if knots[-1] >= a_max:
             assets = knots[: int(np.searchsorted(knots, a_max, side="left")) + 1]
             cons = params.y * growth ** np.arange(assets.size)
-            return PiecewiseLinearPolicy(knot_assets=assets, knot_consumption=cons)
+            return _PiecewiseLinearPolicy(knot_assets=assets, knot_consumption=cons)
         n *= 2.0
     raise ValueError(f"discrete_policy: a_max={a_max} takes over 2**24 knots at delta={delta}")
 

@@ -25,20 +25,16 @@ from .depletion_map import best_depletion_time
 from .model_core import ModelParams
 
 __all__ = [
-    "AssetPath",
-    "DpSolution",
     "crra_utility",
     "fd_gradient",
     "fd_hessian",
     "grid_dp",
-    "make_asset_grid",
     "pdv_utility",
     "perturbed_path_values",
     "simulate_assets",
-    "value_upper_bound",
 ]
 
-class AssetPath(namedtuple("AssetPath", "t a c depletion_time_observed")):
+class _AssetPath(namedtuple("_AssetPath", "t a c depletion_time_observed")):
     """RK4 trajectory of the budget equation under the closed-form policy.
 
     Samples are the triplets (t[i], a[i], c[i]); ``depletion_time_observed``
@@ -49,7 +45,7 @@ class AssetPath(namedtuple("AssetPath", "t a c depletion_time_observed")):
     __slots__ = ()
 
 
-class DpSolution(namedtuple("DpSolution", "policy value iterations sup_norm_residual")):
+class _DpSolution(namedtuple("_DpSolution", "policy value iterations sup_norm_residual")):
     """Converged value-iteration solve of the discrete model on an asset grid."""
 
     __slots__ = ()
@@ -78,7 +74,7 @@ def crra_utility(c: float | np.ndarray, gamma: float) -> float | np.ndarray:
     return u if type(c) is np.ndarray else float(u)
 
 
-def value_upper_bound(params: ModelParams, a: float) -> float:
+def _value_upper_bound(params: ModelParams, a: float) -> float:
     """Upper bound u(rho*a + y)/rho on lifetime utility from initial assets a >= 0.
 
     Any feasible plan's discounted utility lies strictly below this unless
@@ -89,7 +85,7 @@ def value_upper_bound(params: ModelParams, a: float) -> float:
     return crra_utility(params.rho * a + params.y, params.gamma) / params.rho
 
 
-def simulate_assets(params: ModelParams, a0: float, dt: float) -> AssetPath:
+def simulate_assets(params: ModelParams, a0: float, dt: float) -> _AssetPath:
     """Integrate da/dt = r*a + y - c*(t) by classical RK4 until t = T + 1.
 
     The policy is the shipped time path ``consumption_from_depletion_time``,
@@ -157,7 +153,7 @@ def simulate_assets(params: ModelParams, a0: float, dt: float) -> AssetPath:
             frac = a_prev / (a_prev - a_here)  # chord zero crossing, may extrapolate slightly
             t_obs = ts[i - 1] + frac * (ts[i] - ts[i - 1])
             t_obs = min(max(t_obs, ts[i - 1]), min(ts[i] + dt, t_end))
-    return AssetPath(t=ts, a=as_, c=cs, depletion_time_observed=t_obs)
+    return _AssetPath(t=ts, a=as_, c=cs, depletion_time_observed=t_obs)
 
 
 # _gauss_kronrod's absolute tolerance on each integral, its depth cap and its open-panel cap
@@ -377,10 +373,10 @@ def fd_hessian(
     return d2_aa, d2_ay, d2_yy
 
 
-_DENSITY_RATIO = 5.0  # make_asset_grid's node density below dense_below over that above
+_DENSITY_RATIO = 5.0  # _make_asset_grid's node density below dense_below over that above
 
 
-def make_asset_grid(a_max: float, n: int, dense_below: float) -> np.ndarray:
+def _make_asset_grid(a_max: float, n: int, dense_below: float) -> np.ndarray:
     """Exponentially graded grid on [0, a_max], denser near the constraint.
 
     Node density below ``dense_below`` is about ``_DENSITY_RATIO`` = 5 times
@@ -481,7 +477,7 @@ _DP_TOL = 1e-10
 _DP_MAX_SWEEPS = 100_000
 
 
-def grid_dp(params: ModelParams, delta: float, a_grid: np.ndarray) -> DpSolution:
+def grid_dp(params: ModelParams, delta: float, a_grid: np.ndarray) -> _DpSolution:
     """Value iteration for the discrete model on ``a_grid`` (must start at 0).
 
     Bellman equation V(a) = max_c delta*u(c) + beta*V(a') with
@@ -552,5 +548,5 @@ def grid_dp(params: ModelParams, delta: float, a_grid: np.ndarray) -> DpSolution
         diff = float(np.max(np.abs(v_new - v)))
         v = v_new
         if diff <= _DP_TOL * (1.0 + float(np.max(np.abs(v)))):
-            return DpSolution(policy=policy, value=v, iterations=it, sup_norm_residual=diff)
+            return _DpSolution(policy=policy, value=v, iterations=it, sup_norm_residual=diff)
     raise RuntimeError(f"grid_dp: no convergence after {_DP_MAX_SWEEPS} iterations")

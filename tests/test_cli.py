@@ -10,9 +10,9 @@ import pytest
 
 import ifpclosed
 from ifpclosed import checks, depletion_map, figures, special_functions
-from ifpclosed.cli import main, sweep_grid
+from ifpclosed.cli import _sweep_grid, main
 from ifpclosed.depletion_map import mu
-from ifpclosed.figures import PiecewiseLinearPolicy, _step_growth, discrete_policy, figure_rows
+from ifpclosed.figures import _PiecewiseLinearPolicy, _step_growth, discrete_policy, figure_rows
 from ifpclosed.model_core import ModelParams, validate
 
 FIG1 = validate(ModelParams(rho=0.08, r=0.01, gamma=0.5, y=3.0))
@@ -309,7 +309,7 @@ class TestFigure:
         assert gap * FIG1.y >= 0.1 * FIG1.y
 
     def test_figure1_snaps_a_copy_of_the_grid(self):
-        grid = sweep_grid(0.0, 10.0 * FIG1.y, 101)
+        grid = _sweep_grid(0.0, 10.0 * FIG1.y, 101)
         before = grid.copy()
         _, rows = figure_rows(FIG1, 1, grid, 1.0)
         assert np.array_equal(grid, before)
@@ -324,14 +324,14 @@ class TestFigure:
     def test_figure1_rows_stay_near_their_grid_points(self):
         # knots denser than the grid: each row moves at most half a step
         p = validate(ModelParams(rho=0.08, r=0.02, gamma=0.5, y=3.0))
-        grid = sweep_grid(0.0, 30000.0, 201)
+        grid = _sweep_grid(0.0, 30000.0, 201)
         _, rows = figure_rows(p, 1, grid, 0.003)
         a = np.array([row[0] for row in rows]) * p.y
         assert np.all(np.abs(a - grid) <= 0.5 * (grid[1] - grid[0]))
         assert np.all(np.diff(a) > 0.0)
 
     def test_figure1_grid_without_knots_is_unchanged(self):
-        grid = sweep_grid(29.0, 30.0, 3)
+        grid = _sweep_grid(29.0, 30.0, 3)
         _, rows = figure_rows(FIG1, 1, grid, 1.0)
         assert [row[0] for row in rows] == (grid / FIG1.y).tolist()
         assert [row[3] for row in rows] == [0, 0, 0]
@@ -354,7 +354,7 @@ class TestFigure:
         rng = np.random.default_rng(7)
         knots = None
         monkeypatch.setattr(figures, "discrete_policy",
-                            lambda params, delta, a_max: PiecewiseLinearPolicy(knots, knots + 1.0))
+                            lambda params, delta, a_max: _PiecewiseLinearPolicy(knots, knots + 1.0))
         for trial in range(600):
             draw = rng.integers if trial % 2 else rng.uniform
             grid = np.unique(draw(0, 60, rng.integers(2, 25)).astype(float))
@@ -411,7 +411,7 @@ class TestFigure:
         out = tmp_path / "fig2.csv"
         main(["figure", "--which", "2", "--n", "11", "--out", str(out)])
         _, rows = read_csv(out)
-        _, expected = figure_rows(FIG1, 2, sweep_grid(0.0, 10.0 * FIG1.y, 11), 1.0)
+        _, expected = figure_rows(FIG1, 2, _sweep_grid(0.0, 10.0 * FIG1.y, 11), 1.0)
         for row, exp in zip(rows, expected):
             assert float(row[1]) == exp[1]
             assert float(row[2]) == exp[2]

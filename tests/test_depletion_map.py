@@ -191,6 +191,23 @@ class TestHNumeric:
         assert abs(mu(p, T) - a) <= 1e-12 * a
 
     @pytest.mark.parametrize(
+        "pset,a,T",
+        [
+            # the Taylor seed's 2*a*gamma overflows a double
+            ((0.08, 0.01, 1e200, 1e100), 1e110, 2.631525821993195e+202),
+            # its division by (rho - r)*y does
+            ((0.1, 0.01, 1e296, 1e-296), 1e-284, 2.5584278811155996e+298),
+            # (rho - r)*y underflows to 0, so there is no seed
+            ((2e-300, 1e-300, 1.0, 1e-300), 5e-301, 1.0000000000000002e+150),
+        ],
+    )
+    def test_numpy_scalar_assets_seed_without_a_warning(self, pset, a, T):
+        p = validate(ModelParams(*pset))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert h_numeric(p, np.float64(a)).T == h_numeric(p, a).T == T
+
+    @pytest.mark.parametrize(
         "pset,ratio",
         [
             # the stop lands within rounding of the root, but past x = (rho-r)T/gamma

@@ -11,7 +11,7 @@ import pytest
 from ifpclosed.consumption import consumption_path
 from ifpclosed.depletion_map import h_approx_small_r, h_numeric
 from ifpclosed.model_core import ModelParams, validate
-from ifpclosed.validation import crra_utility, value_upper_bound
+from ifpclosed.validation import _value_upper_bound, crra_utility
 
 FIG1_R0 = ModelParams(rho=0.08, r=0.0, gamma=0.5, y=3.0)
 
@@ -191,20 +191,20 @@ class TestCrraUtility:
 class TestValueUpperBound:
     def test_frozen_value_at_zero_assets(self):
         # u(3)/0.08 with gamma = 0.5: 2*sqrt(3)/0.08
-        assert value_upper_bound(FIG1_R0, 0.0) == pytest.approx(43.30127018922193, rel=1e-14)
+        assert _value_upper_bound(FIG1_R0, 0.0) == pytest.approx(43.30127018922193, rel=1e-14)
 
     def test_log_case(self):
         p = ModelParams(rho=1.0, r=0.0, gamma=1.0, y=1.0)
-        assert value_upper_bound(p, 0.0) == 0.0
+        assert _value_upper_bound(p, 0.0) == 0.0
 
     def test_at_three(self):
         # rho*a + y = 3.24; 2*sqrt(3.24)/0.08 = 45 exactly
-        assert value_upper_bound(FIG1_R0, 3.0) == pytest.approx(45.0, rel=1e-14)
+        assert _value_upper_bound(FIG1_R0, 3.0) == pytest.approx(45.0, rel=1e-14)
 
     def test_increasing_in_assets(self):
-        vals = [value_upper_bound(FIG1_R0, a) for a in np.linspace(0.0, 50.0, 40)]
+        vals = [_value_upper_bound(FIG1_R0, a) for a in np.linspace(0.0, 50.0, 40)]
         assert np.all(np.diff(vals) > 0.0)
 
     def test_rejects_negative_assets(self):
         with pytest.raises(ValueError):
-            value_upper_bound(FIG1_R0, -1.0)
+            _value_upper_bound(FIG1_R0, -1.0)

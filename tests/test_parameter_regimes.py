@@ -10,15 +10,15 @@ from ifpclosed.depletion_map import best_depletion_time, h_approx_small_r, h_clo
 from ifpclosed.figures import discrete_policy
 from ifpclosed.model_core import ModelParams, validate
 from ifpclosed.validation import (
+    _make_asset_grid,
     _pchip,
+    _value_upper_bound,
     crra_utility,
     fd_gradient,
     fd_hessian,
     grid_dp,
-    make_asset_grid,
     pdv_utility,
     simulate_assets,
-    value_upper_bound,
 )
 
 EPS = float(np.finfo(float).eps)
@@ -73,7 +73,7 @@ def test_derivatives_match_finite_differences(p):
 
 @pytest.mark.parametrize("p", ZERO_RATE_SETS[:2])
 def test_dp_agrees_with_knot_policy_at_zero_rate(p):
-    grid = make_asset_grid(10.0 * p.y, 400, p.y)
+    grid = _make_asset_grid(10.0 * p.y, 400, p.y)
     sol = grid_dp(p, 1.0, grid)
     pol = discrete_policy(p, 1.0, 10.0 * p.y)
     assert np.max(np.abs(sol.policy - pol(grid))) <= 5e-4 * p.y
@@ -85,7 +85,7 @@ def test_dp_policy_beats_a_dense_scan(p):
     # the Bellman objective rebuilt from the converged V, scanned at 4001
     # points of each node's consumption range [c_lo, c_hi]
     delta = 1.0
-    grid = make_asset_grid(10.0 * p.y, 400, p.y)
+    grid = _make_asset_grid(10.0 * p.y, 400, p.y)
     sol = grid_dp(p, delta, grid)
     beta = 1.0 / (1.0 + p.rho * delta)
     gross = 1.0 + p.r * delta
@@ -107,7 +107,7 @@ def test_dp_policy_beats_a_dense_scan(p):
 @pytest.mark.parametrize("p", ZERO_RATE_SETS + POSITIVE_RATE_SETS)
 def test_value_bound_and_depletion(p):
     a0 = 2.0 * p.y
-    assert pdv_utility(p, a0) < value_upper_bound(p, a0)
+    assert pdv_utility(p, a0) < _value_upper_bound(p, a0)
     T = best_depletion_time(p, a0).T
     path = simulate_assets(p, a0, T / 5_000.0)
     assert path.depletion_time_observed == pytest.approx(T, rel=1e-6)

@@ -19,16 +19,16 @@ from ifpclosed.model_core import ModelParams, validate
 from ifpclosed.validation import (
     _discounted_utility,
     _gauss_kronrod,
+    _make_asset_grid,
+    _pchip,
+    _value_upper_bound,
     crra_utility,
     fd_gradient,
     fd_hessian,
     grid_dp,
-    make_asset_grid,
     pdv_utility,
     perturbed_path_values,
     simulate_assets,
-    value_upper_bound,
-    _pchip,
 )
 
 FIG1 = validate(ModelParams(rho=0.08, r=0.01, gamma=0.5, y=3.0))
@@ -353,7 +353,7 @@ class TestPdvUtility:
     def test_below_value_bound(self, mult, r):
         p = validate(FIG1._replace(r=r))
         a0 = mult * p.y
-        assert pdv_utility(p, a0) < value_upper_bound(p, a0)
+        assert pdv_utility(p, a0) < _value_upper_bound(p, a0)
 
 
 class TestSimulateAssets:
@@ -553,52 +553,52 @@ class TestTimePathOracles:
 
 class TestMakeAssetGrid:
     def test_endpoints_and_order(self):
-        grid = make_asset_grid(30.0, 500, 3.0)
+        grid = _make_asset_grid(30.0, 500, 3.0)
         assert grid[0] == 0.0 and grid[-1] == 30.0
         assert np.all(np.diff(grid) > 0.0)
 
     def test_denser_below_income(self):
-        grid = make_asset_grid(30.0, 2_000, 3.0)
+        grid = _make_asset_grid(30.0, 2_000, 3.0)
         below = np.sum(grid < 3.0) / 3.0
         above = np.sum(grid >= 3.0) / 27.0
         assert 3.5 <= below / above <= 6.5
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            make_asset_grid(10.0, 100, 20.0)
+            _make_asset_grid(10.0, 100, 20.0)
 
 
 class TestGridDp:
     def test_policy_against_piecewise_linear_r0(self):
-        grid = make_asset_grid(10.0, 300, FIG1_R0.y)
+        grid = _make_asset_grid(10.0, 300, FIG1_R0.y)
         sol = grid_dp(FIG1_R0, 1.0, grid)
         pol = discrete_policy(FIG1_R0, 1.0, 10.0)
         assert np.max(np.abs(sol.policy - pol(grid))) <= 5e-4 * FIG1_R0.y
 
     def test_constrained_node_consumes_income(self):
-        grid = make_asset_grid(10.0, 300, FIG1_R0.y)
+        grid = _make_asset_grid(10.0, 300, FIG1_R0.y)
         sol = grid_dp(FIG1_R0, 1.0, grid)
         assert sol.policy[0] == pytest.approx(FIG1_R0.y, abs=1e-6)
 
     def test_constrained_node_positive_rate(self):
-        grid = make_asset_grid(10.0, 300, FIG1.y)
+        grid = _make_asset_grid(10.0, 300, FIG1.y)
         sol = grid_dp(FIG1, 1.0, grid)
         assert sol.policy[0] == pytest.approx(FIG1.y, abs=1e-6)
 
     def test_value_increasing_and_concave(self):
-        grid = make_asset_grid(10.0, 400, FIG1_R0.y)
+        grid = _make_asset_grid(10.0, 400, FIG1_R0.y)
         sol = grid_dp(FIG1_R0, 1.0, grid)
         assert np.all(np.diff(sol.value) > 0.0)
         slopes = np.diff(sol.value) / np.diff(grid)
         assert np.max(np.diff(slopes)) <= 1e-9
 
     def test_policy_monotone(self):
-        grid = make_asset_grid(10.0, 300, FIG1_R0.y)
+        grid = _make_asset_grid(10.0, 300, FIG1_R0.y)
         sol = grid_dp(FIG1_R0, 1.0, grid)
         assert np.all(np.diff(sol.policy) > -1e-10)
 
     def test_converged_residual_reported(self):
-        grid = make_asset_grid(5.0, 100, FIG1_R0.y)
+        grid = _make_asset_grid(5.0, 100, FIG1_R0.y)
         sol = grid_dp(FIG1_R0, 1.0, grid)
         assert sol.sup_norm_residual <= 1e-10 * (1.0 + float(np.max(np.abs(sol.value))))
         assert sol.iterations < 100
@@ -607,11 +607,11 @@ class TestGridDp:
     def test_constrained_node_policy_is_exactly_income(self, p):
         # at a = 0 the upper end of the range is c = y, and the first-order
         # condition there is >= 0, so the node takes that end exactly
-        sol = grid_dp(p, 1.0, make_asset_grid(10.0, 300, p.y))
+        sol = grid_dp(p, 1.0, _make_asset_grid(10.0, 300, p.y))
         assert sol.policy[0] == p.y
 
     def test_acceptance_solve_takes_ten_sweeps(self):
-        grid = make_asset_grid(30.0, 2000, FIG1_R0.y)
+        grid = _make_asset_grid(30.0, 2000, FIG1_R0.y)
         assert grid_dp(FIG1_R0, 1.0, grid).iterations == 10
 
     def test_grid_validation(self):
@@ -640,7 +640,7 @@ class TestPchip:
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_monotone_data(self):
-        x = make_asset_grid(30.0, 400, 3.0)
+        x = _make_asset_grid(30.0, 400, 3.0)
         self.assert_matches_reference(x, np.log1p(x) + 0.1 * x)
 
     def test_non_monotone_data(self):
@@ -667,7 +667,7 @@ class TestPchip:
 
     def test_slopes_match_reference_derivatives(self):
         interpolate = pytest.importorskip("scipy.interpolate")
-        x = make_asset_grid(30.0, 400, 3.0)
+        x = _make_asset_grid(30.0, 400, 3.0)
         y = np.log1p(x) + 0.1 * x
         ref = interpolate.PchipInterpolator(x, y, extrapolate=True)
         q = np.linspace(-1.0, 31.0, 3001)
@@ -681,7 +681,7 @@ class TestPchip:
         assert np.array_equal(line(np.array([-1.0, 1.0, 2.0, 5.0])), [8.0, 2.0, -1.0, -10.0])
 
     def test_interpolates_nodes_and_keeps_monotone_shape(self):
-        x = make_asset_grid(10.0, 50, 1.0)
+        x = _make_asset_grid(10.0, 50, 1.0)
         y = np.sqrt(x)
         interp = _pchip(x, y)
         # a node is the left end of its interval (s = 0) except the last
@@ -698,8 +698,8 @@ class TestPchip:
             "import sys\n"
             "import ifpclosed.checks, ifpclosed.cli\n"
             "from ifpclosed.model_core import ModelParams\n"
-            "from ifpclosed.validation import grid_dp, make_asset_grid\n"
-            "sol = grid_dp(ModelParams(0.08, 0.0, 0.5, 3.0), 1.0, make_asset_grid(5.0, 60, 3.0))\n"
+            "from ifpclosed.validation import grid_dp, _make_asset_grid\n"
+            "sol = grid_dp(ModelParams(0.08, 0.0, 0.5, 3.0), 1.0, _make_asset_grid(5.0, 60, 3.0))\n"
             "assert sol.iterations > 1\n"
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n"
         )
