@@ -5,8 +5,8 @@ The depletion map mu(T) (assets exhausted in exactly T) has an exact
 Lambert-W inverse at r = 0 and a closed-form small-r approximation; the
 time-0 consumption function, its Jacobian and Hessian follow in closed form.
 Everything is cross-checked against solver-grade oracles: safeguarded Newton
-inversion, RK4 budget integration, quadrature, finite differences, and a
-grid value-iteration solve of the discrete-time model.
+inversion, RK4 budget integration, quadrature, finite differences, and an
+endogenous-grid solve of the discrete-time model.
 
 The closed forms run on ``math`` alone: importing the package, or calling any
 function it exports on floats, loads no numpy.  numpy loads on the first

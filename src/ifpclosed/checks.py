@@ -28,7 +28,6 @@ from .figures import _mu_discrete, discrete_policy, figure_rows
 from .model_core import ModelParams
 from .special_functions import wm1_neg_exp_offset
 from .validation import (
-    _DP_TOL,
     _anchor_depletion_time,
     _make_asset_grid,
     _value_upper_bound,
@@ -127,8 +126,11 @@ def check_closed_vs_numeric() -> list[CheckResult]:
     for a in (10.0**k * p.y for k in range(-12, 13)):
         T = _anchor_depletion_time(p, a)
         anchor_gap = max(anchor_gap, abs(h_numeric(p, a).T - T) / T)
+    # Both c's are y*e^x, x = rho*T/gamma <= 12 here, so each carries its T's
+    # relative error times x, and h_numeric's T is trusted to its 4e-15*T step
+    # stop: about 5e-14 at worst.  Reads 4.1e-14; 1e-12 is about 25x that.
     return [
-        _bounded("closed_vs_numeric.max_rel_gap", gap, 1e-9),
+        _bounded("closed_vs_numeric.max_rel_gap", gap, 1e-12),
         _bounded("closed_vs_numeric.lambert_identity", ident, 1e-13),
         _bounded("closed_vs_numeric.exact_anchor_rel_gap", anchor_gap, 1e-12),
     ]
@@ -169,7 +171,10 @@ def check_jacobian() -> list[CheckResult]:
     return [
         _bounded("jacobian.fd_rel_err", fd_err, 1e-9),
         _positive("jacobian.entries_positive_margin", sign_margin),
-        _bounded("jacobian.euler_identity", euler, 1e-10),
+        # c = y*e^x carries T's rounding times x = log(c/y) <= 17 here, and the two
+        # positive terms a*dc_da + y*dc_dy a few eps of c each: about 20 eps at
+        # worst.  Reads 2.4e-15; 1e-13 is about 40x that.
+        _bounded("jacobian.euler_identity", euler, 1e-13),
         _bounded("jacobian.asymptotic_mpc", mpc_tail, 1e-4),
     ]
 
@@ -198,7 +203,9 @@ def check_hessian() -> list[CheckResult]:
     return [
         _bounded("hessian.fd_rel_err", fd_err, 1e-6),
         _positive("hessian.sign_pattern_margin", sign_margin),
-        _bounded("hessian.determinant_rel", det_rel, 1e-12),
+        # each entry is a product of about four rounded factors of v, so the two
+        # products differ by about 16 eps at worst.  Reads 6.8e-16; 1e-14 is 15x that.
+        _bounded("hessian.determinant_rel", det_rel, 1e-14),
         _positive("hessian.supermodularity_margin", cross_margin),
     ]
 
@@ -281,8 +288,6 @@ def check_discrete_model() -> list[CheckResult]:
     pol = discrete_policy(p0, 1.0, 30.0)
     dp_gap = float(np.max(np.abs(sol.policy - pol(grid)))) / p0.y
     elapsed = time.perf_counter() - t0
-    # grid_dp's own stop bound, so the row shows how far inside it the solve ended
-    stop = _DP_TOL * (1.0 + float(np.max(np.abs(sol.value))))
     a_eval = np.linspace(0.0, 10.0, 201)
     exact = consumption_path(p0, a_eval)
     gaps = []
@@ -295,7 +300,8 @@ def check_discrete_model() -> list[CheckResult]:
         _positive("discrete.knots_increasing_margin", knot_margin),
         _bounded("discrete.dp_policy_gap_over_y", dp_gap, 2e-3),
         _bounded("discrete.dp_runtime_seconds", elapsed, 1.0),
-        _bounded("discrete.dp_sup_norm_residual", sol.sup_norm_residual, stop),
+        # grid_dp's own stop, a policy that repeats bit for bit
+        _bounded("discrete.dp_sup_norm_residual", sol.sup_norm_residual, 0.0),
         _positive("discrete.delta_shrink_margin", shrink_margin),
     ]
 

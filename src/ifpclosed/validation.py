@@ -3,8 +3,8 @@
 Nothing here trusts the Lambert-W algebra beyond the depletion time itself
 and the time path it sets: feasibility is checked by integrating the budget
 equation with RK4, optimality by discounted CRRA utility (quadrature against
-perturbed feasible plans, and the analytic bound u(rho*a + y)/rho) and by a
-grid value-iteration solve of the discrete model, the derivative formulas by
+perturbed feasible plans, and the analytic bound u(rho*a + y)/rho) and by an
+endogenous-grid solve of the discrete model, the derivative formulas by
 Richardson-extrapolated finite differences, and the numeric inversion at
 r > 0 by the exact depletion time at r = rho/(1 + gamma).  The small-r
 approximation is graded by the numeric inversion in figure 2's rows
@@ -46,7 +46,11 @@ class _AssetPath(namedtuple("_AssetPath", "t a c depletion_time_observed")):
 
 
 class _DpSolution(namedtuple("_DpSolution", "policy value iterations sup_norm_residual")):
-    """Converged value-iteration solve of the discrete model on an asset grid."""
+    """Endogenous-grid solve of the discrete model on an asset grid.
+
+    The policy on the grid, the value of its plan, the sweeps taken, and the
+    last sweep's sup-norm change of the policy.
+    """
 
     __slots__ = ()
 
@@ -404,98 +408,29 @@ def _make_asset_grid(a_max: float, n: int, dense_below: float) -> np.ndarray:
     return grid
 
 
-def _pchip_end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
-    # One-sided three-point slope at an end node, clamped to keep the shape:
-    # zero if it opposes the end secant m0, 3*m0 if the secants change sign
-    # and it exceeds 3*|m0| (Moler, Numerical Computing with MATLAB, 3.6).
-    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _pchip_piece(x: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    i = np.searchsorted(x[1:-1], q, side="right")
-    return i, q - x[i]
-
-
-def _pchip(x: np.ndarray, y: np.ndarray) -> Callable[..., np.ndarray]:
-    """Monotone piecewise-cubic Hermite (PCHIP) interpolant through (x, y).
-
-    Node slopes follow Fritsch and Carlson: the weighted harmonic mean of
-    the neighbouring secants, or 0 where they differ in sign or either is
-    0; the end slopes use the clamped three-point rule, and two nodes give
-    the straight line.  ``x`` must be strictly increasing.  The returned
-    evaluator extends the end cubics beyond [x[0], x[-1]]; called with
-    ``slopes=True`` it returns the pair (P', P'') of the same cubic pieces.
-    It also takes, in place of the points q, their cubic pieces i and offsets
-    q - x[i], from ``_pchip_piece(x, q)``, which does not depend on y.
-    """
-    h = np.diff(x)
-    m = np.diff(y) / h
-    d = np.empty(x.size)
-    if x.size == 2:
-        d[:] = m[0]
-    else:
-        w1 = 2.0 * h[1:] + h[:-1]
-        w2 = h[1:] + 2.0 * h[:-1]
-        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
-        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-    # Cubic on interval i in s = q - x[i]: c0 + c1*s + c2*s^2 + c3*s^3, summed
-    # in ascending powers as scipy's PchipInterpolator sums it (the two agree
-    # bit for bit with scipy 1.17).  Four separate contiguous arrays gather
-    # faster than one (n-1, 4) table.
-    t = (d[:-1] + d[1:] - 2.0 * m) / h
-    c3 = t / h
-    c2 = (m - d[:-1]) / h - t
-    c1 = d[:-1]
-    c0 = y[:-1].copy()
-
-    def evaluate(q: np.ndarray | tuple[np.ndarray, np.ndarray], slopes: bool = False):
-        i, s = q if isinstance(q, tuple) else _pchip_piece(x, q)
-        if slopes:  # the first and second derivative, from the same piece
-            b2, b3 = c2[i], c3[i]
-            return c1[i] + s * (2.0 * b2 + 3.0 * b3 * s), 2.0 * b2 + 6.0 * b3 * s
-        s2 = s * s
-        return c0[i] + c1[i] * s + c2[i] * s2 + c3[i] * (s2 * s)
-
-    return evaluate
-
-
-# Cap on a node's steps toward its first-order condition.  A bracket no wider
-# than its upper end hi falls below the 4e-16*hi width stop after 52 halvings
-# (more only where hi itself shrinks), so bisection fits under the cap.
-_FOC_STEPS = 64
-
-# grid_dp's stop: a sup-norm change of V <= _DP_TOL*(1 + max|V|), within _DP_MAX_SWEEPS
-_DP_TOL = 1e-10
+# grid_dp's cap on its sweeps.  Finite depletion stops them after about as many
+# sweeps as the top node's plan takes periods to reach a = 0.
 _DP_MAX_SWEEPS = 100_000
 
 
 def grid_dp(params: ModelParams, delta: float, a_grid: np.ndarray) -> _DpSolution:
-    """Value iteration for the discrete model on ``a_grid`` (must start at 0).
+    """Endogenous-grid solve of the discrete model on ``a_grid`` (must start at 0).
 
     Bellman equation V(a) = max_c delta*u(c) + beta*V(a') with
-    beta = 1/(1 + rho*delta), a' = (1 + r*delta)*a + delta*(y - c) and c in
-    [1e-6*y, y + (1+r*delta)*a/delta] (floored to keep u finite, capped so
-    a' stays on the grid at the top nodes).  The continuation value is the
-    monotone-cubic (PCHIP) interpolant P of V from ``_pchip``, whose pieces
-    give P' and P'' exactly.  Each node solves the first-order condition
-    g(c) = u'(c) - beta*P'(a') = 0.  A node takes the upper end of its
-    range when g >= 0 there and the lower end when g <= 0 there; every other
-    node keeps a bracket with g(lo) > 0 > g(hi), so it ends at a local
-    maximum.  Those take Newton steps with g' = u''(c) + beta*delta*P''(a'),
-    starting from the previous sweep's policy (the bracket midpoint on the
-    first sweep), and bisect wherever g' >= 0 or the step would leave the
-    bracket.  A node stops once its step is at most 2e-15 of c, g(c) is 0,
-    or its bracket is at most 4e-16 of its upper end wide.
-    Iterates until the sup-norm value change is <= _DP_TOL*(1 + max|V|) and
-    raises RuntimeError if ``_DP_MAX_SWEEPS`` sweeps do not get there.
+    beta = 1/(1 + rho*delta), a' = (1 + r*delta)*a + delta*(y - c) and
+    0 <= a' <= a_grid[-1].  Each sweep (Carroll 2006) reads the policy on the
+    grid as next period's c'(a'), so the Euler equation gives today's
+    c = (beta*(1 + r*delta))^(-1/gamma)*c' and the endogenous assets
+    a = (a' - delta*(y - c))/(1 + r*delta) of each node a'.  ``np.interp`` maps
+    the pairs (a, a') back to the grid, where c is the budget's remainder:
+    below the first endogenous point it clamps a' to 0, the binding constraint
+    c = y + (1 + r*delta)*a/delta, and above the last one to a_grid[-1].  The
+    sweeps start from consuming all cash and stop when the policy repeats bit
+    for bit, which finite depletion brings about; ``_DP_MAX_SWEEPS`` sweeps
+    without it raise RuntimeError.  ``value`` is the value of the policy's
+    own plan, followed from each node through the same map until a' = 0, and
+    c = y from then on; a plan still short of a = 0 after ``iterations``
+    steps raises RuntimeError.
     """
     a = np.asarray(a_grid, dtype=float)
     if a.ndim != 1 or a.size < 2 or np.any(np.diff(a) <= 0.0):
@@ -505,48 +440,24 @@ def grid_dp(params: ModelParams, delta: float, a_grid: np.ndarray) -> _DpSolutio
     rho, r, gam, y = params.rho, params.r, params.gamma, params.y
     beta = 1.0 / (1.0 + rho * delta)
     gross = 1.0 + r * delta
-    c_hi = y + gross * a / delta
-    c_lo = np.maximum(1e-6 * y, (gross * a + delta * y - a[-1]) / delta)
-    # a' and u'(c) at the two range ends do not depend on V: locate them once
-    ends = [(_pchip_piece(a, gross * a + delta * (y - c)), c**-gam) for c in (c_hi, c_lo)]
-
-    def bellman(v: np.ndarray, guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        interp = _pchip(a, v)
-        g_hi, g_lo = (marginal - beta * interp(piece, slopes=True)[0] for piece, marginal in ends)
-        c_star = np.where(g_hi >= 0.0, c_hi, c_lo)
-        nodes = np.nonzero((g_hi < 0.0) & (g_lo > 0.0))[0]
-        at, lo, hi, c = a[nodes], c_lo[nodes], c_hi[nodes], guess[nodes]
-        c = np.where((lo < c) & (c < hi), c, 0.5 * (lo + hi))
-        for _ in range(_FOC_STEPS):
-            # g and g' at consumption c of the open nodes, with assets at
-            slope, curvature = interp(gross * at + delta * (y - c), slopes=True)
-            marginal = c**-gam
-            g, dg = marginal - beta * slope, beta * delta * curvature - gam * marginal / c
-            lo = np.where(g > 0.0, c, lo)
-            hi = np.where(g < 0.0, c, hi)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = c - g / dg
-            # a closed test: near the root the step rounds back onto c, which
-            # has just become a bracket end, and that is convergence
-            newton = (dg < 0.0) & (lo <= step) & (step <= hi)
-            c_new = np.where(g == 0.0, c, np.where(newton, step, 0.5 * (lo + hi)))
-            done = (np.abs(c_new - c) <= 2e-15 * c_new) | (hi - lo <= 4e-16 * hi)
-            c_star[nodes[done]] = c_new[done]
-            going = ~done
-            nodes, at, lo, hi = nodes[going], at[going], lo[going], hi[going]
-            c = c_new[going]
-            if nodes.size == 0:
-                break
-        c_star[nodes] = c
-        a_next = gross * a + delta * (y - c_star)
-        return delta * crra_utility(c_star, gam) + beta * interp(a_next), c_star
-
-    v = delta * crra_utility(np.maximum(y + r * a, 1e-6 * y), gam) / (1.0 - beta)
-    policy = 0.5 * (c_lo + c_hi)
+    growth = (beta * gross) ** (-1.0 / gam)
+    cash = y + gross * a / delta
+    policy = cash
     for it in range(1, _DP_MAX_SWEEPS + 1):
-        v_new, policy = bellman(v, policy)
-        diff = float(np.max(np.abs(v_new - v)))
-        v = v_new
-        if diff <= _DP_TOL * (1.0 + float(np.max(np.abs(v)))):
-            return _DpSolution(policy=policy, value=v, iterations=it, sup_norm_residual=diff)
-    raise RuntimeError(f"grid_dp: no convergence after {_DP_MAX_SWEEPS} iterations")
+        a_end = (a - delta * (y - growth * policy)) / gross
+        new = cash - np.interp(a, a_end, a) / delta
+        if np.array_equal(new, policy):
+            break
+        policy = new
+    else:
+        raise RuntimeError(f"grid_dp: no convergence after {_DP_MAX_SWEEPS} iterations")
+    at, v, discount = a, np.zeros(a.size), 1.0
+    for _ in range(it):
+        a_next = np.interp(at, a_end, a)
+        v += discount * delta * crra_utility(y + (gross * at - a_next) / delta, gam)
+        at, discount = a_next, discount * beta
+    if at.any():
+        raise RuntimeError(f"grid_dp: a plan is short of a = 0 after {it} steps")
+    v += discount * delta * crra_utility(y, gam) / (1.0 - beta)
+    residual = float(np.max(np.abs(new - policy)))  # 0.0: the stop is a bit-for-bit repeat
+    return _DpSolution(policy=policy, value=v, iterations=it, sup_norm_residual=residual)

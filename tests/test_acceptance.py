@@ -56,6 +56,5 @@ def test_criterion_9_figure_reproduction():
 
 def test_criterion_8_reports_the_dp_residual_against_its_stop_bound():
     row = {r.name: r for r in CRITERIA[8][1]()}["discrete.dp_sup_norm_residual"]
-    assert row.passed and 0.0 < row.measured <= row.tolerance
-    # 1e-10*(1 + max|V|), the bound grid_dp stops at: |V| is tens here
-    assert 1e-9 <= row.tolerance <= 1e-8
+    # grid_dp stops when the policy repeats bit for bit, so the last change is 0
+    assert row.passed and row.measured == row.tolerance == 0.0
