@@ -180,7 +180,7 @@ def check_jacobian() -> list[CheckResult]:
 
 
 def check_hessian() -> list[CheckResult]:
-    """Criterion 4: Hessian vs FD, sign pattern, rank-1 determinant, supermodularity."""
+    """Criterion 4: Hessian vs FD, sign pattern, rank-1 determinant, supermodularity margins."""
     p = _FIGURE1_R0
     y = p.y
     # fd_hessian's error is O(h^4) truncation plus O(eps/h^2) rounding: both
@@ -190,23 +190,22 @@ def check_hessian() -> list[CheckResult]:
     h_aa, h_ay, h_yy = d.d2c_da2, d.d2c_dady, d.d2c_dy2
     sign_margin = float(min(-h_aa.max(), h_ay.min(), -h_yy.max()))
     det_rel = float(np.max(np.abs(h_aa * h_yy - h_ay * h_ay) / np.abs(h_aa * h_yy)))
-    cross_margin = math.inf
-    a_cross = np.geomspace(1e-2, 1e2, 50) * y
-    n = a_cross.size
-    for y_j in np.geomspace(1.0, 10.0, 50):
-        # one call per side: a in the first half, a + ha in the second
-        a = np.concatenate((a_cross, a_cross + 1e-3 * np.maximum(a_cross, y_j)))
-        c_lo = consumption_path(p._replace(y=y_j), a)
-        c_hi = consumption_path(p._replace(y=y_j + 1e-3 * y_j), a)
-        cross = c_hi[n:] - c_lo[n:] - c_hi[:n] + c_lo[:n]
-        cross_margin = min(cross_margin, float(cross.min()))
+    a_lo, y_lo = np.meshgrid(np.geomspace(1e-2, 1e2, 50) * y, np.geomspace(1.0, 10.0, 50))
+    a_hi, y_hi = a_lo + 1e-3 * np.maximum(a_lo, y_lo), y_lo + 1e-3 * y_lo
+    a_c, y_c = np.array([a_lo, a_hi, a_lo, a_hi]), np.array([y_lo, y_lo, y_hi, y_hi])
+    # at r = 0, c(a; y) = y*c(a/y; 1): all four corners of every cell in one call at unit income
+    c_ll, c_hl, c_lh, c_hh = y_c * consumption_path(p._replace(y=1.0), a_c / y_c)
+    cross = c_hh - c_hl - c_lh + c_ll
+    rel_margin = float((cross / (abs(c_hh) + abs(c_hl) + abs(c_lh) + abs(c_ll))).min())
     return [
         _bounded("hessian.fd_rel_err", fd_err, 1e-6),
         _positive("hessian.sign_pattern_margin", sign_margin),
         # each entry is a product of about four rounded factors of v, so the two
         # products differ by about 16 eps at worst.  Reads 6.8e-16; 1e-14 is 15x that.
         _bounded("hessian.determinant_rel", det_rel, 1e-14),
-        _positive("hessian.supermodularity_margin", cross_margin),
+        _positive("hessian.supermodularity_margin", cross.min()),
+        # four rounded terms cancel to about 4 eps of their summed |c|: reads 4.1e-9 (1.8e7 eps)
+        CheckResult("hessian.supermodularity_rel_margin", rel_margin, 4 * _EPS, rel_margin >= 4 * _EPS),
     ]
 
 

@@ -453,16 +453,16 @@ class TestCheck:
         lines = capsys.readouterr().out.splitlines()
         rows = checks.run_level("full")
         assert rc == 0
-        assert len(rows) == 34
+        assert len(rows) == 35
         assert [line.split()[1] for line in lines[:-1]] == [r.name for r in rows]
         assert all(line.startswith("PASS  ") for line in lines[:-1])
-        assert lines[-1] == "PASS: 34/34 checks"
+        assert lines[-1] == "PASS: 35/35 checks"
 
     def test_every_measured_value_is_a_python_float(self):
         # a numpy scalar would print as np.float64(...) in a repr of the row
         rows = checks.run_level("full")
         assert [r.name for r in rows if type(r.measured) is not float] == []
-        assert len(rows) == 34
+        assert len(rows) == 35
 
     def test_unknown_level_exits_2(self, capsys):
         # one suite: check takes no --level, not even the old "full"
