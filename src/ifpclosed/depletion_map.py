@@ -5,7 +5,7 @@ exactly T time units; h = mu^(-1) maps assets to the depletion time.  Under
 impatience (rho > r) mu is a smooth, strictly increasing, strictly convex
 bijection of [0, inf), so h exists, is strictly increasing and concave.  One
 expression gives mu at every r >= 0, within 3.5e-13 relative of 60-digit
-mpmath (the worst case sits just above its series switch; see ``mu``).
+mpmath (see ``mu``); mu and mu' share one body, which h_numeric calls once a step.
 
 h is computed three ways:
 
@@ -43,6 +43,27 @@ class DepletionTime(namedtuple("DepletionTime", "T method")):
     __slots__ = ()
 
 
+def _mu_pair(params: ModelParams, T: float) -> tuple:
+    """(mu(T), mu_prime(T)) at T >= 0 (unchecked) from one expm1 of each exponent."""
+    if T == math.inf:
+        return math.inf, math.inf
+    rho, r, gam, y = params
+    x, z, big_b = (rho - r) * T / gam, -r * T, r * (gam - 1.0) + rho
+    try:
+        em_x = math.expm1(x)
+    except OverflowError:
+        return math.inf, math.inf
+    em_z = math.expm1(z)
+    slope = y * (rho - r) / big_b * (em_x - em_z)
+    if x - z < 1e-3:
+        h1 = x + z
+        h2 = x * h1 + z * z
+        h3 = x * h2 + z * z * z
+        series = 0.5 + h1 / 6.0 + h2 / 24.0 + h3 / 120.0 + (x * h3 + z * z * z * z) / 720.0
+        return gam * y / big_b * x * (x - z) * series, slope
+    return gam * y / big_b * (em_x - x * (em_z / z if z else 1.0)), slope
+
+
 def mu(params: ModelParams, T: float) -> float:
     """Assets exhausted in exactly T: the solution of the depletion ODE.
 
@@ -57,39 +78,18 @@ def mu(params: ModelParams, T: float) -> float:
     """
     if not T >= 0.0:
         raise ValueError(f"mu: need T >= 0, got T={T}")
-    if T == math.inf:
-        return math.inf
-    rho, r, gam, y = params
-    x, z = (rho - r) * T / gam, -r * T
-    scale = gam * y / (r * (gam - 1.0) + rho)
-    if x - z < 1e-3:
-        h1 = x + z
-        h2 = x * h1 + z * z
-        h3 = x * h2 + z * z * z
-        h4 = x * h3 + z * z * z * z
-        return scale * x * (x - z) * (0.5 + h1 / 6.0 + h2 / 24.0 + h3 / 120.0 + h4 / 720.0)
-    try:
-        return scale * (math.expm1(x) - x * (math.expm1(z) / z if z else 1.0))
-    except OverflowError:
-        return math.inf
+    return _mu_pair(params, T)[0]
 
 
 def mu_prime(params: ModelParams, T: float) -> float:
     """dmu/dT = y*(rho-r)/B * (e^((rho-r)T/gamma) - e^(-rT)); 0 at T = 0.
 
-    Exact at every r >= 0, as the two exponentials never cancel.  Returns
-    +inf where ``mu`` does.
+    Exact at every r >= 0, as the two exponentials never cancel.  +inf at T = inf and
+    once e^x overflows; as mu'/mu -> (rho-r)/gamma, it overflows before mu when that is > 1.
     """
     if not T >= 0.0:
         raise ValueError(f"mu_prime: need T >= 0, got T={T}")
-    if T == math.inf:
-        return math.inf
-    rho, r, gam, y = params
-    try:
-        big_b = r * (gam - 1.0) + rho
-        return y * (rho - r) / big_b * (math.expm1((rho - r) * T / gam) - math.expm1(-r * T))
-    except OverflowError:
-        return math.inf
+    return _mu_pair(params, T)[1]
 
 
 def h_numeric(params: ModelParams, a: float) -> DepletionTime:
@@ -102,8 +102,9 @@ def h_numeric(params: ModelParams, a: float) -> DepletionTime:
     mu magnifies T's last ulps), the iterate it started from is returned.  Seeded
     from the second-order Taylor expansion of mu at the origin,
     mu(T) ~ (rho-r)*y*T^2/(2*gamma), where mu vanishes quadratically and
-    pure Newton would stall.  Raises ``ValueError`` when a lies beyond the
-    largest mu(T) a double holds (``mu`` reads +inf from there on).
+    pure Newton would stall.  Each step takes mu and mu' from one body, one expm1
+    of each exponent.  Raises ``ValueError`` past the largest mu(T) a double holds
+    (``mu`` reads +inf from there on).
     """
     if not isinstance(a, float) and _is_ndarray(a):
         raise ValueError("h_numeric: the numeric inversion takes one point at a time, got an array")
@@ -112,7 +113,7 @@ def h_numeric(params: ModelParams, a: float) -> DepletionTime:
     if a == 0.0:
         return DepletionTime(0.0, "numeric")
     lo, hi = 0.0, 1.0
-    while mu(params, hi) < a:  # ends: mu(inf) = inf
+    while _mu_pair(params, hi)[0] < a:  # ends: mu(inf) = inf
         lo = hi
         hi *= 2.0
     # a float seed, since a numpy-scalar a would warn past the double range; where
@@ -125,15 +126,15 @@ def h_numeric(params: ModelParams, a: float) -> DepletionTime:
     T_prev = T
     # x = (rho-r)*T/gamma <= 710, and Newton from mu's overflow edge gains ~1 in x a step
     for _ in range(1000):
-        g = mu(params, T) - a
+        mu_T, d = _mu_pair(params, T)
+        g = mu_T - a
         if g > 0.0:
             hi = T
         elif g < 0.0:
             lo = T
         else:
             break
-        d = mu_prime(params, T)
-        # d = inf comes with g = inf once mu overflows, and inf/inf warns on a numpy-scalar a
+        # d = inf once mu' overflows, before mu if (rho-r)/gamma > 1; inf/inf warns on numpy scalars
         T_new = T - g / d if 0.0 < d < math.inf else math.nan
         if not lo < T_new < hi:
             T_new = 0.5 * (lo + hi)
@@ -141,15 +142,13 @@ def h_numeric(params: ModelParams, a: float) -> DepletionTime:
             T_prev, T = T, T_new
             break
         T = T_new
-    if abs(mu(params, T) - a) > tol:
-        if abs(mu(params, T_prev) - a) <= tol:  # the stop's own iterate was within
+    if abs(_mu_pair(params, T)[0] - a) > tol:
+        if abs(_mu_pair(params, T_prev)[0] - a) <= tol:  # the stop's own iterate was within
             return DepletionTime(T_prev, "numeric")
-        if mu(params, hi) == math.inf:
-            limit = mu(params, lo)
+        if _mu_pair(params, hi)[0] == math.inf:
+            limit = _mu_pair(params, lo)[0]
             raise ValueError(f"h_numeric: a={a} is past the range of mu, which ends near {limit:.6g}")
-        raise RuntimeError(
-            f"h_numeric: no convergence after 1000 iterations at a={a} (this is a bug)"
-        )
+        raise RuntimeError(f"h_numeric: no convergence after 1000 iterations at a={a} (this is a bug)")
     return DepletionTime(T, "numeric")
 
 

@@ -87,6 +87,20 @@ class TestMu:
         slopes = np.diff(vals) / np.diff(grid)
         assert np.all(np.diff(slopes) > 0.0)
 
+    @pytest.mark.parametrize(
+        "T,mu_hex,slope_hex",
+        [
+            # x - z = B*T/gamma = 0.15*T: 9.9e-4, on the series side of the switch at 1e-3
+            (0.0066, "0x1.3307c39563c76p-17", "0x1.6b7ccce68183cp-9"),
+            # 1.005e-3, on the expm1 side
+            (0.0067, "0x1.3c67f8595f900p-17", "0x1.70ff4e30f5633p-9"),
+        ],
+    )
+    def test_bits_at_the_series_switch(self, T, mu_hex, slope_hex):
+        # pinned bit for bit, so that a rewrite of the evaluation shows any change in rounding
+        assert mu(FIG1, T) == float.fromhex(mu_hex)
+        assert mu_prime(FIG1, T) == float.fromhex(slope_hex)
+
     def test_rejects_negative_time(self):
         with pytest.raises(ValueError):
             mu(FIG1, -0.1)
@@ -139,6 +153,13 @@ class TestMuPrime:
     def test_infinite_past_double_range(self, p):
         assert mu_prime(p, 1e4) == math.inf
         assert mu_prime(p, 4000.0) < math.inf
+
+    def test_overflows_before_mu(self):
+        # (rho - r)/gamma = 1.4 > 1, so mu_prime's factor y*(rho-r)/B exceeds mu's
+        # gamma*y/B and overflows first; mu's value is pinned bit for bit
+        p = validate(ModelParams(0.08, 0.01, 0.05, 3.0))
+        assert mu(p, 506.3) == float.fromhex("0x1.9ffa932432758p+1023")
+        assert mu_prime(p, 506.3) == math.inf
 
     @pytest.mark.parametrize("r", RATES)
     def test_ode_residual(self, r):
@@ -224,6 +245,37 @@ class TestHNumeric:
         p = validate(ModelParams(*pset))
         a = ratio * p.y
         assert abs(mu(p, h_numeric(p, a).T) - a) <= 1e-12 * a
+
+    @pytest.mark.parametrize(
+        "pset,ratio,T_hex",
+        [
+            # the ends of the grid_rpos benchmark's a/y range at the CLI defaults
+            ((0.08, 0.01, 0.5, 3.0), 1e-12, "0x1.fb4b97ea08588p-19"),
+            ((0.08, 0.01, 0.5, 3.0), 1e12, "0x1.6fa08d7e47974p+7"),
+            # at r = 0, a = 3 the iteration ends on a run of bisection steps
+            ((0.08, 0.0, 0.5, 3.0), 1.0, "0x1.9d9ce387fe278p+1"),
+            # the three cases of test_converges_far_out
+            ((0.08, 0.0, 0.5, 0.001), 1e303, "0x1.0fd111f6bfceep+12"),
+            ((0.0687, 0.0, 2.76, 15.2), 1e181, "0x1.034c8eba5ee7cp+14"),
+            ((0.08, 0.01, 0.05, 3.0), 1.7e308 / 3.0, "0x1.fa688f71d6844p+8"),
+        ],
+    )
+    def test_bits(self, pset, ratio, T_hex):
+        # pinned bit for bit, so that a rewrite of the iteration shows any change in its path
+        p = validate(ModelParams(*pset))
+        assert h_numeric(p, ratio * p.y).T == float.fromhex(T_hex)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RuntimeWarning,
+        reason="a numpy-scalar a makes numpy-scalar iterates, and mu's "
+        "gamma*y/B*(expm1(x) - x*E(z)) then warns where the float product just overflows to inf",
+    )
+    def test_numpy_scalar_assets_at_the_overflow_edge(self):
+        p = validate(ModelParams(0.08, 0.01, 0.05, 3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert h_numeric(p, np.float64(1.7e308)).T == h_numeric(p, 1.7e308).T
 
     @pytest.mark.parametrize("r", [0.0, 0.01])
     def test_converges_at_every_decade_past_1e100(self, r):
