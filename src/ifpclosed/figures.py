@@ -145,19 +145,15 @@ def figure_rows(
             flags = np.bincount(moved, minlength=grid.size)
             header = ["a_over_y", "c_discrete_over_y", "c_unconstrained_over_y", "knot_flag"]
             columns = (grid / y, policy(grid) / y, _consumption_unconstrained(params, grid) / y, flags)
-            rows = list(zip(*(col.tolist() for col in columns)))
     elif which == 2:
         header = ["a_over_y", "c_closed_approx_over_y", "c_numeric_over_y"]
-        rows = [
-            (
-                a / y,
-                consumption_approx_small_r(params, a) / y,
-                consumption_from_depletion_time(params, h_numeric(params, a).T) / y,
-            )
-            for a in grid.tolist()
-        ]
+        T = [h_numeric(params, a).T for a in grid.tolist()]  # the oracle, one float a at a time
+        with np.errstate(over="ignore"):  # as in figure 1: grid / y may overflow
+            c_closed = consumption_approx_small_r(params, grid)
+            columns = (grid / y, c_closed / y, consumption_from_depletion_time(params, np.array(T)) / y)
     else:
         raise ValueError(f"unknown figure {which!r}; expected 1 or 2")
+    rows = list(zip(*(col.tolist() for col in columns)))
     infinite = ~np.isfinite(np.array(rows, dtype=float))
     if infinite.any():
         column, i = np.argwhere(infinite.T)[0]  # the first column, then its first row

@@ -77,8 +77,10 @@ def _wm1_offset_guess(du):
     import numpy as np
     v = _sqrt_du_poly(np.sqrt(np.minimum(du, _ASYMPTOTIC_FROM)))
     near, far = du < _SERIES_TO, du >= _ASYMPTOTIC_FROM
-    v[near] = _branch_series(np.sqrt(-2.0 * np.expm1(-du[near])))
-    v[far] = _asymptotic(np.log1p(du[far]), du[far])
+    if near.any():  # a region no element is in is skipped: numpy calls on empty masks cost time
+        v[near] = _branch_series(np.sqrt(-2.0 * np.expm1(-du[near])))
+    if far.any():
+        v[far] = _asymptotic(np.log1p(du[far]), du[far])
     return v
 
 
@@ -99,7 +101,8 @@ def _phi(v, du):
     log1p_neg_v = np.log1p(-v)
     phi = np.where(v > -2.5, (v + log1p_neg_v) + du, (v + du) + log1p_neg_v)
     near = v > _NEAR_BRANCH
-    phi[near] = _phi_near_branch(v[near], du[near])
+    if near.any():
+        phi[near] = _phi_near_branch(v[near], du[near])
     return phi
 
 

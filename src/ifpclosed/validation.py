@@ -5,7 +5,8 @@ and the time path it sets: feasibility is checked by integrating the budget
 equation with RK4, optimality by discounted CRRA utility (quadrature against
 perturbed feasible plans, and the analytic bound u(rho*a + y)/rho) and by an
 endogenous-grid solve of the discrete model, the derivative formulas by
-Richardson-extrapolated finite differences, and the numeric inversion at
+Richardson-extrapolated finite differences (one call of the function on all
+of a stencil's points, every centre's at once), and the numeric inversion at
 r > 0 by the exact depletion time at r = rho/(1 + gamma).  The small-r
 approximation is graded by the numeric inversion in figure 2's rows
 (``ifpclosed.figures``).
@@ -327,53 +328,55 @@ def _anchor_depletion_time(params: ModelParams, a: float) -> float:
     return 2.0 / params.r * math.asinh(math.sqrt(du) / 2.0)
 
 
+# The stencils' points as offsets (i, j) in units of the steps (ha, hy)
+_AXES = tuple(ij for s in (0.5, -0.5, 1.0, -1.0) for ij in ((s, 0.0), (0.0, s)))
+_CORNERS = tuple((i, j) for s in (0.5, 1.0) for i in (s, -s) for j in (s, -s))
+
+
+def _on_stencil(fn: Callable, point: tuple, step: tuple, offsets: tuple) -> dict:
+    # fn at (a + i*ha, y + j*hy) for each offset (i, j), in one call with them stacked first;
+    # i and j are 0 or signed powers of two, so a point is bit for bit a + h at h = i*ha
+    (a, y), (ha, hy) = point, step
+    i, j = np.array(offsets).T.reshape((2, -1) + (1,) * np.broadcast(a, y, ha, hy).ndim)
+    at_a, at_y = a + i * ha, y + j * hy
+    return dict(zip(offsets, np.broadcast_to(fn(at_a, at_y), np.broadcast(at_a, at_y).shape)))
+
+
 def fd_gradient(
-    fn: Callable[[float, float], float],
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     point: tuple[float, float],
     step: tuple[float, float],
 ) -> tuple[float, float]:
     """Central-difference gradient of fn(a, y), Richardson-extrapolated once.
 
-    ``step`` is the pair of absolute steps (ha, hy), one per coordinate.
+    ``step`` is the pair of absolute steps (ha, hy), one per coordinate.  ``fn``
+    must take ndarrays a and y that broadcast: it is called once, on all 8 points.
+    ``point`` and ``step`` may hold arrays of centres; each entry is then an array.
     """
-    a, y = point
     ha, hy = step
-
-    def central_a(h):
-        return (fn(a + h, y) - fn(a - h, y)) / (2.0 * h)
-
-    def central_y(h):
-        return (fn(a, y + h) - fn(a, y - h)) / (2.0 * h)
-
-    d_da = (4.0 * central_a(0.5 * ha) - central_a(ha)) / 3.0
-    d_dy = (4.0 * central_y(0.5 * hy) - central_y(hy)) / 3.0
+    f = _on_stencil(fn, point, step, _AXES)
+    central = lambda i, j, h: (f[i, j] - f[-i, -j]) / (2.0 * h)
+    d_da = (4.0 * central(0.5, 0.0, 0.5 * ha) - central(1.0, 0.0, ha)) / 3.0
+    d_dy = (4.0 * central(0.0, 0.5, 0.5 * hy) - central(0.0, 1.0, hy)) / 3.0
     return d_da, d_dy
 
 
 def fd_hessian(
-    fn: Callable[[float, float], float],
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     point: tuple[float, float],
     step: tuple[float, float],
 ) -> tuple[float, float, float]:
-    """Second-order central stencils for (d2_aa, d2_ay, d2_yy), Richardson-extrapolated once."""
-    a, y = point
+    """Second-order central stencils for (d2_aa, d2_ay, d2_yy), Richardson-extrapolated once.
+
+    As ``fd_gradient``, with ``fn`` called once on the 17 stencil points.
+    """
     ha, hy = step
-    f0 = fn(a, y)
-
-    def second_a(h):
-        return (fn(a + h, y) - 2.0 * f0 + fn(a - h, y)) / (h * h)
-
-    def second_y(h):
-        return (fn(a, y + h) - 2.0 * f0 + fn(a, y - h)) / (h * h)
-
-    def cross(h1, h2):
-        return (
-            fn(a + h1, y + h2) - fn(a + h1, y - h2) - fn(a - h1, y + h2) + fn(a - h1, y - h2)
-        ) / (4.0 * h1 * h2)
-
-    d2_aa = (4.0 * second_a(0.5 * ha) - second_a(ha)) / 3.0
-    d2_yy = (4.0 * second_y(0.5 * hy) - second_y(hy)) / 3.0
-    d2_ay = (4.0 * cross(0.5 * ha, 0.5 * hy) - cross(ha, hy)) / 3.0
+    f = _on_stencil(fn, point, step, ((0.0, 0.0),) + _AXES + _CORNERS)
+    second = lambda i, j, h: (f[i, j] - 2.0 * f[0.0, 0.0] + f[-i, -j]) / (h * h)
+    cross = lambda s, h1, h2: (f[s, s] - f[s, -s] - f[-s, s] + f[-s, -s]) / (4.0 * h1 * h2)
+    d2_aa = (4.0 * second(0.5, 0.0, 0.5 * ha) - second(1.0, 0.0, ha)) / 3.0
+    d2_yy = (4.0 * second(0.0, 0.5, 0.5 * hy) - second(0.0, 1.0, hy)) / 3.0
+    d2_ay = (4.0 * cross(0.5, 0.5 * ha, 0.5 * hy) - cross(1.0, ha, hy)) / 3.0
     return d2_aa, d2_ay, d2_yy
 
 

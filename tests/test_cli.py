@@ -11,7 +11,8 @@ import pytest
 import ifpclosed
 from ifpclosed import checks, depletion_map, figures, special_functions
 from ifpclosed.cli import _sweep_grid, main
-from ifpclosed.depletion_map import mu
+from ifpclosed.consumption import consumption_approx_small_r, consumption_from_depletion_time
+from ifpclosed.depletion_map import h_numeric, mu
 from ifpclosed.figures import _PiecewiseLinearPolicy, _step_growth, discrete_policy, figure_rows
 from ifpclosed.model_core import ModelParams, validate
 
@@ -415,6 +416,18 @@ class TestFigure:
         for row, exp in zip(rows, expected):
             assert float(row[1]) == exp[1]
             assert float(row[2]) == exp[2]
+
+    @pytest.mark.parametrize("spacing,a_min", [("linear", 0.0), ("log", 1e-6)])
+    def test_figure2_columns_match_the_per_row_scalar_calls(self, spacing, a_min):
+        # the closed form is one array call and c from the numeric T's another; each value
+        # is within the array kernel's agreement of the scalar call on its row
+        grid = _sweep_grid(a_min, 10.0 * FIG1.y, 201, spacing)
+        _, rows = figure_rows(FIG1, 2, grid, 1.0)
+        for a, (_, c_closed, c_numeric) in zip(grid.tolist(), rows):
+            closed = consumption_approx_small_r(FIG1, a) / FIG1.y
+            numeric = consumption_from_depletion_time(FIG1, h_numeric(FIG1, a).T) / FIG1.y
+            assert abs(c_closed - closed) <= checks._ARRAY_AGREEMENT * closed
+            assert abs(c_numeric - numeric) <= checks._ARRAY_AGREEMENT * numeric
 
     @pytest.mark.parametrize("which", ["1", "2"])
     def test_ratio_past_the_double_range_exits_2(self, which, tmp_path, capsys):

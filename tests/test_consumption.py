@@ -188,7 +188,8 @@ class TestConsumptionApproxSmallR:
     def test_positive_rate_signs_by_finite_differences(self):
         # no closed-form derivatives exist at r > 0; the shape claims are
         # checked numerically on the small-r approximation instead
-        fn = lambda a_, y_: consumption_approx_small_r(FIG1._replace(y=y_), a_)
+        # c(a; y) = y*c(a/y; 1) at every r: the stencil's points in one array call at unit income
+        fn = lambda a_, y_: y_ * consumption_approx_small_r(FIG1._replace(y=1.0), a_ / y_)
         for ratio in np.geomspace(1e-2, 1e2, 9):
             a = ratio * FIG1.y
             step = (EPS ** (1 / 3) * max(a, FIG1.y), EPS ** (1 / 3) * FIG1.y)
@@ -211,7 +212,7 @@ class TestJacobianClosed:
             assert dc_da > 0.0 and dc_dy > 0.0
 
     def test_matches_finite_differences(self):
-        fn = lambda a_, y_: consumption_path(FIG1_R0._replace(y=y_), a_)
+        fn = lambda a_, y_: y_ * consumption_path(FIG1_R0._replace(y=1.0), a_ / y_)
         for ratio in np.geomspace(1e-3, 1e3, 15):
             a = ratio * FIG1_R0.y
             step = (EPS ** (1 / 3) * max(a, FIG1_R0.y), EPS ** (1 / 3) * FIG1_R0.y)
@@ -296,7 +297,7 @@ class TestHessianClosed:
             assert abs(h_aa * h_yy - h_ay * h_ay) <= 1e-12 * abs(h_aa * h_yy)
 
     def test_matches_finite_differences(self):
-        fn = lambda a_, y_: consumption_path(FIG1_R0._replace(y=y_), a_)
+        fn = lambda a_, y_: y_ * consumption_path(FIG1_R0._replace(y=1.0), a_ / y_)
         for ratio in np.geomspace(1e-3, 1e3, 15):
             a = ratio * FIG1_R0.y
             step = (EPS**0.25 * max(a, FIG1_R0.y), EPS**0.25 * FIG1_R0.y)

@@ -54,7 +54,7 @@ def test_closed_form_matches_numeric(p):
 
 @pytest.mark.parametrize("p", ZERO_RATE_SETS)
 def test_derivatives_match_finite_differences(p):
-    fn = lambda a_, y_: consumption_path(p._replace(y=y_), a_)
+    fn = lambda a_, y_: y_ * consumption_path(p._replace(y=1.0), a_ / y_)  # c(a; y) = y*c(a/y; 1)
     for ratio in (0.01, 1.0, 100.0):
         a = ratio * p.y
         step = (EPS ** (1 / 3) * max(a, p.y), EPS ** (1 / 3) * p.y)

@@ -317,6 +317,55 @@ class TestOneStep:
         assert sizes == [block] * 4 + [np.sum(-np.log(-xs) - 1.0 > 0.0) - 4 * block]
 
 
+def unguarded_guess(du):
+    """The array start with every region's formulas run, on an empty mask too."""
+    sf = special_functions
+    v = sf._sqrt_du_poly(np.sqrt(np.minimum(du, sf._ASYMPTOTIC_FROM)))
+    near, far = du < sf._SERIES_TO, du >= sf._ASYMPTOTIC_FROM
+    v[near] = sf._branch_series(np.sqrt(-2.0 * np.expm1(-du[near])))
+    v[far] = sf._asymptotic(np.log1p(du[far]), du[far])
+    return v
+
+
+def unguarded_phi(v, du):
+    """The array residual with the near-branch sum run on an empty mask too."""
+    log1p_neg_v = np.log1p(-v)
+    phi = np.where(v > -2.5, (v + log1p_neg_v) + du, (v + du) + log1p_neg_v)
+    near = v > special_functions._NEAR_BRANCH
+    phi[near] = special_functions._phi_near_branch(v[near], du[near])
+    return phi
+
+
+# du on criterion 1's grids, and arrays inside one start region each; the last two hold
+# no v above the near-branch switch, so the residual's near-branch sum is skipped as well
+GUARD_CASES = {
+    **{grid: -np.log(-xs) - 1.0 for grid, xs in CRITERION_1_GRIDS.items()},
+    "series_only": np.geomspace(1e-300, 0.0199, 500),
+    "polynomial_only": np.geomspace(0.02, 24.99, 500),
+    "polynomial_off_the_branch": np.geomspace(0.2, 24.99, 500),
+    "asymptotic_only": np.geomspace(25.0, 1e300, 500),
+}
+
+
+class TestGuardedRegions:
+    """The array kernel skips the start regions and the residual sum no element needs."""
+
+    @pytest.mark.parametrize("case", list(GUARD_CASES))
+    def test_bit_for_bit_the_unguarded_kernel(self, case, monkeypatch):
+        du = GUARD_CASES[case]
+        guarded = special_functions._wm1_offset_array(du)
+        monkeypatch.setattr(special_functions, "_wm1_offset_guess", unguarded_guess)
+        monkeypatch.setattr(special_functions, "_phi", unguarded_phi)
+        assert np.array_equal(guarded, special_functions._wm1_offset_array(du))
+
+    @pytest.mark.parametrize("case", ["series_only", "polynomial_off_the_branch", "asymptotic_only"])
+    def test_a_region_no_element_is_in_is_not_run(self, case, monkeypatch):
+        helpers = ("_branch_series", "_asymptotic", "_phi_near_branch")
+        sizes = {name: count_calls(monkeypatch, name) for name in helpers}
+        special_functions._wm1_offset_array(GUARD_CASES[case])
+        assert all(0 not in called for called in sizes.values())
+
+
 class TestSharedBody:
     """Criterion 1's x-form is the exponent form at du = -log(-x) - 1, with no snap band."""
 

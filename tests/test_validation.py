@@ -61,10 +61,50 @@ class TestFiniteDifferences:
         assert fd[2] == pytest.approx(0.0, abs=1e-6)
 
     def test_hessian_cross_symmetric_function(self):
-        fn = lambda a, y: math.sin(a * y)
+        fn = lambda a, y: np.sin(a * y)
         at = fd_hessian(fn, (0.4, 0.9), (1e-4, 1e-4))[1]
         swapped = fd_hessian(lambda a, y: fn(y, a), (0.9, 0.4), (1e-4, 1e-4))[1]
         assert at == pytest.approx(swapped, rel=1e-9)
+
+    @pytest.mark.parametrize("stencil", [fd_gradient, fd_hessian])
+    @pytest.mark.parametrize("centres", [2.0, np.geomspace(0.5, 4.0, 7)])
+    def test_fn_is_called_once(self, stencil, centres):
+        calls = []
+
+        def fn(a, y):
+            calls.append(np.broadcast(a, y).shape)
+            return a * y
+
+        stencil(fn, (centres, 3.0), (1e-3, 1e-3))
+        assert calls == [((8 if stencil is fd_gradient else 17),) + np.shape(centres)]
+
+    @pytest.mark.parametrize("a", [2.0, np.geomspace(1e-3, 1e3, 9)])
+    def test_bit_for_bit_the_one_point_stencils(self, a):
+        # the stencils as one scalar fn call per point, written out
+        fn = lambda a, y: a * a * y - 3.0 * a * y * y * y + 0.25 * a * a * a * a
+
+        def gradient(a, y, ha, hy):
+            central_a = lambda h: (fn(a + h, y) - fn(a - h, y)) / (2.0 * h)
+            central_y = lambda h: (fn(a, y + h) - fn(a, y - h)) / (2.0 * h)
+            d_da = (4.0 * central_a(0.5 * ha) - central_a(ha)) / 3.0
+            return d_da, (4.0 * central_y(0.5 * hy) - central_y(hy)) / 3.0
+
+        def hessian(a, y, ha, hy):
+            f0 = fn(a, y)
+            second_a = lambda h: (fn(a + h, y) - 2.0 * f0 + fn(a - h, y)) / (h * h)
+            second_y = lambda h: (fn(a, y + h) - 2.0 * f0 + fn(a, y - h)) / (h * h)
+            cross = lambda h1, h2: (
+                fn(a + h1, y + h2) - fn(a + h1, y - h2) - fn(a - h1, y + h2) + fn(a - h1, y - h2)
+            ) / (4.0 * h1 * h2)
+            d2_aa = (4.0 * second_a(0.5 * ha) - second_a(ha)) / 3.0
+            d2_yy = (4.0 * second_y(0.5 * hy) - second_y(hy)) / 3.0
+            return d2_aa, (4.0 * cross(0.5 * ha, 0.5 * hy) - cross(ha, hy)) / 3.0, d2_yy
+
+        y = 3.0
+        for stencil, one_point in ((fd_gradient, gradient), (fd_hessian, hessian)):
+            entries = np.column_stack(stencil(fn, (a, y), (1e-3 * a, 1e-3 * y)))
+            want = [one_point(a_k, y, 1e-3 * a_k, 1e-3 * y) for a_k in np.atleast_1d(a).tolist()]
+            assert entries.tolist() == [list(w) for w in want]
 
 
 RECURSION_CASES = [
