@@ -13,11 +13,14 @@ both paths (1.8 ulp at du ~ 0.1-1), and within 1.2e-16 on 600 log-spaced du
 in [5e-324, 1e-13], subnormals included, where v ~ -sqrt(2*du).  The only
 snap is the branch point itself: du = 0 gives v = 0.0.
 
-Algorithm: a start within 1.8e-6 relative of the root, then one step of
-Householder's method of degree 3 (order four) on the log form of the defining
-equation, in the branch offset so it is well scaled on the whole branch.  The
-step leaves at most 1.1e-25 in exact arithmetic, so its rounded result is
-final and there is no iteration (Fritsch, Shafer & Crowley 1973; Veberic 2012).
+Algorithm: a start within eps = 1.8e-6 relative of the root, then one Halley
+step on the log form of the defining equation, in the branch offset so it is
+well scaled on the whole branch: v + t*(1 - v)/(1 + t/(2v)), t = phi/v.  It
+leaves (3 - 4v)/(12(1 - v)^2)*eps^3 <= eps^3/4 ~ 1.5e-18 relative in exact
+arithmetic, so its rounded result is final and there is no iteration (Fritsch,
+Shafer & Crowley 1973; Veberic 2012).  On both paths it is bit-equal to a
+fourth-order (Householder) step from the same start at 3000 of 3001 log-spaced
+du (2701 in [1e-15, 1e12], 300 in [5e-324, 1e-13]) and 19,997 of criterion 1's 20,000.
 The start is the branch series (Corless et al. 1996) below du = 0.02, a
 degree-7 polynomial in sqrt(du) up to du = 25, and the asymptotic series
 beyond.  The polynomial is a least-squares fit of v, in the Chebyshev basis,
@@ -113,7 +116,7 @@ def wm1_neg_exp_offset(du: float | np.ndarray) -> float | np.ndarray:
     (measured bounds in the module docstring), where w itself would only be
     known to an absolute ulp of 1; downstream formulas that divide by 1 + w
     need exactly this.  v solves phi(v) = v + log1p(-v) + du = 0 (the log form
-    of w*exp(w) = -exp(-u)) by a three-region start and one fourth-order step,
+    of w*exp(w) = -exp(-u)) by a three-region start and one Halley step,
     with no loop; 0.0 exactly at du = 0 (-0.0 too), the branch point.  Valid
     for any finite du >= 0, subnormal ones and those far beyond du ~ 745 where
     -exp(-u) underflows to -0.0, with no intermediate overflow; a negative or
@@ -128,19 +131,20 @@ def wm1_neg_exp_offset(du: float | np.ndarray) -> float | np.ndarray:
         for bad in du[~((du >= 0.0) & (du < inf))][:1]:
             wm1_neg_exp_offset(float(bad))  # raises the scalar path's error
         return _wm1_offset_array(du)
-    if not 0.0 <= du < inf:
-        if du == inf:
-            raise ValueError("wm1_neg_exp_offset: du overflowed to inf")
-        raise ValueError(f"wm1_neg_exp_offset: need du >= 0, got du={du!r}")
-    if du == 0.0:
-        return 0.0
-    # the start (regions in the module docstring): within 1.8e-6 relative of v for du > 0
-    if du < _SERIES_TO:
-        v = _branch_series(sqrt(-2.0 * expm1(-du)))
-    elif du < _ASYMPTOTIC_FROM:
+    # the start (regions in the module docstring): within 1.8e-6 relative of v for du > 0; the
+    # polynomial region first, then the other two, and du = 0, inf, negative or NaN last
+    if _SERIES_TO <= du < _ASYMPTOTIC_FROM:
         v = _sqrt_du_poly(sqrt(du))
-    else:
+    elif 0.0 < du < _SERIES_TO:
+        v = _branch_series(sqrt(-2.0 * expm1(-du)))
+    elif _ASYMPTOTIC_FROM <= du < inf:
         v = _asymptotic(log1p(du), du)
+    elif du == 0.0:
+        return 0.0
+    elif du == inf:
+        raise ValueError("wm1_neg_exp_offset: du overflowed to inf")
+    else:
+        raise ValueError(f"wm1_neg_exp_offset: need du >= 0, got du={du!r}")
     # phi(v) = v + log1p(-v) + du with each regime's leading cancellation exact: the series has
     # none; then v cancels log1p(-v)'s linear part; far out v + du cancels within Sterbenz range
     if v > _NEAR_BRANCH:
@@ -149,10 +153,9 @@ def wm1_neg_exp_offset(du: float | np.ndarray) -> float | np.ndarray:
         phi = (v + log1p(-v)) + du
     else:
         phi = (v + du) + log1p(-v)
-    # Householder on phi' = -v/(1-v), phi'' = -1/(1-v)^2, phi''' = -2/(1-v)^3; t, q never overflow
+    # Halley on phi' = -v/(1-v), phi'' = -1/(1-v)^2, so -phi*phi''/(2*phi'^2) = t/(2v); t stays finite
     t = phi / v
-    q = t / v
-    return v + t * (1.0 - v) * (1.0 + 0.5 * q) / (1.0 + q + t * q / 3.0)
+    return v + t * (1.0 - v) / (1.0 + 0.5 * t / v)
 
 
 def _wm1_offset_array(du: np.ndarray) -> np.ndarray:
@@ -166,7 +169,6 @@ def _wm1_offset_array(du: np.ndarray) -> np.ndarray:
             idx = start + np.flatnonzero(flat[idx])
         d = flat[idx]
         v = _wm1_offset_guess(d)
-        t = _phi(v, d) / v  # the scalar body's Householder step
-        q = t / v
-        out[idx] = v + t * (1.0 - v) * (1.0 + 0.5 * q) / (1.0 + q + t * q / 3.0)
+        t = _phi(v, d) / v  # the scalar body's Halley step
+        out[idx] = v + t * (1.0 - v) / (1.0 + 0.5 * t / v)
     return out.reshape(du.shape)

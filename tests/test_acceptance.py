@@ -4,10 +4,13 @@ Each test prints one line per check (run pytest with -s or -rA to see them)
 and fails if any measured value exceeds its tolerance.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from ifpclosed.checks import _EPS, _FIGURE1_R0, CRITERIA
+from ifpclosed import checks
+from ifpclosed.checks import _EPS, _FIGURE1_R0, CRITERIA, run_level
 from ifpclosed.consumption import consumption_path
 
 
@@ -54,6 +57,39 @@ def test_criterion_8_discrete_time_model():
 
 def test_criterion_9_figure_reproduction():
     run_and_report(9)
+
+
+# every row of the suite, sorted by name
+ROW_NAMES = [
+    "closed_vs_numeric.exact_anchor_rel_gap", "closed_vs_numeric.lambert_identity",
+    "closed_vs_numeric.max_rel_gap", "discrete.delta_shrink_margin",
+    "discrete.dp_policy_gap_over_y", "discrete.dp_runtime_seconds", "discrete.dp_sup_norm_residual",
+    "discrete.knots_increasing_margin", "discrete.mu0", "figures.constrained_gap_over_y",
+    "figures.fig2_vs_report", "hessian.determinant_rel", "hessian.fd_rel_err",
+    "hessian.sign_pattern_margin", "hessian.supermodularity_margin",
+    "hessian.supermodularity_rel_margin", "jacobian.asymptotic_mpc",
+    "jacobian.entries_positive_margin", "jacobian.euler_identity", "jacobian.fd_rel_err",
+    "lambert.array_residual", "lambert.array_round_trip", "lambert.array_vs_scalar",
+    "lambert.round_trip", "lambert.runtime_seconds", "lambert.wm1_residual",
+    "rk4.depletion_time_rel", "rk4.mu_identity_rel", "rk4.runtime_seconds",
+    "rk4.terminal_assets_rel", "small_r.gap_at_zero_assets", "small_r.halving_ratio_band",
+    "small_r.zero_rate_row", "value_bound.margin", "value_bound.perturbation_dominance",
+]
+
+
+def test_full_suite_builds_each_figure_2_grid_once(monkeypatch):
+    # criterion 7's r = 0.01 report grid gives both its halving ratios and figure 2's bound, from
+    # one inversion; the five are its three rates, figure 2's default grid and figure 1
+    built, figure_rows = Counter(), checks.figure_rows
+
+    def counted(params, which, grid, delta):
+        built[params, which, grid.tobytes()] += 1
+        return figure_rows(params, which, grid, delta)
+
+    monkeypatch.setattr(checks, "figure_rows", counted)
+    rows = run_level("full")
+    assert sorted(row.name for row in rows) == ROW_NAMES and all(row.passed for row in rows)
+    assert sum(built.values()) == 5 and max(built.values()) == 1
 
 
 def test_criterion_8_reports_the_dp_residual_against_its_stop_bound():

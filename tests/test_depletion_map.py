@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ifpclosed import depletion_map
 from ifpclosed.consumption import consumption_derivatives, consumption_path
 from ifpclosed.depletion_map import (
     best_depletion_time,
@@ -40,6 +41,34 @@ MP_SETS = [
 
 def with_r(r):
     return validate(ModelParams(rho=0.08, r=r, gamma=0.5, y=3.0))
+
+
+def count_mu_pairs(monkeypatch):
+    """Count the calls of ``depletion_map._mu_pair``, the one body of mu and mu'."""
+    calls = [0]
+    body = depletion_map._mu_pair
+
+    def counted(*args):
+        calls[0] += 1
+        return body(*args)
+
+    monkeypatch.setattr(depletion_map, "_mu_pair", counted)
+    return calls
+
+
+# (rho, r, gamma, y), a from a random r >= 0 sweep of 8,000 rows: with the bracket test
+# widened to lo <= T_new <= hi and nothing else, h_numeric 2-cycles on each of these between
+# two iterates about 6e-15 apart, each within its tolerance, for 1000 steps
+CLOSED_BRACKET_CYCLES = [
+    ((0.05686286663811358, 0.027561716256207236, 4.407991007759769, 40.337579137441416),
+     0.019459286662189074),
+    ((0.07977630236528195, 0.026617555331259382, 3.6217338578108937, 0.030448074896272794),
+     5.8883280859145e-05),
+    ((0.06124109061504921, 0.006784207945604709, 1.373825693569069, 1.0807019945372307),
+     0.025442820236701448),
+    ((0.05665074998819106, 0.0, 1.3704323376543155, 0.9621636944233748),
+     0.0032425535454967077),
+]
 
 
 class TestMu:
@@ -277,6 +306,25 @@ class TestHNumeric:
             warnings.simplefilter("error")
             assert h_numeric(p, np.float64(1.7e308)).T == h_numeric(p, 1.7e308).T
 
+    @pytest.mark.parametrize("pset,a", CLOSED_BRACKET_CYCLES)
+    def test_converges_where_a_closed_bracket_test_alone_cycles(self, pset, a, monkeypatch):
+        # h_numeric takes 7-9 evaluations on each; the widened bracket test alone takes 1002-1003
+        p = validate(ModelParams(*pset))
+        calls = count_mu_pairs(monkeypatch)
+        T = h_numeric(p, a).T
+        assert calls[0] <= 20
+        assert abs(mu(p, T) - a) <= 1e-12 * max(a, p.y)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="once a Newton step rounds onto a bracket end, the strict test lo < T_new < hi "
+        "fails and h_numeric bisects the whole bracket: 57 evaluations here (ROADMAP item 2)",
+    )
+    def test_few_evaluations_at_the_figure_point(self, monkeypatch):
+        calls = count_mu_pairs(monkeypatch)
+        h_numeric(FIG1_R0, 3.0)
+        assert calls[0] <= 12
+
     @pytest.mark.parametrize("r", [0.0, 0.01])
     def test_converges_at_every_decade_past_1e100(self, r):
         p = with_r(r)
@@ -335,6 +383,29 @@ class TestHClosedR0:
     def test_rejects_positive_rate(self):
         with pytest.raises(ValueError, match="r = 0"):
             h_closed_r0(FIG1, 1.0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="_branch forms B*a first, which underflows to 0 although du = 2e-300 is a "
+        "normal double (ROADMAP items 8 and 17)",
+    )
+    def test_tiny_rate_and_income(self):
+        # du = 2e-300, v ~ -2e-150, T = log1p(-v)/rho ~ 1e150; h_numeric's root is within rounding
+        p = validate(ModelParams(2e-300, 0.0, 1.0, 1e-300))
+        assert h_closed_r0(p, 1e-300).T == pytest.approx(h_numeric(p, 1e-300).T, rel=1e-12)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RuntimeWarning,
+        reason="a numpy-scalar a takes the scalar path, where B*a/(gamma*y) overflows in numpy "
+        "and warns before the ValueError (ROADMAP item 8)",
+    )
+    def test_numpy_scalar_overflowing_offset_raises_without_a_warning(self):
+        p = validate(ModelParams(0.08, 0.0, 1e-3, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                h_closed_r0(p, np.float64(1e307))
 
 
 class TestHApproxSmallR:

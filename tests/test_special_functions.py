@@ -285,7 +285,7 @@ CRITERION_1_GRIDS = {
 
 
 class TestOneStep:
-    """A start within 1e-5 of v, then one fourth-order step: one residual, no iteration."""
+    """A start within 1e-5 of v, then one Halley step: one residual, no iteration."""
 
     @pytest.mark.parametrize("path", ["scalar", "array"])
     def test_start_within_1e_5_of_mpmath(self, path, scalar_start):
@@ -297,6 +297,25 @@ class TestOneStep:
         v0 = _wm1_offset_guess(du) if path == "array" else [scalar_start(float(x)) for x in du]
         worst = max(rel_err(v_x, branch_offset_ref(x)) for x, v_x in zip(du, v0))
         assert worst <= 1e-5
+
+    @pytest.mark.parametrize("path", ["scalar", "array"])
+    def test_one_halley_step_is_final_in_exact_arithmetic(self, path, scalar_start):
+        from mp_reference import _branch_offset, mpmath
+
+        # from within 1.8e-6, Halley leaves (3 - 4v)/(12(1 - v)^2)*eps^3 <= eps^3/4 ~ 1.5e-18;
+        # 60 digits resolve phi ~ v^2*eps here, where v + log1p(-v) cancels to -v^2/2.
+        # Reads 2.0e-19; a Newton step would leave 3.7e-13
+        du = np.geomspace(1e-12, 1e8, 800)
+        v0 = _wm1_offset_guess(du) if path == "array" else [scalar_start(float(x)) for x in du]
+        worst = 0.0
+        with mpmath.workdps(60):
+            for x, v in zip(du.tolist(), v0):
+                x, v = mpmath.mpf(x), mpmath.mpf(v)
+                t = (v + mpmath.log1p(-v) + x) / v
+                step = v + t * (1 - v) / (1 + t / (2 * v))
+                ref = _branch_offset(x)
+                worst = max(worst, abs((step - ref) / ref))
+        assert worst <= 1e-17
 
     @pytest.mark.parametrize("grid", list(CRITERION_1_GRIDS))
     def test_scalar_call_evaluates_the_residual_once(self, grid):
