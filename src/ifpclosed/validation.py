@@ -419,21 +419,17 @@ _DP_MAX_SWEEPS = 100_000
 def grid_dp(params: ModelParams, delta: float, a_grid: np.ndarray) -> _DpSolution:
     """Endogenous-grid solve of the discrete model on ``a_grid`` (must start at 0).
 
-    Bellman equation V(a) = max_c delta*u(c) + beta*V(a') with
-    beta = 1/(1 + rho*delta), a' = (1 + r*delta)*a + delta*(y - c) and
-    0 <= a' <= a_grid[-1].  Each sweep (Carroll 2006) reads the policy on the
-    grid as next period's c'(a'), so the Euler equation gives today's
-    c = (beta*(1 + r*delta))^(-1/gamma)*c' and the endogenous assets
-    a = (a' - delta*(y - c))/(1 + r*delta) of each node a'.  ``np.interp`` maps
-    the pairs (a, a') back to the grid, where c is the budget's remainder:
-    below the first endogenous point it clamps a' to 0, the binding constraint
-    c = y + (1 + r*delta)*a/delta, and above the last one to a_grid[-1].  The
-    sweeps start from consuming all cash and stop when the policy repeats bit
-    for bit, which finite depletion brings about; ``_DP_MAX_SWEEPS`` sweeps
-    without it raise RuntimeError.  ``value`` is the value of the policy's
-    own plan, followed from each node through the same map until a' = 0, and
-    c = y from then on; a plan still short of a = 0 after ``iterations``
-    steps raises RuntimeError.
+    Bellman equation V(a) = max_c delta*u(c) + beta*V(a'), beta = 1/(1 + rho*delta), on the one
+    budget, a' = (1 + r*delta)*a + delta*(y - c) with 0 <= a' <= a_grid[-1], that
+    ``figures.discrete_policy`` solves in closed form.  Each sweep (Carroll 2006) reads the policy on
+    the grid as next period's c'(a'); the Euler equation gives c = (beta*(1 + r*delta))^(-1/gamma)*c'
+    and the endogenous a = (a' - delta*(y - c))/(1 + r*delta).  ``np.interp`` maps the pairs (a, a')
+    back to the grid, where c is the budget's remainder, a' clamped to 0 below the first endogenous
+    point (the binding constraint c = y + (1 + r*delta)*a/delta) and to a_grid[-1] above the last.
+    The sweeps start from consuming all cash and stop when the policy repeats bit for bit, which finite
+    depletion brings about; ``_DP_MAX_SWEEPS`` sweeps without it raise RuntimeError.  ``value`` is the
+    value of the policy's own plan, followed through the same map until a' = 0, and c = y from then
+    on; a plan still short of a = 0 after ``iterations`` steps raises RuntimeError.
     """
     a = np.asarray(a_grid, dtype=float)
     if a.ndim != 1 or a.size < 2 or np.any(np.diff(a) <= 0.0):

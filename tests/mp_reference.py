@@ -81,3 +81,19 @@ def r0_reference(rho, gamma, y, a):
 def rel_err(value, ref):
     """|value - ref|/|ref| as a float (NaN for a NaN value, which fails any bound)."""
     return float(abs((mpmath.mpf(value) - ref) / ref))
+
+
+def knot_assets_ref(rho, r, gamma, y, delta, n):
+    """Knots m_0..m_n of the discrete model with budget a' = (1 + r*delta)*a + delta*(y - c).
+
+    The recursion m_k = (m_(k-1) + delta*y*(G^k - 1))/(1 + r*delta) from m_0 = 0,
+    G = ((1 + r*delta)/(1 + rho*delta))^(-1/gamma), summed in mpf at DPS digits.
+    """
+    with mpmath.workdps(DPS):
+        rho, r, gamma, y, delta = (mpmath.mpf(v) for v in (rho, r, gamma, y, delta))
+        growth = ((1 + r * delta) / (1 + rho * delta)) ** (-1 / gamma)
+        knots, power = [mpmath.mpf(0)], mpmath.mpf(1)
+        for _ in range(n):
+            power *= growth
+            knots.append((knots[-1] + delta * y * (power - 1)) / (1 + r * delta))
+    return knots

@@ -63,7 +63,8 @@ def test_criterion_9_figure_reproduction():
 ROW_NAMES = [
     "closed_vs_numeric.exact_anchor_rel_gap", "closed_vs_numeric.lambert_identity",
     "closed_vs_numeric.max_rel_gap", "discrete.delta_shrink_margin",
-    "discrete.dp_policy_gap_over_y", "discrete.dp_runtime_seconds", "discrete.dp_sup_norm_residual",
+    "discrete.dp_policy_gap_over_y", "discrete.dp_policy_gap_over_y_rpos",
+    "discrete.dp_runtime_seconds", "discrete.dp_sup_norm_residual",
     "discrete.knots_increasing_margin", "discrete.mu0", "figures.constrained_gap_over_y",
     "figures.fig2_vs_report", "hessian.determinant_rel", "hessian.fd_rel_err",
     "hessian.sign_pattern_margin", "hessian.supermodularity_margin",
@@ -73,7 +74,8 @@ ROW_NAMES = [
     "lambert.round_trip", "lambert.runtime_seconds", "lambert.wm1_residual",
     "rk4.depletion_time_rel", "rk4.mu_identity_rel", "rk4.runtime_seconds",
     "rk4.terminal_assets_rel", "small_r.gap_at_zero_assets", "small_r.halving_ratio_band",
-    "small_r.zero_rate_row", "value_bound.margin", "value_bound.perturbation_dominance",
+    "small_r.overconsumption_margin", "small_r.zero_rate_row", "value_bound.margin",
+    "value_bound.perturbation_dominance",
 ]
 
 

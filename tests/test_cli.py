@@ -13,7 +13,7 @@ from ifpclosed import checks, depletion_map, figures, special_functions
 from ifpclosed.cli import _sweep_grid, main
 from ifpclosed.consumption import consumption_approx_small_r, consumption_from_depletion_time
 from ifpclosed.depletion_map import h_numeric, mu
-from ifpclosed.figures import _PiecewiseLinearPolicy, _step_growth, discrete_policy, figure_rows
+from ifpclosed.figures import _bracket, _knot_assets, _log_steps, figure_rows
 from ifpclosed.model_core import ModelParams, validate
 
 FIG1 = validate(ModelParams(rho=0.08, r=0.01, gamma=0.5, y=3.0))
@@ -291,14 +291,14 @@ class TestFigure:
         out = tmp_path / "fig1.csv"
         main(["figure", "--which", "1", "--n", "101", "--out", str(out)])
         _, rows = read_csv(out)
-        growth = _step_growth(FIG1, 1.0)
-        pol = discrete_policy(FIG1, 1.0, 10.0 * FIG1.y)
+        growth = math.exp(_log_steps(FIG1, 1.0)[0])
+        knots = _knot_assets(FIG1, 1.0, np.arange(_bracket(FIG1, 1.0, np.array([10.0 * FIG1.y]))[0][0] + 2.0))
         knot_rows = [r for r in rows if r[3] == "1"]
         assert len(knot_rows) >= 5
         for row in knot_rows:
             a = float(row[0]) * FIG1.y
-            k = int(np.argmin(np.abs(pol.knot_assets - a)))
-            assert a == pytest.approx(float(pol.knot_assets[k]), abs=1e-12)
+            k = int(np.argmin(np.abs(knots - a)))
+            assert a == pytest.approx(float(knots[k]), abs=1e-12)
             assert float(row[1]) * FIG1.y == pytest.approx(FIG1.y * growth**k, rel=1e-12)
 
     def test_figure1_gap_at_constraint(self, tmp_path):
@@ -351,11 +351,14 @@ class TestFigure:
             grid[moved] = knots[closest[first]]
             return grid, np.bincount(moved, minlength=grid.size)
 
+        def around(params, delta, a):  # the search's (k, m_k, m_(k+1)), on the drawn knots
+            k = np.searchsorted(knots, a, side="right") - 1
+            return k.astype(float), knots[k], knots[k + 1]
+
         p = validate(ModelParams(rho=0.08, r=0.01, gamma=0.5, y=1.0))  # rows are a exactly
         rng = np.random.default_rng(7)
         knots = None
-        monkeypatch.setattr(figures, "discrete_policy",
-                            lambda params, delta, a_max: _PiecewiseLinearPolicy(knots, knots + 1.0))
+        monkeypatch.setattr(figures, "_bracket", around)
         for trial in range(600):
             draw = rng.integers if trial % 2 else rng.uniform
             grid = np.unique(draw(0, 60, rng.integers(2, 25)).astype(float))
@@ -466,16 +469,16 @@ class TestCheck:
         lines = capsys.readouterr().out.splitlines()
         rows = checks.run_level("full")
         assert rc == 0
-        assert len(rows) == 35
+        assert len(rows) == 37
         assert [line.split()[1] for line in lines[:-1]] == [r.name for r in rows]
         assert all(line.startswith("PASS  ") for line in lines[:-1])
-        assert lines[-1] == "PASS: 35/35 checks"
+        assert lines[-1] == "PASS: 37/37 checks"
 
     def test_every_measured_value_is_a_python_float(self):
         # a numpy scalar would print as np.float64(...) in a repr of the row
         rows = checks.run_level("full")
         assert [r.name for r in rows if type(r.measured) is not float] == []
-        assert len(rows) == 35
+        assert len(rows) == 37
 
     def test_unknown_level_exits_2(self, capsys):
         # one suite: check takes no --level, not even the old "full"
@@ -518,7 +521,7 @@ class TestRuleCheckedOnce:
          ["sweep", "jacobian", "--r", "0.01", "--a-min", "1", "--a-max", "2", "--n", "5"],
          ["sweep", "jacobian", "--r", "0", "--a-min", "0", "--a-max", "2", "--n", "5"],
          ["figure", "--which", "1", "--r", "0"],
-         ["figure", "--which", "1", "--r", "0.01", "--delta", "1e-7", "--n", "5"],
+         ["figure", "--which", "1", "--r", "0.01", "--delta", "1e-15", "--n", "5"],
          ["eval", "--r", "0", "--y", "1e-300", "--a", "1e-312"],
          ["sweep", "jacobian", "hessian", "--r", "0", "--y", "1e-300",
           "--a-min", "1e-312", "--a-max", "1e-300", "--n", "3"]],

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-import ifpclosed.figures
+from ifpclosed import figures
 from ifpclosed.checks import _wm1
 from ifpclosed.consumption import (
     consumption_approx_small_r,
@@ -15,7 +15,7 @@ from ifpclosed.consumption import (
     consumption_path,
 )
 from ifpclosed.depletion_map import h_approx_small_r, h_closed_r0, h_numeric, mu
-from ifpclosed.figures import _consumption_unconstrained, _mu_discrete, _step_growth, discrete_policy
+from ifpclosed.figures import _consumption_unconstrained, _knot_assets, _log_steps, discrete_policy
 from ifpclosed.model_core import ModelParams, validate
 from ifpclosed.validation import fd_gradient, fd_hessian
 
@@ -394,72 +394,97 @@ class TestConsumptionDerivatives:
         assert all(np.isfinite(getattr(d, f)).all() for f in d._asdict())
 
 
+def knot_consumption(p, delta, k):
+    return p.y * math.exp(_log_steps(p, delta)[0]) ** np.asarray(k, dtype=float)
+
+
+def knots_through(p, delta, a):
+    """Every knot m_0..m_(k+1), k the knot index at or below a."""
+    k = figures._bracket(p, delta, np.array([a]))[0][0]
+    return _knot_assets(p, delta, np.arange(k + 2.0))
+
+
+def budget_recursion(p, delta, n):
+    """m_0..m_n from m_k = (m_(k-1) + delta*y*(G^k - 1))/(1 + r*delta), in doubles."""
+    log_g = _log_steps(p, delta)[0]
+    knots = [0.0]
+    for k in range(1, n + 1):
+        knots.append((knots[-1] + delta * p.y * math.expm1(k * log_g)) / (1.0 + p.r * delta))
+    return np.array(knots)
+
+
 class TestDiscretePolicy:
     def test_income_at_constraint(self):
-        pol = discrete_policy(FIG1, 1.0, 10.0)
-        assert pol(0.0) == FIG1.y
+        assert discrete_policy(FIG1, 1.0, 0.0) == FIG1.y
 
     def test_exact_at_knots(self):
-        pol = discrete_policy(FIG1, 1.0, 10.0)
-        growth = _step_growth(FIG1, 1.0)
-        for k, a_k in enumerate(pol.knot_assets):
-            assert pol(float(a_k)) == pytest.approx(FIG1.y * growth**k, rel=1e-14)
+        knots = knots_through(FIG1, 1.0, 10.0)
+        for k, a_k in enumerate(knots):
+            assert discrete_policy(FIG1, 1.0, float(a_k)) == pytest.approx(
+                knot_consumption(FIG1, 1.0, k), rel=1e-14
+            )
+        assert discrete_policy(FIG1, 1.0, knots).tolist() == [
+            discrete_policy(FIG1, 1.0, float(a_k)) for a_k in knots
+        ]
 
     def test_continuous_at_interior_knots(self):
-        pol = discrete_policy(FIG1, 1.0, 10.0)
-        for a_k in pol.knot_assets[1:-1]:
-            below = pol(float(a_k) - 1e-10)
-            above = pol(float(a_k) + 1e-10)
+        for a_k in knots_through(FIG1, 1.0, 10.0)[1:-1]:
+            below = discrete_policy(FIG1, 1.0, float(a_k) - 1e-10)
+            above = discrete_policy(FIG1, 1.0, float(a_k) + 1e-10)
             assert below == pytest.approx(above, abs=1e-8)
 
     def test_slopes_positive_and_nonincreasing(self):
-        pol = discrete_policy(FIG1, 0.5, 20.0)
-        slopes = np.diff(pol.knot_consumption) / np.diff(pol.knot_assets)
+        knots = knots_through(FIG1, 0.5, 20.0)
+        slopes = np.diff(discrete_policy(FIG1, 0.5, knots)) / np.diff(knots)
         assert np.all(slopes > 0.0)
         assert np.all(np.diff(slopes) < 0.0)
 
     def test_segments_interpolate_knots(self):
-        # on each knot interval the policy is the chord between its end knots
-        pol = discrete_policy(FIG1, 1.0, 10.0)
-        slopes = np.diff(pol.knot_consumption) / np.diff(pol.knot_assets)
-        mid = 0.5 * (pol.knot_assets[:-1] + pol.knot_assets[1:])
-        chord = pol.knot_consumption[:-1] + slopes * (mid - pol.knot_assets[:-1])
-        assert pol(mid) == pytest.approx(chord, rel=1e-12)
+        # on each knot interval the policy is the chord between its end knots, whose
+        # run the policy takes from the budget rather than from the knot above
+        knots = knots_through(FIG1, 1.0, 10.0)
+        cons = knot_consumption(FIG1, 1.0, np.arange(knots.size))
+        slopes = np.diff(cons) / np.diff(knots)
+        mid = 0.5 * (knots[:-1] + knots[1:])
+        chord = cons[:-1] + slopes * (mid - knots[:-1])
+        assert discrete_policy(FIG1, 1.0, mid) == pytest.approx(chord, rel=1e-12)
 
     def test_covers_requested_range(self):
-        pol = discrete_policy(FIG1, 1.0, 25.0)
-        assert pol.knot_assets[-1] >= 25.0
-        assert pol.knot_assets[-2] < 25.0
+        # the two knots around a are found for any finite a, with no knot array below them
+        k, below, above = figures._bracket(FIG1, 1.0, np.array([25.0, 1e300]))
+        assert np.all(below <= [25.0, 1e300]) and np.all(np.array([25.0, 1e300]) < above)
+        assert below.tolist() == _knot_assets(FIG1, 1.0, k).tolist()
+        assert above.tolist() == _knot_assets(FIG1, 1.0, k + 1.0).tolist()
 
     def test_converges_to_continuous_closed_form(self):
         a_eval = np.linspace(0.0, 10.0, 101)
         exact = np.array([consumption_path(FIG1_R0, a) for a in a_eval])
         gaps = []
         for delta in (0.5, 0.1):
-            pol = discrete_policy(FIG1_R0, delta, 10.0)
-            gaps.append(np.max(np.abs(pol(a_eval) - exact)))
+            gaps.append(np.max(np.abs(discrete_policy(FIG1_R0, delta, a_eval) - exact)))
         assert gaps[1] < gaps[0]
 
     def test_evaluation_domain(self):
-        pol = discrete_policy(FIG1, 1.0, 5.0)
-        with pytest.raises(ValueError):
-            pol(-0.1)
-        with pytest.raises(ValueError):
-            pol(float(pol.knot_assets[-1]) * 1.01)
+        # the domain is every finite a >= 0, past any knot
+        with pytest.raises(ValueError, match="outside"):
+            discrete_policy(FIG1, 1.0, -0.1)
+        assert math.isfinite(discrete_policy(FIG1, 1.0, 1.7e308))
 
     @pytest.mark.parametrize("a", [math.nan, [0.5, math.nan]], ids=["scalar", "array"])
     def test_rejects_nan_assets(self, a):
-        pol = discrete_policy(FIG1, 1.0, 30.0)
         with pytest.raises(ValueError, match="outside"):
-            pol(a)
+            discrete_policy(FIG1, 1.0, a)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            discrete_policy(FIG1, 1.0, 0.0)
+            discrete_policy(FIG1, 1.0, -1.0)
+        with pytest.raises(ValueError):
+            discrete_policy(FIG1, 0.0, 1.0)
 
+    # the third argument is the assets a
     @pytest.mark.parametrize("a_max", [math.nan, math.inf])
     def test_rejects_non_finite_a_max(self, a_max):
-        with pytest.raises(ValueError, match="finite a_max"):
+        with pytest.raises(ValueError, match="outside"):
             discrete_policy(FIG1, 1.0, a_max)
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf])
@@ -467,23 +492,34 @@ class TestDiscretePolicy:
         with pytest.raises(ValueError, match="finite delta"):
             discrete_policy(FIG1, delta, 10.0)
 
-    # (5, 1e100) needs ~19% more knots than T/delta and takes the doubling step
+    # the closed-form knots against the budget's recursion summed in doubles: both
+    # carry rounding, the closed form's worst at small k and the recursion's growing
+    # with k.  The worst reads 7.9e-13, at (0.001, 1000) and r = 0, over 2.5e4 knots.
     @pytest.mark.parametrize("p", [FIG1, FIG1_R0], ids=["r>0", "r=0"])
     @pytest.mark.parametrize(
         "delta,a_max", [(1.0, 30.0), (0.01, 3e3), (5.0, 3e5), (1e-3, 1e3), (5.0, 1e100)]
     )
     def test_knots_are_a_prefix_of_the_recursion(self, p, delta, a_max):
-        knots = discrete_policy(p, delta, a_max).knot_assets
-        assert knots[-1] >= a_max > knots[-2]
-        assert np.array_equal(knots, _mu_discrete(p, delta, knots.size + 100)[: knots.size])
+        knots = knots_through(p, delta, a_max)
+        assert knots[-1] > a_max >= knots[-2]
+        expected = budget_recursion(p, delta, knots.size - 1)
+        assert knots[0] == expected[0] == 0.0
+        assert np.max(np.abs(knots[1:] - expected[1:]) / expected[1:]) <= 1e-11
 
-    def test_too_many_knots_raise_before_any_is_built(self, monkeypatch):
-        def no_knots(*args):
-            pytest.fail("mu_discrete called")
+    def test_knot_index_past_2_53_raises(self):
+        with pytest.raises(ValueError, match=r"past 2\*\*53"):
+            discrete_policy(FIG1, 1e-15, 30.0)
 
-        monkeypatch.setattr(ifpclosed.figures, "_mu_discrete", no_knots)
-        with pytest.raises(ValueError, match=r"over 2\*\*24 knots"):
-            discrete_policy(FIG1, 1e-7, 30.0)
+    def test_cost_does_not_grow_as_delta_shrinks(self, monkeypatch):
+        # every closed-form evaluation is on at most one value per asset
+        sizes = []
+        terms = figures._knot_terms
+        monkeypatch.setattr(figures, "_knot_terms", lambda p, d, k: sizes.append(np.size(k)) or terms(p, d, k))
+        a = np.linspace(0.0, 30.0, 201)
+        for delta in (1.0, 1e-9):
+            sizes.clear()
+            assert np.all(np.isfinite(discrete_policy(FIG1, delta, a)))
+            assert max(sizes) <= a.size and len(sizes) <= 20
 
 
 class TestConsumptionUnconstrained:
@@ -506,8 +542,7 @@ class TestConsumptionUnconstrained:
         ]
 
     def test_exceeds_constrained_at_zero_assets(self):
-        pol = discrete_policy(FIG1, 1.0, 5.0)
-        assert _consumption_unconstrained(FIG1, 0.0) > pol(0.0)
+        assert _consumption_unconstrained(FIG1, 0.0) > discrete_policy(FIG1, 1.0, 0.0)
 
     def test_rejects_zero_rate(self):
         with pytest.raises(ValueError):

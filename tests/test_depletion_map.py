@@ -20,7 +20,7 @@ from ifpclosed.depletion_map import (
     mu,
     mu_prime,
 )
-from ifpclosed.figures import _mu_discrete, _step_growth
+from ifpclosed.figures import _knot_assets, _log_steps
 from ifpclosed.model_core import ModelParams, validate
 
 FIG1 = validate(ModelParams(rho=0.08, r=0.01, gamma=0.5, y=3.0))
@@ -505,55 +505,75 @@ class TestBestDepletionTime:
 
 
 class TestMuDiscrete:
+    """The discrete model's knots m_k, in closed form on ``grid_dp``'s budget."""
+
     def test_initial_condition(self):
-        assert _mu_discrete(FIG1, 1.0, 5)[0] == 0.0
+        assert _knot_assets(FIG1, 1.0, np.arange(6.0))[0] == 0.0
 
     def test_frozen_first_knot(self):
-        # 3*(1.08/1.01)^2 - 3/1.01
-        knots = _mu_discrete(FIG1, 1.0, 1)
-        assert knots[1] == pytest.approx(0.45995490638172728, rel=1e-13)
+        # q*delta*y*(G - 1) = 3*((1.08/1.01)^2 - 1)/1.01
+        assert _knot_assets(FIG1, 1.0, 1.0) == pytest.approx(0.42599201592544315, rel=1e-13)
 
     def test_strictly_increasing(self):
-        knots = _mu_discrete(FIG1, 1.0, 40)
+        knots = _knot_assets(FIG1, 1.0, np.arange(41.0))
         assert np.all(np.diff(knots) > 0.0)
 
     def test_growth_factor(self):
-        assert _step_growth(FIG1, 1.0) == pytest.approx((1.08 / 1.01) ** 2, rel=1e-14)
+        assert math.exp(_log_steps(FIG1, 1.0)[0]) == pytest.approx((1.08 / 1.01) ** 2, rel=1e-14)
 
     def test_continuum_limit_at_two(self):
-        knots = _mu_discrete(FIG1, 1e-4, 20_000)
-        assert knots[-1] == pytest.approx(mu(FIG1, 2.0), rel=1e-3)
+        assert _knot_assets(FIG1, 1e-4, 20_000.0) == pytest.approx(mu(FIG1, 2.0), rel=1e-3)
 
     def test_interpolated_knots_converge_to_mu(self):
         ts = np.linspace(0.0, 10.0, 501)
         exact = np.array([mu(FIG1, t) for t in ts])
         sups = []
         for delta in (0.5, 0.1, 0.02):
-            knots = _mu_discrete(FIG1, delta, int(10.0 / delta) + 2)
+            knots = _knot_assets(FIG1, delta, np.arange(int(10.0 / delta) + 3.0))
             times = delta * np.arange(knots.size)
             sups.append(np.max(np.abs(np.interp(ts, times, knots) - exact)))
         assert sups[0] > sups[1] > sups[2]
 
+    # the closed form's two terms cancel at small k, to about eps/log G relative (2e-7 is
+    # log G at (0.08, 0.079, 5, 100), delta = 1e-3, where k = 5 reads 3.6e-10), and the
+    # recursion in doubles drifts with k (2.4e-12 over 2e5 knots at (0.05, 0.02, 2, 0.7))
     @pytest.mark.parametrize("params", [FIG1, validate(ModelParams(0.05, 0.02, 2.0, 0.7)),
                                         validate(ModelParams(0.08, 0.079, 5.0, 100.0))])
     @pytest.mark.parametrize("delta, n", [(1.0, 40), (0.02, 2000), (1e-3, 200_000)])
     def test_equals_the_knot_by_knot_recursion(self, params, delta, n):
-        dy, shrink = delta * params.y, 1.0 + params.r * delta
-        rhs = dy * _step_growth(params, delta) ** np.arange(n + 1)
+        log_g = _log_steps(params, delta)[0]
         expected = np.zeros(n + 1)
         for k in range(1, n + 1):
-            expected[k] = rhs[k] - (dy - expected[k - 1]) / shrink
-        assert _mu_discrete(params, delta, n).tobytes() == expected.tobytes()
+            expected[k] = (expected[k - 1] + delta * params.y * math.expm1(k * log_g)) / (1.0 + params.r * delta)
+        knots = _knot_assets(params, delta, np.arange(n + 1.0))
+        assert knots[0] == 0.0
+        assert np.max(np.abs(knots[1:] - expected[1:]) / expected[1:]) <= 4.0 * np.finfo(float).eps / log_g + 1e-11
+
+    # each bound is the worst error of the same recursion summed in doubles
+    @pytest.mark.parametrize(
+        "r, delta, n, tol",
+        [(0.01, 1.0, 60, 8.3e-15), (0.01, 1e-2, 3000, 4.3e-13), (0.01, 1e-4, 20_000, 2.2e-11),
+         (0.0, 1.0, 60, 1.5e-14), (0.0, 1e-2, 3000, 1.6e-13), (0.0, 1e-4, 20_000, 1.1e-11)],
+    )
+    def test_against_a_50_digit_recursion(self, r, delta, n, tol):
+        # the closed form's worst is at small k, where its two terms nearly cancel
+        from mp_reference import knot_assets_ref, rel_err
+
+        p = validate(ModelParams(0.08, r, 0.5, 3.0))
+        knots = _knot_assets(p, delta, np.arange(n + 1.0))
+        ref = knot_assets_ref(0.08, r, 0.5, 3.0, delta, n)
+        assert knots[0] == 0.0
+        assert max(rel_err(m, m_ref) for m, m_ref in zip(knots[1:].tolist(), ref[1:])) <= tol
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            _mu_discrete(FIG1, 0.0, 5)
+            _knot_assets(FIG1, 0.0, 5.0)
         with pytest.raises(ValueError):
-            _mu_discrete(FIG1, 1.0, 0)
+            _knot_assets(FIG1, -1.0, 5.0)
 
     @pytest.mark.parametrize("delta", [math.nan, math.inf])
     def test_rejects_non_finite_delta(self, delta):
         with pytest.raises(ValueError, match="finite delta"):
-            _mu_discrete(FIG1, delta, 5)
+            _knot_assets(FIG1, delta, 5.0)
         with pytest.raises(ValueError, match="finite delta"):
-            _step_growth(FIG1, delta)
+            _log_steps(FIG1, delta)

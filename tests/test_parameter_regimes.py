@@ -74,9 +74,17 @@ def test_derivatives_match_finite_differences(p):
 def test_dp_agrees_with_knot_policy_at_zero_rate(p):
     grid = _make_asset_grid(10.0 * p.y, 400, p.y)
     sol = grid_dp(p, 1.0, grid)
-    pol = discrete_policy(p, 1.0, 10.0 * p.y)
-    assert np.max(np.abs(sol.policy - pol(grid))) <= 5e-4 * p.y
+    assert np.max(np.abs(sol.policy - discrete_policy(p, 1.0, grid))) <= 5e-4 * p.y
     assert sol.policy[0] == pytest.approx(p.y, abs=1e-6)
+
+
+@pytest.mark.parametrize("p", POSITIVE_RATE_SETS)
+def test_dp_agrees_with_knot_policy_at_positive_rate(p):
+    # one budget, a' = (1 + r*delta)*a + delta*(y - c): the a = 0 node consumes exactly y
+    grid = _make_asset_grid(10.0 * p.y, 400, p.y)
+    sol = grid_dp(p, 1.0, grid)
+    assert np.max(np.abs(sol.policy - discrete_policy(p, 1.0, grid))) <= 5e-4 * p.y
+    assert sol.policy[0] == discrete_policy(p, 1.0, 0.0) == pytest.approx(p.y, abs=1e-6)
 
 
 @pytest.mark.parametrize("p", ZERO_RATE_SETS + POSITIVE_RATE_SETS)

@@ -22,7 +22,7 @@ from ifpclosed.consumption import (
     consumption_path,
 )
 from ifpclosed.depletion_map import h_approx_small_r, h_closed_r0, h_numeric, mu
-from ifpclosed.figures import discrete_policy, figure_rows
+from ifpclosed.figures import _bracket, _knot_assets, figure_rows
 from ifpclosed.model_core import ModelParams, validate
 from ifpclosed.special_functions import wm1_neg_exp_offset
 
@@ -127,7 +127,8 @@ def test_figure1_knot_snap(p, grid_over_y, delta):
     _, rows = figure_rows(p, 1, grid, delta)
     a_over_y = np.array([row[0] for row in rows])
     flagged = np.array([row[3] for row in rows]) == 1
-    knots = discrete_policy(p, delta, grid[-1]).knot_assets
+    top = _bracket(p, delta, grid[-1:])[0][0]
+    knots = _knot_assets(p, delta, np.arange(top + 2.0))  # every knot through the one above the grid
     knots = knots[(knots >= grid[0]) & (knots <= grid[-1])]
     nominee = np.concatenate([  # per-knot argmin against the original grid, in chunks
         np.argmin(np.abs(grid[None, :] - chunk[:, None]), axis=1)
@@ -147,6 +148,25 @@ def test_figure1_knot_snap(p, grid_over_y, delta):
     half_step = 0.5 * np.maximum(np.append(step, 0.0), np.insert(step, 0, 0.0))
     assert np.all(np.abs(a - grid) <= half_step)
     assert np.array_equal(np.abs(a - grid)[flagged], nearest[flagged])
+
+
+@SETTINGS
+@given(params(), log_uniform(1e-12, 1e3), st.lists(log_uniform(1e-300, 1e300), min_size=1, max_size=8))
+def test_knot_search_brackets_the_assets(p, delta, ratios):
+    # the search's k against the knots' closed form: m_k <= a < m_(k+1), or a
+    # ValueError where k would pass 2**53 and stop being a whole double
+    a = np.array(ratios) * p.y
+    try:
+        with np.errstate(all="ignore"):
+            k, below, above = _bracket(p, delta, a)
+    except ValueError as err:
+        assert "past 2**53" in str(err)
+        return
+    assert np.all(k == np.floor(k)) and np.all(k >= 0.0) and np.all(k < 2.0**53)
+    assert np.array_equal(below, _knot_assets(p, delta, k))
+    with np.errstate(over="ignore"):  # the knot above may pass the double range
+        assert np.array_equal(above, _knot_assets(p, delta, k + 1.0))
+    assert np.all(below <= a) and np.all(a < above)
 
 
 ARRAY_RATIOS = st.lists(st.one_of(st.just(0.0), log_uniform(1e-12, 1e300)), min_size=1, max_size=16)

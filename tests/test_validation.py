@@ -612,8 +612,7 @@ class TestGridDp:
     def test_policy_against_piecewise_linear_r0(self):
         grid = _make_asset_grid(10.0, 300, FIG1_R0.y)
         sol = grid_dp(FIG1_R0, 1.0, grid)
-        pol = discrete_policy(FIG1_R0, 1.0, 10.0)
-        assert np.max(np.abs(sol.policy - pol(grid))) <= 5e-4 * FIG1_R0.y
+        assert np.max(np.abs(sol.policy - discrete_policy(FIG1_R0, 1.0, grid))) <= 5e-4 * FIG1_R0.y
 
     def test_constrained_node_consumes_income(self):
         grid = _make_asset_grid(10.0, 300, FIG1_R0.y)
